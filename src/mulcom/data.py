@@ -81,6 +81,11 @@ def _record_to_doc(rec: dict, path: str, line: int) -> FeatureDoc:
             f"doc {doc_id}: feature arrays must be rectangular 2-d",
             path=path, line=line,
         )
+    for name, feats in (("word_feats", word_feats), ("sent_feats", sent_feats)):
+        if not np.isfinite(feats).all():
+            raise DataFormatError(
+                f"doc {doc_id}: {name} holds non-finite values", path=path, line=line
+            )
     return FeatureDoc(
         doc_id=doc_id,
         word_feats=word_feats,

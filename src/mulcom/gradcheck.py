@@ -2,7 +2,8 @@
 
 Each check builds a small random fixture, runs the tape backward pass,
 and compares against central differences through the real code paths
-(`message_pass`, the stream entry points, the full model forward).
+(`message_pass`, the stream entry points, the full model forward on a
+ragged batch, so the padded and masked path is audited too).
 Deterministic in the seed, so a green run stays green.
 """
 
@@ -14,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import EntityMentions, FeatureDoc, build_graph
+from .graph import EntityMentions, FeatureDoc, build_graph, label_matrix
 from .model import ModelConfig, bce_loss, build_model, forward_logits, predict_logits, stream_attention
 from .msrrn import init_reasoner, message_pass
 from .numerics import (
@@ -122,7 +123,7 @@ def _check_word_stream(rng, eps, max_coords):
     params = {"trope_embedding": e}
     params.update(p.named("word"))
     return grad_check(
-        lambda: _weighted_sum(word_stream(doc, e, p), w),
+        lambda: _weighted_sum(word_stream([doc], e, p), w),
         params, eps=eps, max_coords=max_coords, rng=rng,
     )
 
@@ -136,7 +137,7 @@ def _check_sentence_stream(rng, eps, max_coords):
     params = {"trope_embedding": e}
     params.update(p.named("sentence"))
     return grad_check(
-        lambda: _weighted_sum(sentence_stream(doc, e, p), w),
+        lambda: _weighted_sum(sentence_stream([doc], e, p), w),
         params, eps=eps, max_coords=max_coords, rng=rng,
     )
 
@@ -152,7 +153,7 @@ def _check_relation_stream(rng, eps, max_coords):
     params.update(p.named("relation"))
     params.update(reasoner.named("reasoner"))
     return grad_check(
-        lambda: _weighted_sum(relation_stream(graph, e, reasoner, p), w),
+        lambda: _weighted_sum(relation_stream([graph], e, reasoner, p), w),
         params, eps=eps, max_coords=max_coords, rng=rng,
     )
 
@@ -195,13 +196,35 @@ def _check_predictor(rng, eps, max_coords):
     )
 
 
+def _ragged_docs(rng: np.random.Generator, d_w: int, d_s: int) -> list[FeatureDoc]:
+    # Token, sentence and entity counts all differ, so every stream pads
+    # and masks; the last doc has one sentence and one self-loop entity.
+    return [
+        _tiny_doc(rng, d_w, d_s),
+        FeatureDoc(
+            doc_id="gradcheck-doc-2",
+            word_feats=rng.standard_normal((3, d_w)),
+            sent_feats=rng.standard_normal((2, d_s)),
+            entities=[EntityMentions("ent_a", (0, 1)), EntityMentions("ent_b", (1,))],
+            labels=(1,),
+        ),
+        FeatureDoc(
+            doc_id="gradcheck-doc-3",
+            word_feats=rng.standard_normal((7, d_w)),
+            sent_feats=rng.standard_normal((1, d_s)),
+            entities=[EntityMentions("ent_a", (0,))],
+            labels=(0, 1, 2),
+        ),
+    ]
+
+
 def _check_full_model(rng, eps, max_coords):
     model = _tiny_model(seed=9)
-    doc = _tiny_doc(rng, model.cfg.d_w, model.cfg.d_s)
-    graph = build_graph(doc)
-    targets = np.array([1.0, 0.0, 1.0])
+    docs = _ragged_docs(rng, model.cfg.d_w, model.cfg.d_s)
+    graphs = [build_graph(doc) for doc in docs]
+    targets = label_matrix(docs, model.cfg.num_tropes)
     return grad_check(
-        lambda: bce_loss(forward_logits(model, doc, graph), targets, pos_weight=2.0),
+        lambda: bce_loss(forward_logits(model, docs, graphs), targets, pos_weight=2.0),
         model.named_parameters(), eps=eps, max_coords=max_coords, rng=rng,
     )
 

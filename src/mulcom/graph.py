@@ -81,23 +81,23 @@ class GraphEdge:
 
 @dataclass
 class SynopsisGraph:
-    """Entity nodes, shared-sentence edges, and adjacency with self-loops."""
+    """Entity nodes, shared-sentence edges, and adjacency with self-loops.
+
+    The directed pair arrays that message passing reads are derived from
+    `edges` once, at construction.
+    """
 
     entity_ids: list[str]
     x: Array  # [n, d_s] node features
     edges: list[GraphEdge]
     adjacency: list[list[int]] = field(default_factory=list)
+    recv: Array = field(init=False, repr=False)  # [P] receiving node
+    send: Array = field(init=False, repr=False)  # [P] sending node
+    efeat: Array = field(init=False, repr=False)  # [P, d_s] edge feature
 
-    @property
-    def n_nodes(self) -> int:
-        return len(self.entity_ids)
-
-    def directed_pairs(self) -> tuple[Array, Array, Array]:
-        """(receiver, sender, edge_feature) rows for message passing.
-
-        Every i != j edge yields both directions; self-loops yield one.
-        Row order follows the edge list, so it is deterministic.
-        """
+    def __post_init__(self):
+        # Every i != j edge yields both directions; self-loops yield one.
+        # Row order follows the edge list, so it is deterministic.
         recv: list[int] = []
         send: list[int] = []
         feats: list[Array] = []
@@ -110,13 +110,46 @@ class SynopsisGraph:
                 recv.extend((edge.i, edge.j))
                 send.extend((edge.j, edge.i))
                 feats.extend((edge.e, edge.e))
-        d_s = self.x.shape[1]
-        feat_mat = np.stack(feats) if feats else np.zeros((0, d_s))
-        return (
-            np.asarray(recv, dtype=np.intp),
-            np.asarray(send, dtype=np.intp),
-            feat_mat,
-        )
+        self.recv = np.asarray(recv, dtype=np.intp)
+        self.send = np.asarray(send, dtype=np.intp)
+        self.efeat = np.stack(feats) if feats else np.zeros((0, self.x.shape[1]))
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.entity_ids)
+
+    def directed_pairs(self) -> tuple[Array, Array, Array]:
+        """(receiver, sender, edge_feature) rows for message passing."""
+        return self.recv, self.send, self.efeat
+
+
+@dataclass
+class GraphBatch:
+    """Disjoint union of several graphs, reasoned over in one pass.
+
+    Node rows are the member graphs' rows in order and pair indices are
+    offset to match, so no message crosses from one member to another.
+    """
+
+    x: Array  # [N, d_s] node features of every member
+    recv: Array
+    send: Array
+    efeat: Array
+
+    def directed_pairs(self) -> tuple[Array, Array, Array]:
+        return self.recv, self.send, self.efeat
+
+
+def batch_graphs(graphs: Sequence[SynopsisGraph]) -> GraphBatch:
+    sizes = [g.n_nodes for g in graphs]
+    offsets = np.cumsum(sizes) - sizes
+    pairs = [g.directed_pairs() for g in graphs]
+    return GraphBatch(
+        x=np.concatenate([g.x for g in graphs]),
+        recv=np.concatenate([r + o for (r, _, _), o in zip(pairs, offsets)]),
+        send=np.concatenate([s + o for (_, s, _), o in zip(pairs, offsets)]),
+        efeat=np.concatenate([f for _, _, f in pairs]),
+    )
 
 
 def build_graph(doc: FeatureDoc) -> SynopsisGraph:

@@ -39,7 +39,6 @@ from .numerics import (
     slice_last,
     softmax,
     softplus,
-    stack,
     Tape,
 )
 from .streams import (
@@ -106,7 +105,7 @@ class ModelConfig:
     def from_dict(cls, d: dict) -> "ModelConfig":
         try:
             return cls(**{**d, "streams": tuple(d["streams"])})
-        except TypeError as exc:
+        except (KeyError, TypeError) as exc:
             raise ConfigError(f"bad model config: {exc}") from exc
 
 
@@ -182,9 +181,14 @@ def organize(
 
 
 def predict_logits(model: MulComModel, mixed: Tensor) -> Tensor:
-    """One raw logit per trope from concat(mixed row, embedding row)."""
-    z = concat([mixed, model.E], axis=-1)
-    return reshape(mlp_apply(z, model.predictor), (model.cfg.num_tropes,))
+    """One raw logit per trope from concat(mixed row, embedding row).
+
+    `mixed` is [num_tropes, d_f] or a batch [B, num_tropes, d_f]; the
+    logits drop the last axis.
+    """
+    e = add(Tensor(np.zeros(mixed.shape)), model.E)  # E broadcast over the batch
+    z = concat([mixed, e], axis=-1)
+    return reshape(mlp_apply(z, model.predictor), mixed.shape[:-1])
 
 
 def bce_loss(logits: Tensor, targets: Array, pos_weight: float = 1.0) -> Tensor:
@@ -209,22 +213,30 @@ def bce_loss(logits: Tensor, targets: Array, pos_weight: float = 1.0) -> Tensor:
 
 
 def forward_logits(
-    model: MulComModel, doc: FeatureDoc, graph: SynopsisGraph | None = None
+    model: MulComModel,
+    docs: Sequence[FeatureDoc],
+    graphs: Sequence[SynopsisGraph] | None = None,
 ) -> Tensor:
-    """Raw per-trope logits for one document."""
+    """Raw per-trope logits [len(docs), num_tropes], recorded on one tape.
+
+    `graphs`, when given, are the entity graphs of `docs` in order;
+    otherwise they are built here when the relation stream needs them.
+    """
+    if not docs:
+        raise ValidationError("forward_logits: empty batch")
     cfg = model.cfg
     outs: dict[str, Tensor] = {}
     for name in cfg.streams:
         if name == "word":
             outs[name] = word_stream(
-                doc, model.E, model.streams[name], cfg.max_word_tokens
+                docs, model.E, model.streams[name], cfg.max_word_tokens
             )
         elif name == "sentence":
-            outs[name] = sentence_stream(doc, model.E, model.streams[name])
+            outs[name] = sentence_stream(docs, model.E, model.streams[name])
         else:
-            g = graph if graph is not None else build_graph(doc)
+            gs = graphs if graphs is not None else [build_graph(d) for d in docs]
             outs[name] = relation_stream(
-                g, model.E, model.reasoner, model.streams[name],
+                gs, model.E, model.reasoner, model.streams[name],
                 kind=cfg.relation_reasoner,
             )
     mixed = organize(outs, stream_attention(model), cfg.streams)
@@ -232,11 +244,18 @@ def forward_logits(
 
 
 def forward(
-    model: MulComModel, doc: FeatureDoc, graph: SynopsisGraph | None = None
+    model: MulComModel,
+    docs: Sequence[FeatureDoc],
+    graphs: Sequence[SynopsisGraph] | None = None,
 ) -> Array:
-    """Per-trope scores in (0, 1); no gradients are recorded."""
-    logits = forward_logits(model, doc, graph)
+    """Per-trope scores in (0, 1), [len(docs), num_tropes]; no gradients."""
+    logits = forward_logits(model, docs, graphs)
     return 1.0 / (1.0 + np.exp(-logits.data))
+
+
+# Docs per forward pass when scoring. Larger chunks cut per-op overhead
+# but pad more; scores agree across chunk sizes to rounding (1e-12).
+SCORE_CHUNK = 32
 
 
 def score_dataset(
@@ -245,8 +264,9 @@ def score_dataset(
     graphs: Sequence[SynopsisGraph] | None = None,
 ) -> Array:
     scores = np.zeros((len(docs), model.cfg.num_tropes))
-    for i, doc in enumerate(docs):
-        scores[i] = forward(model, doc, None if graphs is None else graphs[i])
+    for lo in range(0, len(docs), SCORE_CHUNK):
+        chunk = slice(lo, lo + SCORE_CHUNK)
+        scores[chunk] = forward(model, docs[chunk], None if graphs is None else graphs[chunk])
     return scores
 
 
@@ -368,23 +388,18 @@ def train(
         for start in range(0, len(docs), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             opt.zero_grad()
+            batch = [docs[i] for i in idx]
             tape = Tape()
             with tape:
-                logits = stack(
-                    [
-                        forward_logits(
-                            model, docs[i], None if graphs is None else graphs[i]
-                        )
-                        for i in idx
-                    ],
-                    axis=0,
+                logits = forward_logits(
+                    model, batch, None if graphs is None else [graphs[i] for i in idx]
                 )
                 loss = bce_loss(logits, y[idx], pos_weight)
             loss_val = float(loss.data)
             if not np.isfinite(loss_val):
                 raise MulComError(
                     f"non-finite loss {loss_val} at epoch {epoch} "
-                    f"batch starting {start} (docs {[docs[i].doc_id for i in idx]})"
+                    f"batch starting {start} (docs {[d.doc_id for d in batch]})"
                 )
             backward(loss, tape)
             opt.step()
@@ -423,11 +438,17 @@ def save_checkpoint(model: MulComModel, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> MulComModel:
+    """Rebuild a saved model; any malformed content is a DataFormatError."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"checkpoint {path}: invalid JSON: {exc}", path=path)
+    if not isinstance(payload, dict):
+        raise DataFormatError(
+            f"checkpoint {path}: expected a JSON object, got {type(payload).__name__}",
+            path=path,
+        )
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise DataFormatError(
             f"checkpoint {path}: unexpected format {payload.get('format')!r}",
@@ -438,7 +459,17 @@ def load_checkpoint(path: str) -> MulComModel:
             f"checkpoint {path}: unsupported version {payload.get('version')!r}",
             path=path,
         )
-    model = build_model(ModelConfig.from_dict(payload["config"]), seed=0)
+    for key in ("config", "params"):
+        if not isinstance(payload.get(key), dict):
+            raise DataFormatError(
+                f"checkpoint {path}: {key!r} is missing or not a JSON object",
+                path=path,
+            )
+    try:
+        cfg = ModelConfig.from_dict(payload["config"])
+    except ConfigError as exc:
+        raise DataFormatError(f"checkpoint {path}: {exc}", path=path) from exc
+    model = build_model(cfg, seed=0)
     params = model.named_parameters()
     stored = payload["params"]
     if set(stored) != set(params):
@@ -448,11 +479,23 @@ def load_checkpoint(path: str) -> MulComModel:
         )
     for name, t in params.items():
         entry = stored[name]
-        shape = tuple(entry["shape"])
+        try:
+            shape = tuple(entry["shape"])
+            data = np.asarray(entry["data"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataFormatError(
+                f"checkpoint {path}: malformed entry for {name}: {exc!r}", path=path
+            ) from exc
         if shape != t.shape:
             raise DataFormatError(
                 f"checkpoint {path}: {name} has shape {shape}, expected {t.shape}",
                 path=path,
             )
-        t.data[...] = np.asarray(entry["data"], dtype=np.float64).reshape(shape)
+        if data.shape != (t.size,):
+            raise DataFormatError(
+                f"checkpoint {path}: {name} holds data of shape {data.shape}, "
+                f"expected {t.size} values",
+                path=path,
+            )
+        t.data[...] = data.reshape(shape)
     return model

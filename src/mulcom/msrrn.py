@@ -17,7 +17,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConfigError
-from .graph import SynopsisGraph
+from .graph import GraphBatch, SynopsisGraph
 from .numerics import (
     AffineParams,
     LSTMParams,
@@ -40,6 +40,10 @@ from .numerics import (
 )
 
 Array = np.ndarray
+
+# One graph, or the disjoint union of a batch's graphs; nothing here
+# tells them apart, since no pair crosses from one member to another.
+Graph = SynopsisGraph | GraphBatch
 
 
 @dataclass
@@ -102,7 +106,7 @@ def _messages(
     return scatter_add_rows(per_pair, recv, num_nodes)
 
 
-def message_pass(graph: SynopsisGraph, h: Tensor, p: ReasonerParams) -> Tensor:
+def message_pass(graph: Graph, h: Tensor, p: ReasonerParams) -> Tensor:
     recv, send, efeat = graph.directed_pairs()
     e_proj = affine(Tensor(efeat), p.edge_in.w, p.edge_in.b)
     return _messages(h, recv, send, e_proj, graph.x.shape[0], p)
@@ -119,7 +123,7 @@ def reason_step(
     return lstm_cell(h, c, concat([x_proj, m], axis=-1), p.cell)
 
 
-def _trace(graph: SynopsisGraph, p: ReasonerParams) -> list[Tensor]:
+def _trace(graph: Graph, p: ReasonerParams) -> list[Tensor]:
     """Hidden state after each step, starting from zero h and c."""
     n = graph.x.shape[0]
     d_h = p.hidden_dim
@@ -136,7 +140,7 @@ def _trace(graph: SynopsisGraph, p: ReasonerParams) -> list[Tensor]:
     return states
 
 
-def run_msrrn(graph: SynopsisGraph, p: ReasonerParams) -> Tensor:
+def run_msrrn(graph: Graph, p: ReasonerParams) -> Tensor:
     """All-step reasoner: self-attention over each node's step history.
 
     Returns [n, d_h]: the attended step states summed over steps.
@@ -146,6 +150,6 @@ def run_msrrn(graph: SynopsisGraph, p: ReasonerParams) -> Tensor:
     return reduce_sum(attended, axis=1)
 
 
-def run_rrn(graph: SynopsisGraph, p: ReasonerParams) -> Tensor:
+def run_rrn(graph: Graph, p: ReasonerParams) -> Tensor:
     """Last-step-only baseline, same iteration as run_msrrn."""
     return _trace(graph, p)[-1]

@@ -7,7 +7,7 @@ the primary correctness instrument, so all arithmetic stays in float64.
 
 A forward pass records primitives on the innermost active :class:`Tape`;
 ``backward`` replays the records in exact reverse order. Tapes are
-rebuilt per forward pass (graphs differ per document) and are confined
+rebuilt per forward pass (graphs differ per batch) and are confined
 to a single thread.
 """
 
@@ -285,24 +285,23 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not parts:
         raise ShapeMismatchError("concat: need at least one part")
     axis = _norm_axis(axis, parts[0].ndim, "concat")
-    ref = parts[0].shape
-    for p in parts[1:]:
-        if p.ndim != len(ref) or any(
-            i != axis and p.shape[i] != ref[i] for i in range(len(ref))
-        ):
-            raise ShapeMismatchError(
-                f"concat: incompatible extents {ref} and {p.shape} on axis {axis}"
-            )
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
-    offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
+    try:
+        out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
+    except ValueError as exc:
+        raise ShapeMismatchError(
+            f"concat: incompatible extents {[p.shape for p in parts]} on axis {axis}"
+        ) from exc
     parts = tuple(parts)
 
     def backward_fn(g: Array) -> None:
         index: list = [slice(None)] * g.ndim
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+        lo = 0
+        for p in parts:
+            hi = lo + p.shape[axis]
             if p.tracked:
-                index[axis] = slice(int(lo), int(hi))
+                index[axis] = slice(lo, hi)
                 _accum(p, g[tuple(index)])
+            lo = hi
 
     return _emit(parts, out, backward_fn)
 
@@ -346,12 +345,11 @@ def transpose(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
             raise ShapeMismatchError(f"transpose: rank {x.ndim} < 2")
         axes = tuple(range(x.ndim - 2)) + (x.ndim - 1, x.ndim - 2)
     axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
-    out = Tensor(np.transpose(x.data, axes))
+    out = Tensor(x.data.transpose(axes))
 
     def backward_fn(g: Array) -> None:
         if x.tracked:
-            _accum(x, np.transpose(g, inverse))
+            _accum(x, g.transpose(np.argsort(axes)))
 
     return _emit((x,), out, backward_fn)
 
@@ -396,6 +394,24 @@ def scatter_add_rows(x: Tensor, index: Sequence[int], num_rows: int) -> Tensor:
     def backward_fn(g: Array) -> None:
         if x.tracked:
             _accum(x, g[idx])
+
+    return _emit((x,), out, backward_fn)
+
+
+def scatter_rows(x: Tensor, index, shape: Sequence[int]) -> Tensor:
+    """Place the rows of `x` in a zero tensor of `shape`: out[index] = x.
+
+    `index` is a numpy index into the leading axes of the output (an
+    integer array, a tuple of them, or a boolean map) and must address
+    distinct rows, so the backward pass is the gather g[index].
+    """
+    data = np.zeros(tuple(shape), dtype=np.float64)
+    data[index] = x.data
+    out = Tensor(data)
+
+    def backward_fn(g: Array) -> None:
+        if x.tracked:
+            _accum(x, g[index])
 
     return _emit((x,), out, backward_fn)
 

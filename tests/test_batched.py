@@ -1,0 +1,124 @@
+"""The batched forward pass checked against the per-document oracle.
+
+One ragged batch holds a zero-entity doc, a one-sentence doc and a doc
+cut by `max_word_tokens`, so every stream pads and masks. Logits and
+every parameter gradient must match the per-document pass within 1e-12.
+"""
+
+import numpy as np
+import numpy.testing as npt
+import pytest
+
+import perdoc_oracle
+from mulcom.errors import EmptyDocumentError, ValidationError
+from mulcom.graph import EntityMentions, FeatureDoc, label_matrix
+from mulcom.model import ModelConfig, bce_loss, build_model, forward_logits
+from mulcom.numerics import Tape, backward, rng_from_seed, stack
+
+TOL = 1e-12
+MAX_TOKENS = 6
+D_W, D_S = 5, 4
+
+STREAM_SETS = (
+    ("word",),
+    ("sentence",),
+    ("relation",),
+    ("word", "relation"),
+    ("word", "sentence", "relation"),
+)
+
+
+def doc(doc_id, n_tokens, n_sents, mentions, labels, seed):
+    rng = rng_from_seed(seed, stream=90)
+    return FeatureDoc(
+        doc_id=doc_id,
+        word_feats=rng.standard_normal((n_tokens, D_W)),
+        sent_feats=rng.standard_normal((n_sents, D_S)),
+        entities=[EntityMentions(eid, tuple(s)) for eid, s in mentions.items()],
+        labels=labels,
+    )
+
+
+def ragged_batch():
+    return [
+        doc("plain", 5, 3, {"A": (0, 1), "B": (0,), "C": (2,)}, (0, 2), seed=1),
+        doc("no-entities", 4, 2, {}, (1,), seed=2),
+        doc("one-sentence", 2, 1, {"A": (0,), "B": (0,)}, (), seed=3),
+        doc("cut", 9, 4, {"A": (0, 3), "B": (1,), "C": (1, 2), "D": (3,)}, (0, 1, 2),
+            seed=4),
+    ]
+
+
+def model_for(streams, reasoner):
+    cfg = ModelConfig(
+        num_tropes=3, d_w=D_W, d_s=D_S, d_f=8, d_a=8, d_h=8,
+        reasoner_steps=2, reasoner_heads=2, relation_reasoner=reasoner,
+        streams=streams, max_word_tokens=MAX_TOKENS,
+    )
+    return build_model(cfg, seed=5)
+
+
+def logits_and_grads(model, docs, forward):
+    params = model.named_parameters()
+    for t in params.values():
+        t.zero_grad()
+    tape = Tape()
+    with tape:
+        logits = forward()
+        loss = bce_loss(logits, label_matrix(docs, model.cfg.num_tropes), 2.0)
+    backward(loss, tape)
+    # rrn leaves the step attention off the tape, so it gets no gradient
+    return logits.data, {k: None if t.grad is None else t.grad.copy()
+                         for k, t in params.items()}
+
+
+@pytest.mark.parametrize("reasoner", ("msrrn", "rrn"))
+@pytest.mark.parametrize("streams", STREAM_SETS, ids=",".join)
+def test_logits_and_gradients_match_per_doc_oracle(streams, reasoner, caplog):
+    model = model_for(streams, reasoner)
+    docs = ragged_batch()
+    with caplog.at_level("WARNING"):
+        got, got_grads = logits_and_grads(
+            model, docs, lambda: forward_logits(model, docs))
+    want, want_grads = logits_and_grads(
+        model, docs,
+        lambda: stack([perdoc_oracle.forward_logits(model, d) for d in docs], axis=0))
+    assert np.isfinite(got).all()
+    npt.assert_allclose(got, want, rtol=0, atol=TOL)
+    assert got_grads.keys() == want_grads.keys()
+    for name, g in got_grads.items():
+        if want_grads[name] is None:
+            assert g is None, name
+            continue
+        assert np.isfinite(g).all(), name
+        npt.assert_allclose(g, want_grads[name], rtol=0, atol=TOL, err_msg=name)
+    if "relation" in streams:
+        assert "no entities" in caplog.text
+
+
+@pytest.mark.parametrize("streams", STREAM_SETS[3:], ids=",".join)
+def test_doc_logits_ignore_batch_mates_and_order(streams):
+    model = model_for(streams, "msrrn")
+    docs = ragged_batch()
+    whole = forward_logits(model, docs).data
+    for i, d in enumerate(docs):
+        npt.assert_allclose(forward_logits(model, [d]).data[0], whole[i],
+                            rtol=0, atol=TOL)
+    order = [2, 0, 3, 1]
+    shuffled = forward_logits(model, [docs[i] for i in order]).data
+    npt.assert_allclose(shuffled, whole[order], rtol=0, atol=TOL)
+    npt.assert_allclose(forward_logits(model, docs[1:3]).data, whole[1:3],
+                        rtol=0, atol=TOL)
+
+
+def test_zero_token_doc_is_named():
+    model = model_for(("word", "relation"), "msrrn")
+    docs = ragged_batch()
+    docs[2] = doc("tokenless", 0, 1, {"A": (0,)}, (), seed=6)
+    with pytest.raises(EmptyDocumentError, match="doc tokenless: no word tokens"):
+        forward_logits(model, docs)
+
+
+def test_empty_batch_is_rejected():
+    with pytest.raises(ValidationError, match="empty batch"):
+        forward_logits(model_for(("word",), "msrrn"), [])

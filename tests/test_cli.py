@@ -139,6 +139,37 @@ class TestEval:
         ])
         assert rc == 1
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda p: [p],
+        lambda p: {k: v for k, v in p.items() if k != "config"},
+        lambda p: {**p, "config": ["word"]},
+        lambda p: {**p, "config": {k: v for k, v in p["config"].items()
+                                   if k != "streams"}},
+        lambda p: {**p, "params": None},
+        lambda p: {**p, "params": {**p["params"], "trope_embedding": [1.0]}},
+        lambda p: {**p, "params": {**p["params"], "trope_embedding": {"shape": [8, 8]}}},
+        lambda p: {**p, "params": {**p["params"], "trope_embedding": {
+            **p["params"]["trope_embedding"], "data": [1.0, 2.0]}}},
+        lambda p: {**p, "params": {**p["params"], "trope_embedding": {
+            **p["params"]["trope_embedding"], "data": ["x"] * 64}}},
+    ], ids=["list-payload", "no-config", "config-not-object", "config-no-streams",
+            "params-not-object", "entry-not-object", "entry-no-data",
+            "entry-short-data", "entry-text-data"])
+    def test_malformed_checkpoint_is_runtime_error(self, corrupt, tiny_manifest,
+                                                   tmp_path, caplog):
+        cfg = ModelConfig(num_tropes=8, d_w=6, d_s=5, d_f=8, d_a=8, d_h=8,
+                          reasoner_steps=1, reasoner_heads=1, streams=("word",))
+        ckpt = tmp_path / "ckpt.json"
+        save_checkpoint(build_model(cfg, seed=0), str(ckpt))
+        ckpt.write_text(json.dumps(corrupt(json.loads(ckpt.read_text()))))
+        rc = main([
+            "eval", "--data", tiny_manifest, "--checkpoint", str(ckpt),
+            "--out", str(tmp_path),
+        ])
+        assert rc == 1
+        assert f"checkpoint {ckpt}" in caplog.text
+        assert "Traceback" not in caplog.text
+
 
 class TestStatsAndCooccur:
     def test_stats_report_shape(self, tiny_manifest, tmp_path):

@@ -151,6 +151,19 @@ class TestLoadErrors:
         with pytest.raises(DataFormatError):
             load_dataset(path)
 
+    @pytest.mark.parametrize("field", ["word_feats", "sent_feats"])
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_features_rejected(self, tmp_path, field, bad):
+        ok = {"doc_id": "d0", "word_feats": [[0.0]], "sent_feats": [[0.0]],
+              "entities": [], "labels": []}
+        rec = json.dumps({**ok, "doc_id": "d1"}).replace(
+            f'"{field}": [[0.0]]', f'"{field}": [[{bad}]]')
+        (tmp_path / "train.jsonl").write_text(json.dumps(ok) + "\n" + rec + "\n")
+        path = self.write_manifest(tmp_path, {"train": ["train.jsonl"]})
+        with pytest.raises(DataFormatError,
+                           match=rf"doc d1: {field} holds non-finite.*train.jsonl:2"):
+            load_dataset(path)
+
     def test_missing_records_file(self, tmp_path):
         path = self.write_manifest(tmp_path, {"train": ["gone.jsonl"]})
         with pytest.raises(DataFormatError, match="gone.jsonl"):

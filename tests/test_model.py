@@ -153,9 +153,9 @@ class TestPredictLogits:
         for _, t in model.predictor.named("p"):
             t.data[...] = 0.0
         doc = tiny_doc()
-        logits = forward_logits(model, doc)
-        npt.assert_array_equal(logits.data, np.zeros(3))
-        npt.assert_allclose(forward(model, doc), np.full(3, 0.5), rtol=0, atol=0)
+        logits = forward_logits(model, [doc])
+        npt.assert_array_equal(logits.data, np.zeros((1, 3)))
+        npt.assert_allclose(forward(model, [doc]), np.full((1, 3), 0.5), rtol=0, atol=0)
 
     def test_matches_mlp_oracle(self):
         rng = rng_from_seed(73)
@@ -228,13 +228,13 @@ class TestBceLoss:
 class TestForward:
     def test_deterministic_across_builds(self):
         doc = tiny_doc(seed=6)
-        s1 = forward(build_model(tiny_cfg(), seed=7), doc)
-        s2 = forward(build_model(tiny_cfg(), seed=7), doc)
+        s1 = forward(build_model(tiny_cfg(), seed=7), [doc])
+        s2 = forward(build_model(tiny_cfg(), seed=7), [doc])
         npt.assert_array_equal(s1, s2)
 
     def test_scores_in_open_unit_interval(self):
         doc = tiny_doc(seed=8)
-        s = forward(build_model(tiny_cfg(), seed=9), doc)
+        s = forward(build_model(tiny_cfg(), seed=9), [doc])
         assert np.all(s > 0) and np.all(s < 1)
 
     def test_matches_composed_oracle(self):
@@ -255,13 +255,13 @@ class TestForward:
                             model.predictor).reshape(-1)
         expected = np_sigmoid(logits)
 
-        npt.assert_allclose(forward(model, doc, g), expected, rtol=1e-9, atol=1e-12)
+        npt.assert_allclose(forward(model, [doc], [g])[0], expected, rtol=1e-9, atol=1e-12)
 
     def test_rrn_variant_differs_from_msrrn(self):
         doc = tiny_doc(seed=12)
-        s_ms = forward(build_model(tiny_cfg(), seed=13), doc)
+        s_ms = forward(build_model(tiny_cfg(), seed=13), [doc])
         s_rrn = forward(
-            build_model(tiny_cfg(relation_reasoner="rrn"), seed=13), doc
+            build_model(tiny_cfg(relation_reasoner="rrn"), seed=13), [doc]
         )
         assert np.abs(s_ms - s_rrn).max() > 1e-9
 
@@ -274,12 +274,7 @@ class TestEndToEndGradients:
         y = label_matrix(docs, 3)
 
         def loss_fn():
-            from mulcom.numerics import stack
-            logits = stack(
-                [forward_logits(model, d, g) for d, g in zip(docs, graphs)],
-                axis=0,
-            )
-            return bce_loss(logits, y, pos_weight=2.0)
+            return bce_loss(forward_logits(model, docs, graphs), y, pos_weight=2.0)
 
         err = grad_check(
             loss_fn, model.named_parameters(), max_coords=3,
@@ -319,7 +314,7 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=1e-2, epochs=500, batch_size=1)
         result = train(model, docs, cfg)
         assert min(result.epoch_losses) < 0.01
-        scores = forward(model, docs[0])
+        scores = forward(model, docs)[0]
         assert scores[0] > 0.9 and scores[2] > 0.9 and scores[1] < 0.1
 
     def test_embedding_receives_updates(self):
@@ -342,17 +337,11 @@ class TestTrain:
                       TrainConfig(epochs=1, batch_size=1))
 
     def test_loss_invariant_to_document_order(self):
-        from mulcom.numerics import stack
         model = build_model(tiny_cfg(), seed=27)
         docs = [tiny_doc(seed=28, labels=(0,)), tiny_doc(seed=29, labels=(1, 2))]
         y = label_matrix(docs, 3)
-        l_ab = bce_loss(
-            stack([forward_logits(model, d) for d in docs], axis=0), y, 2.0
-        ).data
-        l_ba = bce_loss(
-            stack([forward_logits(model, d) for d in docs[::-1]], axis=0),
-            y[::-1], 2.0,
-        ).data
+        l_ab = bce_loss(forward_logits(model, docs), y, 2.0).data
+        l_ba = bce_loss(forward_logits(model, docs[::-1]), y[::-1], 2.0).data
         assert l_ab == pytest.approx(l_ba, abs=1e-12)
 
     def test_early_stop_on_validation_f1(self):
@@ -400,7 +389,7 @@ class TestCheckpoint:
             assert k1 == k2
             npt.assert_array_equal(t1.data, t2.data)
         doc = tiny_doc(seed=35)
-        npt.assert_array_equal(forward(model, doc), forward(loaded, doc))
+        npt.assert_array_equal(forward(model, [doc]), forward(loaded, [doc]))
 
     def test_same_model_writes_identical_bytes(self, tmp_path):
         model = build_model(tiny_cfg(), seed=36)
@@ -428,4 +417,4 @@ class TestScoreDataset:
         docs = [tiny_doc(seed=38), tiny_doc(seed=39)]
         scores = score_dataset(model, docs)
         for i, d in enumerate(docs):
-            npt.assert_array_equal(scores[i], forward(model, d))
+            npt.assert_array_equal(scores[i], forward(model, [d])[0])

@@ -106,9 +106,9 @@ class TestWordStream:
         )
         p = init_stream(rng, view_dim=6, d_f=4, d_a=5)
         e = rng.standard_normal((3, 4))
-        out = word_stream(doc, Tensor(e), p)
+        out = word_stream([doc], Tensor(e), p)
         npt.assert_allclose(
-            out.data, attend_oracle(e, doc.word_feats, p), rtol=1e-10, atol=1e-12
+            out.data[0], attend_oracle(e, doc.word_feats, p), rtol=1e-10, atol=1e-12
         )
 
     def test_token_order_does_not_matter(self):
@@ -120,7 +120,7 @@ class TestWordStream:
 
         def run(wf):
             doc = FeatureDoc("d", wf, base.sent_feats, base.entities, ())
-            return word_stream(doc, e, p).data
+            return word_stream([doc], e, p).data
 
         perm = rng.permutation(6)
         npt.assert_allclose(run(feats), run(feats[perm]), rtol=1e-10, atol=1e-12)
@@ -134,8 +134,8 @@ class TestWordStream:
         long_doc = FeatureDoc("d", feats, base.sent_feats, base.entities, ())
         short_doc = FeatureDoc("d", feats[:3], base.sent_feats, base.entities, ())
         npt.assert_array_equal(
-            word_stream(long_doc, e, p, max_tokens=3).data,
-            word_stream(short_doc, e, p).data,
+            word_stream([long_doc], e, p, max_tokens=3).data,
+            word_stream([short_doc], e, p).data,
         )
 
     def test_empty_doc_raises(self):
@@ -144,7 +144,7 @@ class TestWordStream:
         doc = FeatureDoc("d", np.zeros((0, 5)), base.sent_feats, base.entities, ())
         p = init_stream(rng, view_dim=5, d_f=4, d_a=5)
         with pytest.raises(EmptyDocumentError, match="d"):
-            word_stream(doc, Tensor(np.zeros((2, 4))), p)
+            word_stream([doc], Tensor(np.zeros((2, 4))), p)
 
 
 class TestSentenceStream:
@@ -155,19 +155,19 @@ class TestSentenceStream:
             t.data[...] = 0.0
         doc = make_doc({"A": [0]}, n_sents=3, d_s=3, seed=44)
         e = rng.standard_normal((2, 4))
-        out = sentence_stream(doc, Tensor(e), p)
+        out = sentence_stream([doc], Tensor(e), p)
         expected = attend_oracle(e, np.zeros((3, 5)), p)
-        npt.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-12)
+        npt.assert_allclose(out.data[0], expected, rtol=1e-12, atol=1e-12)
 
     def test_four_sentence_doc_matches_composition_oracle(self):
         rng = rng_from_seed(45)
         p = init_stream(rng, view_dim=6, d_f=4, d_a=6, rnn_input=3)
         doc = make_doc({"A": [0]}, n_sents=4, d_s=3, seed=46)
         e = rng.standard_normal((3, 4))
-        out = sentence_stream(doc, Tensor(e), p)
+        out = sentence_stream([doc], Tensor(e), p)
         states = lstm_states_oracle(doc.sent_feats, p)
         npt.assert_allclose(
-            out.data, attend_oracle(e, states, p), rtol=1e-10, atol=1e-12
+            out.data[0], attend_oracle(e, states, p), rtol=1e-10, atol=1e-12
         )
 
     def test_sentence_order_matters(self):
@@ -175,11 +175,11 @@ class TestSentenceStream:
         p = init_stream(rng, view_dim=5, d_f=4, d_a=5, rnn_input=3)
         doc = make_doc({"A": [0]}, n_sents=2, d_s=3, seed=48)
         e = Tensor(rng.standard_normal((2, 4)))
-        out1 = sentence_stream(doc, e, p).data
+        out1 = sentence_stream([doc], e, p).data
         swapped = FeatureDoc(
             "d", doc.word_feats, doc.sent_feats[::-1].copy(), doc.entities, ()
         )
-        out2 = sentence_stream(swapped, e, p).data
+        out2 = sentence_stream([swapped], e, p).data
         assert np.abs(out1 - out2).max() > 1e-8
 
 
@@ -191,9 +191,9 @@ class TestRelationStream:
         reasoner = init_reasoner(rng, d_s=3, d_h=8, steps=2, heads=2)
         p = init_stream(rng, view_dim=8, d_f=4, d_a=5)
         e = rng.standard_normal((3, 4))
-        out = relation_stream(g, Tensor(e), reasoner, p)
+        out = relation_stream([g], Tensor(e), reasoner, p)
         h = oracle_msrrn(g, reasoner)
-        npt.assert_allclose(out.data, attend_oracle(e, h, p), rtol=1e-10, atol=1e-12)
+        npt.assert_allclose(out.data[0], attend_oracle(e, h, p), rtol=1e-10, atol=1e-12)
 
     def test_three_node_graph_matches_composed_oracles(self):
         rng = rng_from_seed(51)
@@ -202,9 +202,9 @@ class TestRelationStream:
         reasoner = init_reasoner(rng, d_s=3, d_h=8, steps=3, heads=2)
         p = init_stream(rng, view_dim=8, d_f=4, d_a=5)
         e = rng.standard_normal((2, 4))
-        out = relation_stream(g, Tensor(e), reasoner, p)
+        out = relation_stream([g], Tensor(e), reasoner, p)
         h = oracle_msrrn(g, reasoner)
-        npt.assert_allclose(out.data, attend_oracle(e, h, p), rtol=1e-10, atol=1e-12)
+        npt.assert_allclose(out.data[0], attend_oracle(e, h, p), rtol=1e-10, atol=1e-12)
 
     def test_node_order_does_not_matter(self):
         rng = rng_from_seed(53)
@@ -217,8 +217,8 @@ class TestRelationStream:
         reasoner = init_reasoner(rng2, d_s=3, d_h=8, steps=2, heads=2)
         p = init_stream(rng2, view_dim=8, d_f=4, d_a=5)
         e = Tensor(rng.standard_normal((2, 4)))
-        out1 = relation_stream(build_graph(doc), e, reasoner, p).data
-        out2 = relation_stream(build_graph(doc2), e, reasoner, p).data
+        out1 = relation_stream([build_graph(doc)], e, reasoner, p).data
+        out2 = relation_stream([build_graph(doc2)], e, reasoner, p).data
         npt.assert_allclose(out1, out2, rtol=0, atol=1e-10)
 
     def test_zero_node_graph_emits_zeros_and_warns(self, caplog):
@@ -228,9 +228,9 @@ class TestRelationStream:
         reasoner = init_reasoner(rng, d_s=3, d_h=8, steps=2, heads=2)
         p = init_stream(rng, view_dim=8, d_f=4, d_a=5)
         with caplog.at_level("WARNING"):
-            out = relation_stream(g, Tensor(np.zeros((3, 4))), reasoner, p)
+            out = relation_stream([g], Tensor(np.zeros((3, 4))), reasoner, p)
         assert "no entities" in caplog.text
-        npt.assert_array_equal(out.data, np.zeros((3, 4)))
+        npt.assert_array_equal(out.data[0], np.zeros((3, 4)))
 
     def test_rrn_kind_uses_last_step_only(self):
         rng = rng_from_seed(58)
@@ -239,8 +239,8 @@ class TestRelationStream:
         reasoner = init_reasoner(rng, d_s=3, d_h=8, steps=2, heads=2)
         p = init_stream(rng, view_dim=8, d_f=4, d_a=5)
         e = Tensor(rng.standard_normal((2, 4)))
-        out_ms = relation_stream(g, e, reasoner, p, kind="msrrn").data
-        out_rrn = relation_stream(g, e, reasoner, p, kind="rrn").data
+        out_ms = relation_stream([g], e, reasoner, p, kind="msrrn").data
+        out_rrn = relation_stream([g], e, reasoner, p, kind="rrn").data
         assert np.abs(out_ms - out_rrn).max() > 1e-8
 
 
@@ -264,7 +264,7 @@ class TestStreamGradients:
         doc = make_doc({"A": [0]}, n_sents=3, d_s=3, seed=63)
         e = Tensor(rng.standard_normal((2, 4)))
         err = grad_check(
-            lambda: reduce_sum(sentence_stream(doc, e, p)),
+            lambda: reduce_sum(sentence_stream([doc], e, p)),
             dict(p.named("s")),
             max_coords=6,
             rng=rng_from_seed(64),

@@ -76,6 +76,13 @@ def _record_to_doc(rec: dict, path: str, line: int) -> FeatureDoc:
         raise DataFormatError(
             f"bad document record: {exc}", path=path, line=line
         ) from exc
+    for name, feats, what in (("word_feats", word_feats, "word tokens"),
+                              ("sent_feats", sent_feats, "sentences")):
+        if feats.shape[:1] == (0,):
+            raise DataFormatError(
+                f"doc {doc_id}: record has no {what} ({name} is empty)",
+                path=path, line=line,
+            )
     if word_feats.ndim != 2 or sent_feats.ndim != 2:
         raise DataFormatError(
             f"doc {doc_id}: feature arrays must be rectangular 2-d",
@@ -106,20 +113,40 @@ def load_dataset(manifest_path: str) -> Dataset:
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"manifest is not valid JSON: {exc}",
                               path=manifest_path)
+    if not isinstance(manifest, dict):
+        raise DataFormatError(
+            f"manifest must be a JSON object, got {type(manifest).__name__}",
+            path=manifest_path,
+        )
     if manifest.get("format") != MANIFEST_FORMAT:
         raise DataFormatError(
             f"unexpected manifest format {manifest.get('format')!r}",
             path=manifest_path,
         )
-    trope_names = list(manifest.get("trope_names", []))
+    trope_names = manifest.get("trope_names", [])
+    if not isinstance(trope_names, list):
+        raise DataFormatError("manifest 'trope_names' must be a list",
+                              path=manifest_path)
     if not trope_names:
         raise DataFormatError("manifest lists no tropes", path=manifest_path)
+    split_files = manifest.get("splits", {})
+    if not isinstance(split_files, dict):
+        raise DataFormatError(
+            "manifest 'splits' must map split names to lists of record files",
+            path=manifest_path,
+        )
+    for split, files in split_files.items():
+        if not (isinstance(files, list) and all(isinstance(f, str) for f in files)):
+            raise DataFormatError(
+                f"manifest split {split!r} must be a list of record file names",
+                path=manifest_path,
+            )
     base = os.path.dirname(os.path.abspath(manifest_path))
     splits: dict[str, list[FeatureDoc]] = {}
     num_tropes = len(trope_names)
     dims: tuple[int, int] | None = None
     seen_ids: dict[str, str] = {}
-    for split, files in manifest.get("splits", {}).items():
+    for split, files in split_files.items():
         docs: list[FeatureDoc] = []
         for rel in files:
             path = os.path.join(base, rel)

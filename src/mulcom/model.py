@@ -271,7 +271,12 @@ def score_dataset(
 
 
 class Adam:
-    """Standard Adam with bias correction over a named parameter dict."""
+    """Standard Adam with bias correction over a named parameter dict.
+
+    The parameters' values move into one contiguous buffer, each
+    parameter's `data` becoming a view of its segment, so a step is one
+    vectorized update over every parameter that has a gradient.
+    """
 
     def __init__(
         self,
@@ -287,20 +292,58 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        tensors = self.params.values()
+        self.flat = np.concatenate([np.zeros(0)] + [t.data.reshape(-1) for t in tensors])
+        self.spans: list[tuple[int, int]] = []
+        lo = 0
+        for t in tensors:
+            self.spans.append((lo, lo + t.size))
+            t.data = self.flat[lo : lo + t.size].reshape(t.shape)
+            lo += t.size
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        # The gathered gradient and a work buffer. The first step makes them,
+        # while a batch's tape is alive, so they sit above its memory in the
+        # heap and the allocator cannot hand the pages each tape frees back
+        # to the OS and fault them in again for the next batch (thousands of
+        # minor faults an epoch when they were made here).
+        self._g: Array | None = None
+        self._a: Array | None = None
 
     def step(self) -> None:
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        for k, p in self.params.items():
-            g = p.grad
-            if g is None:
-                continue
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (self.m[k] / b1c) / (np.sqrt(self.v[k] / b2c) + self.eps)
+        if self._g is None:
+            self._g = np.empty_like(self.flat)
+            self._a = np.empty_like(self.flat)
+        runs: list[list[int]] = []  # maximal runs of parameters with a gradient
+        for t, (lo, hi) in zip(self.params.values(), self.spans):
+            if t.grad is None:
+                continue  # its data, m and v stay as they are
+            self._g[lo:hi] = t.grad.reshape(-1)
+            if runs and runs[-1][1] == lo:
+                runs[-1][1] = hi
+            else:
+                runs.append([lo, hi])
+        for lo, hi in runs:
+            m, v, g, a = self.m[lo:hi], self.v[lo:hi], self._g[lo:hi], self._a[lo:hi]
+            # m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*g*g, evaluated in place
+            m *= self.beta1
+            np.multiply(g, 1.0 - self.beta1, out=a)
+            m += a
+            v *= self.beta2
+            np.multiply(g, 1.0 - self.beta2, out=a)
+            a *= g
+            v += a
+            # data -= lr * (m/b1c) / (sqrt(v/b2c) + eps), reusing g as a work buffer
+            np.divide(m, b1c, out=a)
+            a *= self.lr
+            np.divide(v, b2c, out=g)
+            np.sqrt(g, out=g)
+            g += self.eps
+            a /= g
+            self.flat[lo:hi] -= a
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -115,14 +115,23 @@ def _emit(inputs: tuple[Tensor, ...], out: Tensor, backward_fn: Callable[[Array]
     return out
 
 
-def _accum(t: Tensor, g: Array) -> None:
+def _accum(t: Tensor, g: Array, fresh: bool = False) -> None:
+    """Add `g` into `t.grad`, adopting it as the first gradient.
+
+    `g` is copied on adoption unless `fresh` says nothing else refers to
+    it (a result computed for this call, not a view or an upstream
+    gradient), so later in-place sums cannot reach another buffer.
+    """
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.asarray(g) if fresh else np.array(g)
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
     """Sum a broadcast gradient back down to `shape`."""
+    if g.shape == shape:
+        return g
     extra = g.ndim - len(shape)
     if extra:
         g = g.sum(axis=tuple(range(extra)))
@@ -165,9 +174,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward_fn(g: Array) -> None:
         if a.tracked:
-            _accum(a, _unbroadcast(g * b.data, a.shape))
+            _accum(a, _unbroadcast(g * b.data, a.shape), fresh=True)
         if b.tracked:
-            _accum(b, _unbroadcast(g * a.data, b.shape))
+            _accum(b, _unbroadcast(g * a.data, b.shape), fresh=True)
 
     return _emit((a, b), out, backward_fn)
 
@@ -177,7 +186,7 @@ def neg(x: Tensor) -> Tensor:
 
     def backward_fn(g: Array) -> None:
         if x.tracked:
-            _accum(x, -g)
+            _accum(x, -g, fresh=True)
 
     return _emit((x,), out, backward_fn)
 
@@ -189,7 +198,7 @@ def scale(x: Tensor, c: float) -> Tensor:
 
     def backward_fn(g: Array) -> None:
         if x.tracked:
-            _accum(x, g * c)
+            _accum(x, g * c, fresh=True)
 
     return _emit((x,), out, backward_fn)
 
@@ -202,9 +211,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward_fn(g: Array) -> None:
         if a.tracked:
-            _accum(a, _unbroadcast(g @ _swap2(b.data), a.shape))
+            _accum(a, _unbroadcast(g @ _swap2(b.data), a.shape), fresh=True)
         if b.tracked:
-            _accum(b, _unbroadcast(_swap2(a.data) @ g, b.shape))
+            if b.ndim == 2 and a.ndim > 2:
+                # one GEMM over the folded stack, not a stack of products
+                k, m = b.shape
+                _accum(b, a.data.reshape(-1, k).T @ g.reshape(-1, m), fresh=True)
+            else:
+                _accum(b, _unbroadcast(_swap2(a.data) @ g, b.shape), fresh=True)
 
     return _emit((a, b), out, backward_fn)
 
@@ -215,7 +229,7 @@ def relu(x: Tensor) -> Tensor:
 
     def backward_fn(g: Array) -> None:
         if x.tracked:
-            _accum(x, g * mask)
+            _accum(x, g * mask, fresh=True)
 
     return _emit((x,), out, backward_fn)
 
@@ -226,7 +240,7 @@ def tanh(x: Tensor) -> Tensor:
 
     def backward_fn(g: Array) -> None:
         if x.tracked:
-            _accum(x, g * (1.0 - t * t))
+            _accum(x, g * (1.0 - t * t), fresh=True)
 
     return _emit((x,), out, backward_fn)
 
@@ -238,16 +252,15 @@ def sigmoid(x: Tensor) -> Tensor:
 
     def backward_fn(g: Array) -> None:
         if x.tracked:
-            _accum(x, g * s * (1.0 - s))
+            _accum(x, g * s * (1.0 - s), fresh=True)
 
     return _emit((x,), out, backward_fn)
 
 
 def _sigmoid_raw(x: Array) -> Array:
-    # exp only ever sees non-positive arguments
-    pos = x >= 0
-    z = np.exp(np.where(pos, -x, x))
-    return np.where(pos, 1.0 / (1.0 + z), z / (1.0 + z))
+    # exp only ever sees non-positive arguments: 1/(1+z) for x >= 0, z/(1+z) below
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, z) / (1.0 + z)
 
 
 def softplus(x: Tensor) -> Tensor:
@@ -256,7 +269,7 @@ def softplus(x: Tensor) -> Tensor:
 
     def backward_fn(g: Array) -> None:
         if x.tracked:
-            _accum(x, g * _sigmoid_raw(x.data))
+            _accum(x, g * _sigmoid_raw(x.data), fresh=True)
 
     return _emit((x,), out, backward_fn)
 
@@ -272,7 +285,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     def backward_fn(g: Array) -> None:
         if x.tracked:
             dot = (g * s).sum(axis=axis, keepdims=True)
-            _accum(x, s * (g - dot))
+            _accum(x, s * (g - dot), fresh=True)
 
     return _emit((x,), out, backward_fn)
 
@@ -338,14 +351,22 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     return _emit((x,), out, backward_fn)
 
 
-def transpose(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
-    """Swap the last two axes by default, or permute by `axes`."""
+def transpose(
+    x: Tensor, axes: Sequence[int] | None = None, contiguous: bool = False
+) -> Tensor:
+    """Swap the last two axes by default, or permute by `axes`.
+
+    The result is a view unless `contiguous`, which copies it into its own
+    memory order: stacked products of many tiny matrices run several
+    times faster on such operands than on permuted views.
+    """
     if axes is None:
         if x.ndim < 2:
             raise ShapeMismatchError(f"transpose: rank {x.ndim} < 2")
         axes = tuple(range(x.ndim - 2)) + (x.ndim - 1, x.ndim - 2)
     axes = tuple(axes)
-    out = Tensor(x.data.transpose(axes))
+    data = x.data.transpose(axes)
+    out = Tensor(np.ascontiguousarray(data) if contiguous else data)
 
     def backward_fn(g: Array) -> None:
         if x.tracked:
@@ -365,7 +386,7 @@ def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
         if x.tracked:
             buf = np.zeros_like(x.data)
             buf[..., start:stop] = g
-            _accum(x, buf)
+            _accum(x, buf, fresh=True)
 
     return _emit((x,), out, backward_fn)
 
@@ -379,7 +400,7 @@ def gather_rows(x: Tensor, index: Sequence[int]) -> Tensor:
         if x.tracked:
             buf = np.zeros_like(x.data)
             np.add.at(buf, idx, g)
-            _accum(x, buf)
+            _accum(x, buf, fresh=True)
 
     return _emit((x,), out, backward_fn)
 
@@ -393,7 +414,7 @@ def scatter_add_rows(x: Tensor, index: Sequence[int], num_rows: int) -> Tensor:
 
     def backward_fn(g: Array) -> None:
         if x.tracked:
-            _accum(x, g[idx])
+            _accum(x, g[idx], fresh=True)
 
     return _emit((x,), out, backward_fn)
 
@@ -411,7 +432,7 @@ def scatter_rows(x: Tensor, index, shape: Sequence[int]) -> Tensor:
 
     def backward_fn(g: Array) -> None:
         if x.tracked:
-            _accum(x, g[index])
+            _accum(x, g[index], fresh=True)
 
     return _emit((x,), out, backward_fn)
 
@@ -422,7 +443,7 @@ def reduce_sum(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Te
 
         def backward_fn(g: Array) -> None:
             if x.tracked:
-                _accum(x, np.broadcast_to(g, x.shape).copy())
+                _accum(x, np.broadcast_to(g, x.shape))
 
     else:
         axis = _norm_axis(axis, x.ndim, "reduce_sum")
@@ -432,7 +453,7 @@ def reduce_sum(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Te
             if x.tracked:
                 if not keepdims:
                     g = np.expand_dims(g, axis)
-                _accum(x, np.broadcast_to(g, x.shape).copy())
+                _accum(x, np.broadcast_to(g, x.shape))
 
     return _emit((x,), out, backward_fn)
 
@@ -570,16 +591,54 @@ def lstm_cell(h: Tensor, c: Tensor, x: Tensor, p: LSTMParams) -> tuple[Tensor, T
     """One LSTM update on row-aligned state matrices.
 
     c' = f*c + i*g and h' = o*tanh(c') with sigmoid gates i, f, o and tanh
-    candidate g, all computed from concat(h, x).
+    candidate g, each computed from concat(h, x) by its own affine block.
+    The cell is two tape records, c' then h'. The h' record passes the o
+    gate's output gradient to the c' record, whose backward runs all four
+    gates, so a loss through h' only or c' only is handled alike.
     """
-    z = concat([h, x], axis=-1)
-    i = sigmoid(affine(z, p.gate_i.w, p.gate_i.b))
-    f = sigmoid(affine(z, p.gate_f.w, p.gate_f.b))
-    o = sigmoid(affine(z, p.gate_o.w, p.gate_o.b))
-    g = tanh(affine(z, p.gate_g.w, p.gate_g.b))
-    c_next = add(mul(f, c), mul(i, g))
-    h_next = mul(o, tanh(c_next))
-    return h_next, c_next
+    gates = (p.gate_i, p.gate_f, p.gate_o, p.gate_g)
+    z = np.concatenate([h.data, x.data], axis=-1)
+    i, f, o = (_sigmoid_raw(z @ q.w.data + q.b.data) for q in gates[:3])
+    g = np.tanh(z @ p.gate_g.w.data + p.gate_g.b.data)
+    c_next = Tensor(f * c.data + i * g)
+    tc = np.tanh(c_next.data)
+    h_next = Tensor(o * tc)
+    o_grad: list[Array | None] = [None]  # d loss / d o, left by the h' record
+
+    def c_backward(gc: Array) -> None:
+        do, o_grad[0] = o_grad[0], None
+        # pre-activation gradients, in the order a per-gate tape would visit them
+        pre = [(p.gate_g, (gc * i) * (1.0 - g * g))]
+        if do is not None:
+            pre.append((p.gate_o, (do * o) * (1.0 - o)))
+        pre.append((p.gate_f, ((gc * c.data) * f) * (1.0 - f)))
+        pre.append((p.gate_i, ((gc * g) * i) * (1.0 - i)))
+        if c.tracked:
+            _accum(c, gc * f, fresh=True)
+        z2 = z.reshape(-1, z.shape[-1])
+        dz = None
+        for q, da in pre:
+            if q.w.tracked:
+                _accum(q.w, z2.T @ da.reshape(-1, da.shape[-1]), fresh=True)
+            if q.b.tracked:
+                _accum(q.b, _unbroadcast(da, q.b.shape), fresh=True)
+            if h.tracked or x.tracked:
+                if dz is None:
+                    dz = da @ q.w.data.T
+                else:
+                    dz += da @ q.w.data.T
+        if h.tracked:
+            _accum(h, dz[..., : h.shape[-1]], fresh=True)
+        if x.tracked:
+            _accum(x, dz[..., h.shape[-1] :], fresh=True)
+
+    def h_backward(gh: Array) -> None:
+        o_grad[0] = gh * tc
+        _accum(c_next, (gh * o) * (1.0 - tc * tc), fresh=True)
+
+    inputs = (h, c, x) + tuple(t for q in gates for t in (q.w, q.b))
+    _emit(inputs, c_next, c_backward)
+    return _emit((c_next,), h_next, h_backward), c_next
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, p: MHAParams) -> Tensor:
@@ -587,24 +646,30 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, p: MHAParams) -> Tenso
 
     Inputs are [..., L, d] with shared leading batch axes; each head h
     computes softmax(Qh Kh^T / sqrt(d_head)) Vh on its slice of the
-    projected inputs, heads are concatenated and output-projected.
+    projected inputs, heads are concatenated and output-projected. All
+    heads run as one batched product over a [..., heads, L, d_head] layout.
     """
     d = q.shape[-1]
     if d % p.heads != 0:
         raise ConfigError(f"attention dim {d} not divisible by {p.heads} heads")
     dh = d // p.heads
-    qp = matmul(q, p.w_q)
-    kp = matmul(k, p.w_k)
-    vp = matmul(v, p.w_v)
-    outs = []
-    for h in range(p.heads):
-        lo, hi = h * dh, (h + 1) * dh
-        qh = slice_last(qp, lo, hi)
-        kh = slice_last(kp, lo, hi)
-        vh = slice_last(vp, lo, hi)
-        scores = scale(matmul(qh, transpose(kh)), 1.0 / math.sqrt(dh))
-        outs.append(matmul(softmax(scores, axis=-1), vh))
-    return matmul(concat(outs, axis=-1), p.w_o)
+
+    def split_heads(t: Tensor, w: Tensor, keys: bool = False) -> Tensor:
+        """Project [..., L, d] to [..., heads, L, dh], or [..., heads, dh, L] for keys."""
+        proj = matmul(t, w)
+        n = proj.ndim - 2
+        split = reshape(proj, proj.shape[:-1] + (p.heads, dh))  # [..., L, heads, dh]
+        last = (n + 2, n) if keys else (n, n + 2)
+        return transpose(split, tuple(range(n)) + (n + 1,) + last, contiguous=True)
+
+    qh = split_heads(q, p.w_q)
+    kt = split_heads(k, p.w_k, keys=True)
+    vh = split_heads(v, p.w_v)
+    scores = scale(matmul(qh, kt), 1.0 / math.sqrt(dh))
+    ctx = matmul(softmax(scores, axis=-1), vh)  # [..., heads, Lq, dh]
+    n = ctx.ndim - 3
+    merged = transpose(ctx, tuple(range(n)) + (n + 1, n, n + 2))
+    return matmul(reshape(merged, ctx.shape[:-3] + (ctx.shape[-2], d)), p.w_o)
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,25 @@ class TestExitCodes:
         ])
         assert rc == 1
 
+    @pytest.mark.parametrize("command", ["train", "stats"])
+    @pytest.mark.parametrize("corrupt", [
+        lambda m: [m],
+        lambda m: {**m, "splits": list(m["splits"].values())},
+        lambda m: {**m, "splits": {k: v[0] for k, v in m["splits"].items()}},
+    ], ids=["list-manifest", "splits-list", "files-not-list"])
+    def test_malformed_manifest_is_runtime_error(self, command, corrupt,
+                                                 tiny_manifest, tmp_path, caplog):
+        bad = tmp_path / "manifest.json"
+        with open(tiny_manifest) as fh:
+            bad.write_text(json.dumps(corrupt(json.load(fh))))
+        args = [command, "--data", str(bad), "--out", str(tmp_path / "out")]
+        if command == "train":
+            args += ["--epochs", "1", *TINY_TRAIN]
+        rc = main(args)
+        assert rc == 1
+        assert str(bad) in caplog.text
+        assert "Traceback" not in caplog.text
+
     def test_bad_threads_value(self, tiny_manifest, tmp_path):
         rc = main([
             "stats", "--data", tiny_manifest, "--out", str(tmp_path),

@@ -164,6 +164,35 @@ class TestLoadErrors:
                            match=rf"doc d1: {field} holds non-finite.*train.jsonl:2"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("field, what", [("word_feats", "word tokens"),
+                                             ("sent_feats", "sentences")])
+    def test_empty_record_is_named(self, tmp_path, field, what):
+        ok = {"doc_id": "d0", "word_feats": [[0.0]], "sent_feats": [[0.0]],
+              "entities": [], "labels": []}
+        empty = {**ok, "doc_id": "d1", field: []}
+        (tmp_path / "train.jsonl").write_text(
+            json.dumps(ok) + "\n" + json.dumps(empty) + "\n")
+        path = self.write_manifest(tmp_path, {"train": ["train.jsonl"]})
+        with pytest.raises(DataFormatError,
+                           match=rf"doc d1: record has no {what}.*train.jsonl:2"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("manifest", [
+        ["train.jsonl"],
+        {"splits": ["train.jsonl"]},
+        {"splits": {"train": "train.jsonl"}},
+        {"splits": {"train": [3]}},
+        {"trope_names": "t0"},
+    ], ids=["list", "splits-list", "files-not-list", "file-not-name", "tropes-not-list"])
+    def test_malformed_manifest_is_data_format_error(self, tmp_path, manifest):
+        path = self.write_manifest(tmp_path, {"train": ["train.jsonl"]})
+        if isinstance(manifest, dict):
+            manifest = {**json.loads(open(path).read()), **manifest}
+        with open(path, "w") as fh:
+            json.dump(manifest, fh)
+        with pytest.raises(DataFormatError, match="manifest.json"):
+            load_dataset(path)
+
     def test_missing_records_file(self, tmp_path):
         path = self.write_manifest(tmp_path, {"train": ["gone.jsonl"]})
         with pytest.raises(DataFormatError, match="gone.jsonl"):

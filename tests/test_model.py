@@ -298,6 +298,35 @@ class TestAdam:
         opt.step()
         npt.assert_array_equal(p.data, [2.0])
 
+    def test_flat_update_matches_per_tensor_loop(self):
+        # reference: the update applied tensor by tensor, in the same order
+        rng = np.random.default_rng(3)
+        shapes = {"w": (3, 4), "b": (4,), "e": (2, 3), "unused": (5,)}
+        init = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        params = {k: param(a.copy()) for k, a in init.items()}
+        opt = Adam(params, lr=0.01)
+        ref = {k: a.copy() for k, a in init.items()}
+        m = {k: np.zeros_like(a) for k, a in init.items()}
+        v = {k: np.zeros_like(a) for k, a in init.items()}
+        for step in range(1, 6):
+            grads = {k: rng.standard_normal(s) for k, s in shapes.items()}
+            grads["unused"] = None  # never receives a gradient
+            if step == 3:
+                grads["b"] = None  # skips one step
+            for k, p in params.items():
+                p.grad = None if grads[k] is None else grads[k].copy()
+            opt.step()
+            b1c, b2c = 1.0 - 0.9**step, 1.0 - 0.999**step
+            for k, g in grads.items():
+                if g is None:
+                    continue
+                m[k] = 0.9 * m[k] + (1.0 - 0.9) * g
+                v[k] = 0.999 * v[k] + (1.0 - 0.999) * g * g
+                ref[k] -= 0.01 * (m[k] / b1c) / (np.sqrt(v[k] / b2c) + 1e-8)
+            for k, p in params.items():
+                npt.assert_array_equal(p.data, ref[k])
+        npt.assert_array_equal(params["unused"].data, init["unused"])
+
 
 class TestTrain:
     def test_zero_learning_rate_leaves_parameters_unchanged(self):

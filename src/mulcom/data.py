@@ -63,8 +63,16 @@ def _doc_to_record(doc: FeatureDoc) -> dict:
 
 
 def _record_to_doc(rec: dict, path: str, line: int) -> FeatureDoc:
+    if not isinstance(rec, dict):
+        raise DataFormatError(
+            f"record must be a JSON object, got {type(rec).__name__}", path=path, line=line
+        )
+    doc_id = rec.get("doc_id")
+    if not isinstance(doc_id, str):
+        raise DataFormatError(
+            f"record 'doc_id' must be a string, got {doc_id!r}", path=path, line=line
+        )
     try:
-        doc_id = rec["doc_id"]
         word_feats = np.asarray(rec["word_feats"], dtype=np.float64)
         sent_feats = np.asarray(rec["sent_feats"], dtype=np.float64)
         entities = [
@@ -72,9 +80,9 @@ def _record_to_doc(rec: dict, path: str, line: int) -> FeatureDoc:
             for e in rec["entities"]
         ]
         labels = tuple(int(t) for t in rec["labels"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(
-            f"bad document record: {exc}", path=path, line=line
+            f"doc {doc_id}: bad document record: {exc!r}", path=path, line=line
         ) from exc
     for name, feats, what in (("word_feats", word_feats, "word tokens"),
                               ("sent_feats", sent_feats, "sentences")):
@@ -110,6 +118,8 @@ def load_dataset(manifest_path: str) -> Dataset:
     except FileNotFoundError:
         raise DataFormatError(f"manifest not found: {manifest_path}",
                               path=manifest_path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"cannot read manifest: {exc}", path=manifest_path)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"manifest is not valid JSON: {exc}",
                               path=manifest_path)
@@ -124,8 +134,8 @@ def load_dataset(manifest_path: str) -> Dataset:
             path=manifest_path,
         )
     trope_names = manifest.get("trope_names", [])
-    if not isinstance(trope_names, list):
-        raise DataFormatError("manifest 'trope_names' must be a list",
+    if not (isinstance(trope_names, list) and all(isinstance(t, str) for t in trope_names)):
+        raise DataFormatError("manifest 'trope_names' must be a list of strings",
                               path=manifest_path)
     if not trope_names:
         raise DataFormatError("manifest lists no tropes", path=manifest_path)
@@ -155,6 +165,8 @@ def load_dataset(manifest_path: str) -> Dataset:
                     lines = fh.readlines()
             except FileNotFoundError:
                 raise DataFormatError(f"record file not found: {path}", path=path)
+            except (OSError, UnicodeDecodeError) as exc:
+                raise DataFormatError(f"cannot read record file: {exc}", path=path)
             for lineno, raw in enumerate(lines, start=1):
                 if not raw.strip():
                     continue

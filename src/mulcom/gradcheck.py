@@ -123,7 +123,7 @@ def _check_word_stream(rng, eps, max_coords):
     params = {"trope_embedding": e}
     params.update(p.named("word"))
     return grad_check(
-        lambda: _weighted_sum(word_stream([doc], e, p), w),
+        lambda: _weighted_sum(word_stream([doc], e, p, ModelConfig.max_word_tokens), w),
         params, eps=eps, max_coords=max_coords, rng=rng,
     )
 

@@ -10,7 +10,7 @@ contributes a self-loop for it.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
@@ -71,48 +71,18 @@ def validate_doc(doc: FeatureDoc, num_tropes: int) -> None:
 
 
 @dataclass
-class GraphEdge:
-    """Undirected edge (i <= j); i == j is a self-loop."""
-
-    i: int
-    j: int
-    e: Array  # [d_s]
-
-
-@dataclass
 class SynopsisGraph:
-    """Entity nodes, shared-sentence edges, and adjacency with self-loops.
+    """Entity nodes and the directed pairs that message passing reads.
 
-    The directed pair arrays that message passing reads are derived from
-    `edges` once, at construction.
+    Every undirected i != j edge is two pair rows, (i, j) then (j, i),
+    with the same feature; a self-loop is one (i, i) row.
     """
 
     entity_ids: list[str]
     x: Array  # [n, d_s] node features
-    edges: list[GraphEdge]
-    adjacency: list[list[int]] = field(default_factory=list)
-    recv: Array = field(init=False, repr=False)  # [P] receiving node
-    send: Array = field(init=False, repr=False)  # [P] sending node
-    efeat: Array = field(init=False, repr=False)  # [P, d_s] edge feature
-
-    def __post_init__(self):
-        # Every i != j edge yields both directions; self-loops yield one.
-        # Row order follows the edge list, so it is deterministic.
-        recv: list[int] = []
-        send: list[int] = []
-        feats: list[Array] = []
-        for edge in self.edges:
-            if edge.i == edge.j:
-                recv.append(edge.i)
-                send.append(edge.j)
-                feats.append(edge.e)
-            else:
-                recv.extend((edge.i, edge.j))
-                send.extend((edge.j, edge.i))
-                feats.extend((edge.e, edge.e))
-        self.recv = np.asarray(recv, dtype=np.intp)
-        self.send = np.asarray(send, dtype=np.intp)
-        self.efeat = np.stack(feats) if feats else np.zeros((0, self.x.shape[1]))
+    recv: Array  # [P] receiving node
+    send: Array  # [P] sending node
+    efeat: Array  # [P, d_s] edge feature
 
     @property
     def n_nodes(self) -> int:
@@ -192,23 +162,27 @@ def build_graph(doc: FeatureDoc) -> SynopsisGraph:
             else:
                 pair_feats[key] = doc.sent_feats[s].copy()
 
-    edges = [GraphEdge(i=i, j=j, e=pair_feats[(i, j)]) for i, j in sorted(pair_feats)]
-
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for edge in edges:
-        if edge.i == edge.j:
-            adjacency[edge.i].append(edge.i)
+    # pair rows follow the edges in (i, j) order, so they are deterministic
+    recv: list[int] = []
+    send: list[int] = []
+    feats: list[Array] = []
+    for i, j in sorted(pair_feats):
+        e = pair_feats[(i, j)]
+        if i == j:
+            recv.append(i)
+            send.append(i)
+            feats.append(e)
         else:
-            adjacency[edge.i].append(edge.j)
-            adjacency[edge.j].append(edge.i)
-    for neigh in adjacency:
-        neigh.sort()
+            recv += (i, j)
+            send += (j, i)
+            feats += (e, e)
 
     return SynopsisGraph(
         entity_ids=[ent.entity_id for ent in doc.entities],
         x=x,
-        edges=edges,
-        adjacency=adjacency,
+        recv=np.asarray(recv, dtype=np.intp),
+        send=np.asarray(send, dtype=np.intp),
+        efeat=np.stack(feats) if feats else np.zeros((0, d_s)),
     )
 
 
@@ -224,6 +198,6 @@ def label_matrix(docs: Sequence[FeatureDoc], num_tropes: int) -> Array:
 def graph_stats(graph: SynopsisGraph) -> dict[str, float]:
     """Node count and density; self-loops do not count toward density."""
     n = graph.n_nodes
-    plain = sum(1 for e in graph.edges if e.i != e.j)
+    plain = int(np.count_nonzero(graph.recv != graph.send)) // 2  # two rows each
     density = 0.0 if n < 2 else plain / (n * (n - 1) / 2)
     return {"node_count": float(n), "density": density}

@@ -75,26 +75,25 @@ class ModelConfig:
 
     def __post_init__(self):
         self.streams = tuple(self.streams)
-        if self.num_tropes < 1:
-            raise ConfigError(f"num_tropes must be >= 1, got {self.num_tropes}")
-        for name, v in (("d_w", self.d_w), ("d_s", self.d_s), ("d_f", self.d_f),
-                        ("d_a", self.d_a), ("d_h", self.d_h)):
+        for name in ("num_tropes", "d_w", "d_s", "d_f", "d_a", "d_h", "reasoner_steps",
+                     "reasoner_heads", "max_word_tokens"):
+            v = getattr(self, name)
+            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
+                raise ConfigError(f"{name} must be an integer, got {v!r}")
             if v < 1:
                 raise ConfigError(f"{name} must be >= 1, got {v}")
         if not self.streams:
             raise ConfigError("at least one stream must be enabled")
-        if len(set(self.streams)) != len(self.streams):
-            raise ConfigError(f"duplicate stream in {self.streams}")
-        for s in self.streams:
+        for s in self.streams:  # before the duplicate check, which hashes them
             if s not in STREAM_NAMES:
                 raise ConfigError(f"unknown stream {s!r}; valid: {STREAM_NAMES}")
+        if len(set(self.streams)) != len(self.streams):
+            raise ConfigError(f"duplicate stream in {self.streams}")
         if self.relation_reasoner not in ("msrrn", "rrn"):
             raise ConfigError(
                 f"relation_reasoner must be 'msrrn' or 'rrn', "
                 f"got {self.relation_reasoner!r}"
             )
-        if self.max_word_tokens < 1:
-            raise ConfigError("max_word_tokens must be >= 1")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -485,6 +484,8 @@ def load_checkpoint(path: str) -> MulComModel:
     try:
         with open(path) as fh:
             payload = json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"checkpoint {path}: cannot read: {exc}", path=path)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"checkpoint {path}: invalid JSON: {exc}", path=path)
     if not isinstance(payload, dict):
@@ -509,10 +510,9 @@ def load_checkpoint(path: str) -> MulComModel:
                 path=path,
             )
     try:
-        cfg = ModelConfig.from_dict(payload["config"])
+        model = build_model(ModelConfig.from_dict(payload["config"]), seed=0)
     except ConfigError as exc:
         raise DataFormatError(f"checkpoint {path}: {exc}", path=path) from exc
-    model = build_model(cfg, seed=0)
     params = model.named_parameters()
     stored = payload["params"]
     if set(stored) != set(params):
@@ -539,6 +539,10 @@ def load_checkpoint(path: str) -> MulComModel:
                 f"checkpoint {path}: {name} holds data of shape {data.shape}, "
                 f"expected {t.size} values",
                 path=path,
+            )
+        if not np.isfinite(data).all():
+            raise DataFormatError(
+                f"checkpoint {path}: {name} holds non-finite values", path=path
             )
         t.data[...] = data.reshape(shape)
     return model

@@ -112,17 +112,6 @@ def message_pass(graph: Graph, h: Tensor, p: ReasonerParams) -> Tensor:
     return _messages(h, recv, send, e_proj, graph.x.shape[0], p)
 
 
-def reason_step(
-    graph: SynopsisGraph,
-    x_proj: Tensor,
-    h: Tensor,
-    c: Tensor,
-    p: ReasonerParams,
-) -> tuple[Tensor, Tensor]:
-    m = message_pass(graph, h, p)
-    return lstm_cell(h, c, concat([x_proj, m], axis=-1), p.cell)
-
-
 def _trace(graph: Graph, p: ReasonerParams) -> list[Tensor]:
     """Hidden state after each step, starting from zero h and c."""
     n = graph.x.shape[0]

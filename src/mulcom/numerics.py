@@ -563,20 +563,6 @@ def init_mha(rng: np.random.Generator, dim: int, heads: int) -> MHAParams:
     return MHAParams(w_q=mat(), w_k=mat(), w_v=mat(), w_o=mat(), heads=heads)
 
 
-def identity_mha(dim: int, heads: int) -> MHAParams:
-    """Identity projections; with a length-1 sequence attention is a no-op."""
-    if dim % heads != 0:
-        raise ConfigError(f"attention dim {dim} not divisible by {heads} heads")
-    eye = np.eye(dim)
-    return MHAParams(
-        w_q=param(eye.copy()),
-        w_k=param(eye.copy()),
-        w_v=param(eye.copy()),
-        w_o=param(eye.copy()),
-        heads=heads,
-    )
-
-
 def mlp_apply(x: Tensor, p: MLPParams) -> Tensor:
     out = x
     last = len(p.layers) - 1
@@ -639,6 +625,100 @@ def lstm_cell(h: Tensor, c: Tensor, x: Tensor, p: LSTMParams) -> tuple[Tensor, T
     inputs = (h, c, x) + tuple(t for q in gates for t in (q.w, q.b))
     _emit(inputs, c_next, c_backward)
     return _emit((c_next,), h_next, h_backward), c_next
+
+
+def lstm_sequence(x: Tensor, p: LSTMParams) -> Tensor:
+    """Hidden states [B, S, h] of an LSTM run over `x` [B, S, d_in] from zero state.
+
+    The recurrence of `lstm_cell` stepped over axis 1, as one tape record.
+    The four gate blocks are joined once per call into [fan_in, 4h] (order
+    i, f, o, g), and every step's input pre-activation is one GEMM over
+    the time-major [S*B, d_in] rows, so only the [B, h] @ [h, 4h]
+    recurrent product and the gate activations run per step. All four
+    gates take one tanh, the sigmoid ones as sigmoid(a) = (1 + tanh(a/2)) / 2
+    on pre-activations halved by exact power-of-two weight scaling, so
+    states agree with `lstm_cell` to rounding, not bit for bit. The
+    backward pass forms every step's local gate derivatives at once and
+    loops only for the state gradients; the weight, bias and input
+    gradients are one product or sum each.
+    """
+    if x.ndim != 3 or x.shape[-1] + p.hidden_dim != p.gate_i.w.shape[0]:
+        raise ShapeMismatchError(
+            f"lstm_sequence: input {x.shape} does not fit gate fan-in {p.gate_i.w.shape[0]}"
+        )
+    gates = (p.gate_i, p.gate_f, p.gate_o, p.gate_g)
+    hd = p.hidden_dim
+    n_b, n_s, d_in = x.shape
+    w = np.concatenate([q.w.data for q in gates], axis=1)  # [fan_in, 4h]
+    w_h, w_x = w[:hd], w[hd:]
+    half = np.ones(4 * hd)
+    half[: 3 * hd] = 0.5  # the sigmoid gates' tanh argument
+    xt = x.data.transpose(1, 0, 2).reshape(n_s * n_b, d_in)  # time-major rows
+    act = xt @ (w_x * half)
+    act += np.concatenate([q.b.data for q in gates]) * half
+    act = act.reshape(n_s, n_b, 4 * hd)  # pre-activations, then activations in place
+    w_rec = w_h * half
+    c = np.empty((n_s, n_b, hd))
+    tc = np.empty((n_s, n_b, hd))  # tanh(c)
+    hs = np.empty((n_s, n_b, hd))
+    for t in range(n_s):
+        a = act[t]
+        if t:
+            a += hs[t - 1] @ w_rec
+        np.tanh(a, out=a)
+        sig = a[:, : 3 * hd]
+        sig *= 0.5
+        sig += 0.5
+        np.multiply(a[:, :hd], a[:, 3 * hd :], out=c[t])
+        if t:
+            c[t] += a[:, hd : 2 * hd] * c[t - 1]
+        np.tanh(c[t], out=tc[t])
+        np.multiply(a[:, 2 * hd : 3 * hd], tc[t], out=hs[t])
+    out = Tensor(np.ascontiguousarray(hs.transpose(1, 0, 2)))
+
+    def backward_fn(gout: Array) -> None:
+        i, f, o, g = (act[..., k * hd : (k + 1) * hd] for k in range(4))
+        # d act_k / d pre-activation_k, times what multiplies act_k in
+        # c_t = f * c_{t-1} + i * g, or in h_t = o * tanh(c_t) for the o gate
+        local = act * (1.0 - act)  # the sigmoid derivative; the g block is redone
+        local[..., :hd] *= g
+        local[0, :, hd : 2 * hd] = 0.0  # c_{-1} = 0
+        local[1:, :, hd : 2 * hd] *= c[:-1]
+        local[..., 2 * hd : 3 * hd] *= tc
+        np.multiply(i, 1.0 - g * g, out=local[..., 3 * hd :])
+        dc_dh = o * (1.0 - tc * tc)  # d c_t / d h_t through tanh(c_t), times o
+        l4 = local.reshape(n_s, n_b, 4, hd)
+        gh = gout.transpose(1, 0, 2)  # [S, B, h]
+        d_act = np.empty_like(act)
+        d4 = d_act.reshape(n_s, n_b, 4, hd)
+        dh = dc = None  # gradients reaching h_t and c_t through step t+1
+        for t in range(n_s - 1, -1, -1):
+            dht = gh[t] if dh is None else gh[t] + dh
+            dct = dht * dc_dh[t]
+            if dc is not None:
+                dct += dc
+            np.multiply(l4[t], dct[:, None, :], out=d4[t])
+            np.multiply(l4[t, :, 2], dht, out=d4[t, :, 2])  # o feeds h, not c
+            if t:
+                dc = dct * f[t]
+                dh = d_act[t] @ w_h.T
+        flat = d_act.reshape(n_s * n_b, 4 * hd)
+        dw = np.empty_like(w)
+        dw[hd:] = xt.T @ flat
+        dw[:hd] = hs[:-1].reshape(-1, hd).T @ flat[n_b:]
+        db = flat.sum(axis=0)
+        for k, q in enumerate(gates):
+            cols = slice(k * hd, (k + 1) * hd)
+            if q.w.tracked:
+                _accum(q.w, dw[:, cols])
+            if q.b.tracked:
+                _accum(q.b, db[cols])
+        if x.tracked:
+            dx = (flat @ w_x.T).reshape(n_s, n_b, d_in)
+            _accum(x, dx.transpose(1, 0, 2), fresh=True)
+
+    inputs = (x,) + tuple(t for q in gates for t in (q.w, q.b))
+    return _emit(inputs, out, backward_fn)
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, p: MHAParams) -> Tensor:

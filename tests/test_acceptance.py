@@ -41,7 +41,6 @@ from mulcom.numerics import (
     Tape,
     Tensor,
     backward,
-    identity_mha,
     param,
     rng_from_seed,
 )
@@ -49,6 +48,7 @@ from mulcom.numerics import (
 from test_data import iou_oracle, stats_oracle
 from test_graph import make_doc
 from test_metrics import ap_oracle, f1_oracle
+from test_msrrn import identity_mha
 
 
 def test_criterion_1_gradient_integrity():

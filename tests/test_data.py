@@ -402,7 +402,8 @@ class TestSynthGenerate:
             ia = g.entity_ids.index("pair0_a")
             ib = g.entity_ids.index("pair0_b")
             has_edge = any(
-                {e.i, e.j} == {ia, ib} for e in g.edges if e.i != e.j
+                {i, j} == {ia, ib}
+                for i, j in zip(g.recv.tolist(), g.send.tolist()) if i != j
             )
             assert has_edge == expect_edge
 

@@ -1,10 +1,10 @@
-"""The fused LSTM cell and batched-head attention against their compositions.
+"""The fused LSTM cell and sequence and batched-head attention against compositions.
 
-`composite_oracle.py` holds both blocks as chains of primitives, one
-tape record per gate and per head. The fused primitives must give the
-same values and the same gradient for every input and parameter, and
-must stay few records, so per-gate or per-head records cannot return
-unnoticed.
+`composite_oracle.py` holds the blocks as chains of primitives: one
+tape record per gate and per head, and one `lstm_cell` call per time
+step. The fused primitives must give the same values and the same
+gradient for every input and parameter, and must stay few records, so
+per-gate, per-step or per-head records cannot return unnoticed.
 """
 
 import numpy as np
@@ -13,9 +13,11 @@ import pytest
 import composite_oracle as oracle
 from mulcom import numerics as nm
 from mulcom.data import SynthSpec, synth_generate
-from mulcom.graph import build_graph
+from mulcom.errors import ShapeMismatchError
+from mulcom.graph import FeatureDoc, build_graph
 from mulcom.model import ModelConfig, build_model, forward_logits
 from mulcom.numerics import Tape, Tensor
+from mulcom.streams import init_stream, sentence_stream
 
 TOL = 1e-12
 
@@ -114,6 +116,86 @@ class TestLSTMCell:
         assert len(tape) <= 2
 
 
+# batch, steps, and each row's real steps (None: no padding)
+SEQUENCES = {
+    "one-row": (1, 7, None),
+    "padded-rows": (3, 7, (7, 4, 2)),
+    "one-step": (3, 1, None),
+}
+
+
+class TestLSTMSequence:
+    def _setup(self, n_b, n_s, lengths=None, tracked_input=True):
+        rng = np.random.default_rng([n_b, n_s, 7])
+        input_dim, hidden = 3, 4
+        p = nm.init_lstm(rng, input_dim, hidden)
+        for _, t in p.named("lstm"):  # nonzero biases exercise their gradients
+            t.data[...] = rng.uniform(-0.8, 0.8, size=t.shape)
+        valid = np.ones((n_b, n_s), dtype=bool)
+        if lengths is not None:
+            valid = np.arange(n_s) < np.array(lengths)[:, None]
+        data = rng.standard_normal((n_b, n_s, input_dim))
+        data[~valid] = 0.0  # zero padding, as the sentence stream pads
+        x = (nm.param if tracked_input else Tensor)(data)
+        leaves = dict(p.named("lstm"))
+        if tracked_input:
+            leaves["x"] = x
+        # no upstream gradient at padded steps, as attention masks them
+        weights = rng.standard_normal((n_b, n_s, hidden)) * valid[..., None]
+        return p, x, leaves, weights
+
+    @pytest.mark.parametrize("case", list(SEQUENCES))
+    @pytest.mark.parametrize("through", ["every-step", "even-steps"])
+    def test_matches_per_step_cells(self, case, through):
+        p, x, leaves, weights = self._setup(*SEQUENCES[case])
+        if through == "even-steps":
+            weights[:, 1::2] = 0.0
+        fused = _run(lambda: [nm.lstm_sequence(x, p)], leaves, [weights])
+        composite = _run(lambda: [oracle.lstm_sequence(x, p)], leaves, [weights])
+        _assert_same(fused, composite)
+        assert set(fused[1]) == {"x"} | {name for name, _ in p.named("lstm")}
+
+    def test_untracked_input(self):
+        # the sentence stream's use: only the parameters are tracked
+        p, x, leaves, weights = self._setup(3, 7, (7, 4, 2), tracked_input=False)
+        fused = _run(lambda: [nm.lstm_sequence(x, p)], leaves, [weights])
+        composite = _run(lambda: [oracle.lstm_sequence(x, p)], leaves, [weights])
+        _assert_same(fused, composite)
+        assert x.grad is None
+
+    @pytest.mark.parametrize("n_s", [1, 7])
+    def test_one_record(self, n_s):
+        p, x, _, _ = self._setup(3, n_s)
+        with Tape() as tape:
+            nm.lstm_sequence(x, p)
+        assert len(tape) == 1
+
+    def test_input_width_must_fit_the_gates(self):
+        p, _, _, _ = self._setup(2, 3)
+        with pytest.raises(ShapeMismatchError):
+            nm.lstm_sequence(nm.param(np.zeros((2, 3, 5))), p)
+
+
+def test_sentence_stream_emits_one_lstm_record():
+    rng = np.random.default_rng(11)
+    p = init_stream(rng, view_dim=4, d_f=5, d_a=4, rnn_input=3)
+    e = nm.param(rng.standard_normal((2, 5)))
+    rnn = {id(t) for _, t in p.sent_rnn.named("rnn")}
+    totals = set()
+    for n_sents in (1, 4, 12):
+        docs = [
+            FeatureDoc(f"d{n}", rng.standard_normal((2, 3)),
+                       rng.standard_normal((n, 3)), [], ())
+            for n in (n_sents, n_sents + 2)  # ragged, so always masked
+        ]
+        with Tape() as tape:
+            sentence_stream(docs, e, p)
+        lstm = [r for r in tape.records if any(id(t) in rnn for t in r[0])]
+        assert len(lstm) == 1, n_sents
+        totals.add(len(tape))
+    assert len(totals) == 1, totals  # no record grows with the sentence count
+
+
 def _mha_records(heads):
     rng = np.random.default_rng(heads)
     p = nm.init_mha(rng, 8, heads)
@@ -162,11 +244,13 @@ class TestMultiHeadAttention:
 
 # Records of one 16-doc forward on the planted corpus below (at most 10
 # sentences a doc, 2 reasoner steps). The bounds are the counts with the
-# fused blocks; per-gate and per-head records gave 144, 341 and 227.
+# fused blocks and the one-record sentence LSTM; per-gate and per-head
+# records gave 144, 341 and 227, and one fused cell per sentence 91, 129
+# and 68.
 FORWARD_RECORD_BOUNDS = {
     ("word", "relation"): 91,
-    ("word", "sentence", "relation"): 129,
-    ("word", "sentence"): 68,
+    ("word", "sentence", "relation"): 109,
+    ("word", "sentence"): 48,
 }
 
 

@@ -51,30 +51,53 @@ def scan_oracle(doc):
     return expected
 
 
+def edge_map(graph):
+    """Undirected edges {(i, j): feature}, i <= j, read off the pair rows.
+
+    A self-loop must be one row and any other edge two rows, one per
+    direction, carrying the same feature.
+    """
+    rows = {}
+    for r, s, e in zip(graph.recv.tolist(), graph.send.tolist(), graph.efeat):
+        rows.setdefault((min(r, s), max(r, s)), []).append(((r, s), e))
+    edges = {}
+    for (i, j), found in rows.items():
+        want = [(i, j)] if i == j else [(i, j), (j, i)]
+        assert sorted(pair for pair, _ in found) == want
+        for _, e in found[1:]:
+            npt.assert_array_equal(e, found[0][1])
+        edges[(i, j)] = found[0][1]
+    return edges
+
+
+def neighbours(graph, i):
+    """Sorted senders of the pairs node `i` receives."""
+    return sorted(graph.send[graph.recv == i].tolist())
+
+
 class TestBuildGraph:
     def test_one_shared_sentence(self):
         doc = make_doc({"A": [0], "B": [0]}, n_sents=1)
         g = build_graph(doc)
         assert g.entity_ids == ["A", "B"]
-        assert len(g.edges) == 1
-        edge = g.edges[0]
-        assert (edge.i, edge.j) == (0, 1)
-        npt.assert_array_equal(edge.e, doc.sent_feats[0])
+        edges = edge_map(g)
+        assert list(edges) == [(0, 1)]
+        npt.assert_array_equal(edges[(0, 1)], doc.sent_feats[0])
         npt.assert_array_equal(g.x[0], doc.sent_feats[0])
 
     def test_single_entity_sentence_makes_self_loop(self):
         doc = make_doc({"A": [0]}, n_sents=1)
         g = build_graph(doc)
-        assert len(g.edges) == 1
-        assert (g.edges[0].i, g.edges[0].j) == (0, 0)
-        npt.assert_array_equal(g.edges[0].e, doc.sent_feats[0])
+        edges = edge_map(g)
+        assert list(edges) == [(0, 0)]
+        npt.assert_array_equal(edges[(0, 0)], doc.sent_feats[0])
         npt.assert_array_equal(g.x[0], doc.sent_feats[0])
-        assert g.adjacency[0] == [0]
+        assert neighbours(g, 0) == [0]
 
     def test_no_self_loop_when_sentence_is_shared(self):
         doc = make_doc({"A": [0], "B": [0]}, n_sents=1)
         g = build_graph(doc)
-        assert all(e.i != e.j for e in g.edges)
+        assert (g.recv != g.send).all()
 
     def test_matches_pairwise_scan_oracle(self):
         table = {
@@ -85,7 +108,7 @@ class TestBuildGraph:
         doc = make_doc(table, n_sents=4, seed=3)
         g = build_graph(doc)
         expected = scan_oracle(doc)
-        got = {(e.i, e.j): e.e for e in g.edges}
+        got = edge_map(g)
         assert set(got) == set(expected)
         for key in expected:
             npt.assert_allclose(got[key], expected[key], atol=1e-15)
@@ -98,9 +121,10 @@ class TestBuildGraph:
     def test_multi_sentence_edge_sums_features(self):
         doc = make_doc({"A": [0, 1], "B": [0, 1]}, n_sents=2)
         g = build_graph(doc)
-        assert len(g.edges) == 1
+        edges = edge_map(g)
+        assert len(edges) == 1
         npt.assert_allclose(
-            g.edges[0].e, doc.sent_feats[0] + doc.sent_feats[1], atol=1e-15
+            edges[(0, 1)], doc.sent_feats[0] + doc.sent_feats[1], atol=1e-15
         )
 
     def test_zero_mention_entity_kept_isolated(self, caplog):
@@ -109,7 +133,7 @@ class TestBuildGraph:
             g = build_graph(doc)
         assert "no mentions" in caplog.text
         npt.assert_array_equal(g.x[1], np.zeros(4))
-        assert g.adjacency[1] == []
+        assert neighbours(g, 1) == []
 
     def test_permutation_covariance(self):
         table = {"A": [0, 2], "B": [0, 1], "C": [1, 2], "D": [3]}
@@ -129,9 +153,10 @@ class TestBuildGraph:
         for ei in range(4):
             npt.assert_array_equal(g2.x[new_of_old[ei]], g.x[ei])
         remapped = {
-            tuple(sorted((new_of_old[e.i], new_of_old[e.j]))): e.e for e in g.edges
+            tuple(sorted((new_of_old[i], new_of_old[j]))): e
+            for (i, j), e in edge_map(g).items()
         }
-        got = {(e.i, e.j): e.e for e in g2.edges}
+        got = edge_map(g2)
         assert set(got) == set(remapped)
         for key in got:
             npt.assert_array_equal(got[key], remapped[key])
@@ -145,6 +170,17 @@ class TestBuildGraph:
         assert (0, 0) in pairs  # solo sentence 1
         assert (2, 2) in pairs  # solo sentence 2
         assert feats.shape[0] == len(recv)
+
+    def test_pair_rows_follow_sorted_edges(self):
+        # rows run over the edges in (i, j) order; an i != j edge gives
+        # (i, j) then (j, i)
+        doc = make_doc({"A": [0, 1, 3], "B": [0, 2], "C": [1, 2, 3]}, n_sents=4, seed=3)
+        g = build_graph(doc)
+        pairs = []
+        for i, j in sorted(scan_oracle(doc)):
+            pairs += [(i, j)] if i == j else [(i, j), (j, i)]
+        assert list(zip(g.recv.tolist(), g.send.tolist())) == pairs
+        assert g.recv.dtype == g.send.dtype == np.intp
 
 
 class TestGraphStats:

@@ -1,21 +1,30 @@
 """Reasoner checked against a per-pair, per-node scripted re-implementation."""
 
+import dataclasses
 import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from mulcom.graph import SynopsisGraph, build_graph
+from mulcom.graph import build_graph
 from mulcom.msrrn import (
     ReasonerParams,
     init_reasoner,
     message_pass,
-    reason_step,
     run_msrrn,
     run_rrn,
 )
-from mulcom.numerics import Tensor, grad_check, identity_mha, reduce_sum, rng_from_seed
+from mulcom.numerics import (
+    MHAParams,
+    Tensor,
+    concat,
+    grad_check,
+    lstm_cell,
+    param,
+    reduce_sum,
+    rng_from_seed,
+)
 
 from test_graph import make_doc
 
@@ -29,14 +38,16 @@ def np_softmax_rows(x):
     return z / z.sum(axis=-1, keepdims=True)
 
 
+def identity_mha(dim, heads):
+    """Identity projections; with a length-1 sequence attention is a no-op."""
+    return MHAParams(*(param(np.eye(dim)) for _ in range(4)), heads=heads)
+
+
 def directed_triples(graph, p):
-    """(receiver, sender, projected edge feature) with explicit loops."""
+    """(receiver, sender, projected edge feature), one pair row at a time."""
     out = []
-    for e in graph.edges:
-        ep = e.e @ p.edge_in.w.data + p.edge_in.b.data
-        out.append((e.i, e.j, ep))
-        if e.i != e.j:
-            out.append((e.j, e.i, ep))
+    for i, j, e in zip(graph.recv.tolist(), graph.send.tolist(), graph.efeat):
+        out.append((i, j, e @ p.edge_in.w.data + p.edge_in.b.data))
     return out
 
 
@@ -107,9 +118,7 @@ def path_graph(n_nodes, d_s=5, seed=0):
 
 
 def with_x(graph, x):
-    return SynopsisGraph(
-        entity_ids=graph.entity_ids, x=x, edges=graph.edges, adjacency=graph.adjacency
-    )
+    return dataclasses.replace(graph, x=x)
 
 
 def zero_params(p):
@@ -155,7 +164,8 @@ class TestReasonStep:
         x_proj = Tensor(rng.standard_normal((3, 8)))
         h = Tensor(np.zeros((3, 8)))
         c = Tensor(np.zeros((3, 8)))
-        h1, c1 = reason_step(g, x_proj, h, c, p)
+        m = message_pass(g, h, p)
+        h1, c1 = lstm_cell(h, c, concat([x_proj, m], axis=-1), p.cell)
         npt.assert_array_equal(h1.data, np.zeros((3, 8)))
         npt.assert_array_equal(c1.data, np.zeros((3, 8)))
 

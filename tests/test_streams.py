@@ -8,6 +8,7 @@ import pytest
 
 from mulcom.errors import EmptyDocumentError
 from mulcom.graph import FeatureDoc, build_graph
+from mulcom.model import ModelConfig
 from mulcom.msrrn import init_reasoner
 from mulcom.numerics import Tensor, grad_check, reduce_sum, rng_from_seed
 from mulcom.streams import (
@@ -20,6 +21,9 @@ from mulcom.streams import (
 
 from test_graph import make_doc
 from test_msrrn import np_sigmoid, np_softmax_rows, oracle_msrrn
+
+
+MAX_TOKENS = ModelConfig.max_word_tokens
 
 
 def attend_oracle(e, feats, p):
@@ -106,7 +110,7 @@ class TestWordStream:
         )
         p = init_stream(rng, view_dim=6, d_f=4, d_a=5)
         e = rng.standard_normal((3, 4))
-        out = word_stream([doc], Tensor(e), p)
+        out = word_stream([doc], Tensor(e), p, MAX_TOKENS)
         npt.assert_allclose(
             out.data[0], attend_oracle(e, doc.word_feats, p), rtol=1e-10, atol=1e-12
         )
@@ -120,7 +124,7 @@ class TestWordStream:
 
         def run(wf):
             doc = FeatureDoc("d", wf, base.sent_feats, base.entities, ())
-            return word_stream([doc], e, p).data
+            return word_stream([doc], e, p, MAX_TOKENS).data
 
         perm = rng.permutation(6)
         npt.assert_allclose(run(feats), run(feats[perm]), rtol=1e-10, atol=1e-12)
@@ -135,7 +139,7 @@ class TestWordStream:
         short_doc = FeatureDoc("d", feats[:3], base.sent_feats, base.entities, ())
         npt.assert_array_equal(
             word_stream([long_doc], e, p, max_tokens=3).data,
-            word_stream([short_doc], e, p).data,
+            word_stream([short_doc], e, p, MAX_TOKENS).data,
         )
 
     def test_empty_doc_raises(self):
@@ -144,7 +148,7 @@ class TestWordStream:
         doc = FeatureDoc("d", np.zeros((0, 5)), base.sent_feats, base.entities, ())
         p = init_stream(rng, view_dim=5, d_f=4, d_a=5)
         with pytest.raises(EmptyDocumentError, match="d"):
-            word_stream([doc], Tensor(np.zeros((2, 4))), p)
+            word_stream([doc], Tensor(np.zeros((2, 4))), p, MAX_TOKENS)
 
 
 class TestSentenceStream:

@@ -19,6 +19,7 @@ __version__ = "0.1.0"
 
 _SUBMODULES = (
     "cli",
+    "config",
     "data",
     "gradcheck",
     "graph",
@@ -37,15 +38,15 @@ _EXPORTS = {
     "build_graph": "graph",
     "FeatureDoc": "graph",
     "EntityMentions": "graph",
-    "ModelConfig": "model",
-    "TrainConfig": "model",
+    "ModelConfig": "config",
+    "TrainConfig": "config",
     "build_model": "model",
     "train": "model",
     "forward": "model",
     "save_checkpoint": "model",
     "load_checkpoint": "model",
     "Dataset": "data",
-    "SynthSpec": "data",
+    "SynthSpec": "config",
     "synth_generate": "data",
     "load_dataset": "data",
     "save_dataset": "data",

@@ -1,9 +1,12 @@
 """Command-line entry point for reproducible runs.
 
 Subcommands: synth | train | eval | stats | gradcheck | cooccur.
-Settings resolve flag > config-file key > built-in default; every
-report embeds the resolved settings and seed. Reports and datasets are
-written atomically, logs go to standard error only.
+Each setting is one `Setting` (the synth and train ones are the fields
+of `SynthSpec`, `ModelConfig` and `TrainConfig`), which gives its flag,
+config-file key, type check and default. Settings resolve flag >
+config-file key > default; a value of the wrong type is a usage error.
+Every report embeds the resolved settings and seed. Reports and
+datasets are written atomically, logs go to standard error only.
 
 Heavy imports happen inside the command handlers so the --threads cap
 can reach the numerics backend before it loads.
@@ -16,9 +19,14 @@ import json
 import logging
 import os
 import sys
-from typing import Sequence
+import types
+import typing
+from dataclasses import MISSING, fields
+from typing import Literal, NamedTuple, Sequence
 
-from .errors import ConfigError, MulComError
+from . import __version__
+from .config import ModelConfig, SynthSpec, TrainConfig, check_threshold, check_type
+from .errors import ConfigError, MulComError, ValidationError
 from .ioutil import atomic_write_text, canonical_json
 
 log = logging.getLogger("mulcom.cli")
@@ -40,41 +48,86 @@ def _load_config_file(path: str | None) -> dict:
         return {}
     try:
         with open(path) as fh:
-            text = fh.read()
+            obj = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}")
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or text that is not UTF-8
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(obj, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return obj
 
 
-def _resolve(args, file_cfg: dict, keys: Sequence[tuple[str, object]]) -> dict:
-    """Merge flag > file > default for this command's known keys."""
-    known = {k for k, _ in keys}
+class Setting(NamedTuple):
+    """One run setting: the flag `--name` and the config-file key `name`."""
+
+    name: str
+    type: object  # a field annotation, as `config.check_type` reads it
+    default: object
+    help: str | None = None
+
+
+def _field_settings(cls, exclude: Sequence[str] = ()) -> dict[str, Setting]:
+    """The defaulted fields of dataclass `cls` as settings."""
+    hints = typing.get_type_hints(cls)
+    return {
+        f.name: Setting(f.name, hints[f.name], f.default, f.metadata.get("help"))
+        for f in fields(cls)
+        if f.default is not MISSING and f.name not in exclude
+    }
+
+
+SYNTH = _field_settings(SynthSpec)
+# max_word_tokens is a memory guard, not a run setting; --seed fills TrainConfig's seed
+MODEL = _field_settings(ModelConfig, exclude=("max_word_tokens",))
+TRAINING = _field_settings(TrainConfig, exclude=("seed",))
+
+SETTINGS = {s.name: s for s in (
+    Setting("out", str | None, None, "artifact directory"),
+    Setting("seed", int, 0, "run seed, taken modulo 2**64"),
+    Setting("threads", int, 1, "numeric-backend thread cap; 1 keeps runs byte-reproducible"),
+    Setting("data", str | None, None, "dataset manifest.json"),
+    Setting("checkpoint", str | None, None, "checkpoint.json to evaluate"),
+    Setting("split", str, "val", "dataset split to read"),
+    Setting("top", int, 15, "rows to keep (<= 0 keeps all)"),
+    Setting("eps", float, 1e-5, "finite-difference step"),
+    Setting("max_coords", int, 8, "coordinates probed per parameter tensor"),
+    Setting("tolerance", float, 1e-4, "largest passing relative error"),
+)}
+COMMON = tuple(SETTINGS[k] for k in ("out", "seed", "threads"))
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _resolve(args, settings: Sequence[Setting]) -> dict:
+    """Merge flag > config file > default and type-check each value."""
+    file_cfg = _load_config_file(args.config)
+    known = {s.name for s in settings}
     unknown = set(file_cfg) - known
     if unknown:
         raise ConfigError(
             f"unknown config keys {sorted(unknown)}; expected among {sorted(known)}"
         )
-    out = {}
-    for key, default in keys:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            out[key] = flag
-        elif key in file_cfg:
-            out[key] = file_cfg[key]
-        else:
-            out[key] = default
-    return out
+    cfg = {}
+    for s in settings:
+        flag = getattr(args, s.name)
+        value = flag if flag is not None else file_cfg.get(s.name, s.default)
+        if isinstance(value, str) and typing.get_origin(s.type) is tuple:  # "a, b"
+            value = tuple(p for p in map(str.strip, value.split(",")) if p)
+        try:
+            check_type(s.name, value, s.type)
+        except ConfigError as exc:
+            where = _flag(s.name) if flag is not None else f"config file {args.config}"
+            raise ConfigError(f"{where}: {exc}") from None
+        cfg[s.name] = value
+    return cfg
 
 
 def _require(cfg: dict, key: str, command: str):
     if cfg[key] is None:
-        raise ConfigError(f"{command} needs --{key.replace('_', '-')}")
+        raise ConfigError(f"{command} needs {_flag(key)}")
     return cfg[key]
 
 
@@ -87,13 +140,6 @@ def _set_thread_caps(threads: int) -> None:
         log.debug("numpy already loaded; thread caps may not take effect")
 
 
-def _normalize_streams(value) -> tuple[str, ...]:
-    if isinstance(value, str):
-        parts = [s.strip() for s in value.split(",")]
-        return tuple(s for s in parts if s)
-    return tuple(value)
-
-
 def _write_report(out_dir: str, fname: str, report: dict) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, fname)
@@ -102,62 +148,22 @@ def _write_report(out_dir: str, fname: str, report: dict) -> str:
     return path
 
 
-COMMON_KEYS = (("out", None), ("seed", 0), ("threads", 1))
-
-SYNTH_KEYS = COMMON_KEYS + (
-    ("docs", 2000),
-    ("token_tropes", 4),
-    ("motif_tropes", 4),
-    ("vocab", 64),
-    ("d_w", 16),
-    ("d_s", 16),
-    ("trigger_prob", 0.4),
-    ("filler_sents", 2),
-    ("filler_sent_len", 4),
-    ("val_frac", 0.2),
-)
-
-
-def cmd_synth(args, file_cfg: dict) -> int:
-    cfg = _resolve(args, file_cfg, SYNTH_KEYS)
+def cmd_synth(cfg: dict) -> int:
     out_dir = _require(cfg, "out", "synth")
-    from .data import SynthSpec, save_dataset, synth_generate
+    from .data import save_dataset, synth_generate
 
-    spec = SynthSpec(
-        **{k: v for k, v in cfg.items() if k not in ("out", "seed", "threads")}
-    )
-    ds = synth_generate(cfg["seed"], spec)
+    ds = synth_generate(cfg["seed"], SynthSpec(**{k: cfg[k] for k in SYNTH}))
     manifest = save_dataset(ds, out_dir)
     counts = {name: len(docs) for name, docs in ds.splits.items()}
     log.info("wrote %s (%s docs, %d tropes)", manifest, counts, ds.num_tropes)
     return EXIT_OK
 
 
-TRAIN_KEYS = COMMON_KEYS + (
-    ("data", None),
-    ("d_f", 64),
-    ("d_a", 64),
-    ("d_h", 64),
-    ("reasoner_steps", 3),
-    ("reasoner_heads", 4),
-    ("relation_reasoner", "msrrn"),
-    ("streams", "word,sentence,relation"),
-    ("epochs", 30),
-    ("batch_size", 16),
-    ("learning_rate", 1e-3),
-    ("pos_weight", None),
-    ("threshold", 0.5),
-    ("early_stop_f1", None),
-)
-
-
-def cmd_train(args, file_cfg: dict) -> int:
-    cfg = _resolve(args, file_cfg, TRAIN_KEYS)
+def cmd_train(cfg: dict) -> int:
     out_dir = _require(cfg, "out", "train")
     manifest = _require(cfg, "data", "train")
     from .data import load_dataset
-    from .errors import ValidationError
-    from .model import ModelConfig, TrainConfig, build_model, save_checkpoint, train
+    from .model import build_model, save_checkpoint, train
 
     ds = load_dataset(manifest)
     train_docs = ds.split("train")
@@ -168,23 +174,9 @@ def cmd_train(args, file_cfg: dict) -> int:
         num_tropes=ds.num_tropes,
         d_w=train_docs[0].word_feats.shape[1],
         d_s=train_docs[0].sent_feats.shape[1],
-        d_f=cfg["d_f"],
-        d_a=cfg["d_a"],
-        d_h=cfg["d_h"],
-        reasoner_steps=cfg["reasoner_steps"],
-        reasoner_heads=cfg["reasoner_heads"],
-        relation_reasoner=cfg["relation_reasoner"],
-        streams=_normalize_streams(cfg["streams"]),
+        **{k: cfg[k] for k in MODEL},
     )
-    tcfg = TrainConfig(
-        learning_rate=cfg["learning_rate"],
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        seed=cfg["seed"],
-        pos_weight=cfg["pos_weight"],
-        threshold=cfg["threshold"],
-        early_stop_f1=cfg["early_stop_f1"],
-    )
+    tcfg = TrainConfig(seed=cfg["seed"], **{k: cfg[k] for k in TRAINING})
     model = build_model(mcfg, seed=cfg["seed"])
     result = train(model, train_docs, tcfg, val_docs=val_docs)
     os.makedirs(out_dir, exist_ok=True)
@@ -194,7 +186,7 @@ def cmd_train(args, file_cfg: dict) -> int:
     report = {
         "command": "train",
         "seed": cfg["seed"],
-        "config": {**cfg, "streams": list(mcfg.streams)},
+        "config": cfg,
         "model_config": mcfg.to_dict(),
         "dataset": {
             "manifest": manifest,
@@ -213,21 +205,12 @@ def cmd_train(args, file_cfg: dict) -> int:
     return EXIT_OK
 
 
-EVAL_KEYS = COMMON_KEYS + (
-    ("data", None),
-    ("checkpoint", None),
-    ("split", "val"),
-    ("threshold", 0.5),
-)
-
-
-def cmd_eval(args, file_cfg: dict) -> int:
-    cfg = _resolve(args, file_cfg, EVAL_KEYS)
+def cmd_eval(cfg: dict) -> int:
     out_dir = _require(cfg, "out", "eval")
     manifest = _require(cfg, "data", "eval")
     ckpt = _require(cfg, "checkpoint", "eval")
+    check_threshold(cfg["threshold"])
     from .data import load_dataset
-    from .errors import ValidationError
     from .graph import label_matrix
     from .metrics import evaluate
     from .model import load_checkpoint, score_dataset
@@ -262,11 +245,7 @@ def cmd_eval(args, file_cfg: dict) -> int:
     return EXIT_OK
 
 
-STATS_KEYS = COMMON_KEYS + (("data", None),)
-
-
-def cmd_stats(args, file_cfg: dict) -> int:
-    cfg = _resolve(args, file_cfg, STATS_KEYS)
+def cmd_stats(cfg: dict) -> int:
     out_dir = _require(cfg, "out", "stats")
     manifest = _require(cfg, "data", "stats")
     from .data import corpus_stats, load_dataset, trope_prevalence
@@ -307,11 +286,7 @@ def cmd_stats(args, file_cfg: dict) -> int:
     return EXIT_OK
 
 
-COOCCUR_KEYS = COMMON_KEYS + (("data", None), ("split", "train"), ("top", 15))
-
-
-def cmd_cooccur(args, file_cfg: dict) -> int:
-    cfg = _resolve(args, file_cfg, COOCCUR_KEYS)
+def cmd_cooccur(cfg: dict) -> int:
     out_dir = _require(cfg, "out", "cooccur")
     manifest = _require(cfg, "data", "cooccur")
     from .data import cooccurrence_iou, load_dataset
@@ -337,21 +312,15 @@ def cmd_cooccur(args, file_cfg: dict) -> int:
     return EXIT_OK
 
 
-GRADCHECK_KEYS = COMMON_KEYS + (
-    ("eps", 1e-5),
-    ("max_coords", 8),
-    ("tolerance", 1e-4),
-)
-
-
-def cmd_gradcheck(args, file_cfg: dict) -> int:
-    cfg = _resolve(args, file_cfg, GRADCHECK_KEYS)
+def cmd_gradcheck(cfg: dict) -> int:
+    tol = cfg["tolerance"]
+    if tol <= 0:
+        raise ConfigError(f"tolerance must be > 0, got {tol}")
     from .gradcheck import run_gradcheck
 
     results = run_gradcheck(
         seed=cfg["seed"], eps=cfg["eps"], max_coords=cfg["max_coords"]
     )
-    tol = cfg["tolerance"]
     all_ok = True
     for r in results:
         ok = r.ok(tol)
@@ -375,86 +344,49 @@ def cmd_gradcheck(args, file_cfg: dict) -> int:
     return EXIT_OK if all_ok else EXIT_RUNTIME
 
 
+COMMANDS = {  # name: (handler, help, settings)
+    "synth": (cmd_synth, "generate a planted synthetic dataset",
+              (*COMMON, *SYNTH.values())),
+    "train": (cmd_train, "train a model and write checkpoint + report",
+              (*COMMON, SETTINGS["data"], *MODEL.values(), *TRAINING.values())),
+    "eval": (cmd_eval, "evaluate a checkpoint on one split",
+             (*COMMON, SETTINGS["data"], SETTINGS["checkpoint"], SETTINGS["split"],
+              TRAINING["threshold"])),
+    "stats": (cmd_stats, "corpus statistics and trope prevalence",
+              (*COMMON, SETTINGS["data"])),
+    "cooccur": (cmd_cooccur, "trope co-occurrence ranking by overlap",
+                (*COMMON, SETTINGS["data"], SETTINGS["split"]._replace(default="train"),
+                 SETTINGS["top"])),
+    "gradcheck": (cmd_gradcheck, "finite-difference audit of every component",
+                  (*COMMON, SETTINGS["eps"], SETTINGS["max_coords"], SETTINGS["tolerance"])),
+}
+
+
+def _flag_options(annotation) -> dict:
+    """argparse options for a setting's flag; `_resolve` checks the value."""
+    origin, args = typing.get_origin(annotation), typing.get_args(annotation)
+    if origin in (typing.Union, types.UnionType):
+        return _flag_options(next(a for a in args if a is not type(None)))
+    if origin is Literal:
+        return {"choices": args}
+    return {"type": annotation} if annotation in (int, float) else {}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="mulcom",
         description="Multi-level trope detection over movie-synopsis features.",
     )
-    ap.add_argument("--version", action="version", version="%(prog)s 0.1.0")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--config", metavar="PATH",
-        help="JSON file with the same keys as the flags; flags win",
-    )
-    common.add_argument("--seed", type=int, metavar="U64")
-    common.add_argument("--out", metavar="DIR", help="artifact directory")
-    common.add_argument(
-        "--threads", type=int, metavar="N",
-        help="numeric-backend thread cap (default 1, keeps runs byte-reproducible)",
-    )
+    ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", parents=[common],
-                       help="generate a planted synthetic dataset")
-    p.add_argument("--docs", type=int)
-    p.add_argument("--token-tropes", type=int)
-    p.add_argument("--motif-tropes", type=int)
-    p.add_argument("--vocab", type=int)
-    p.add_argument("--d-w", type=int)
-    p.add_argument("--d-s", type=int)
-    p.add_argument("--trigger-prob", type=float)
-    p.add_argument("--filler-sents", type=int)
-    p.add_argument("--filler-sent-len", type=int)
-    p.add_argument("--val-frac", type=float)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("train", parents=[common],
-                       help="train a model and write checkpoint + report")
-    p.add_argument("--data", metavar="MANIFEST")
-    p.add_argument("--d-f", type=int)
-    p.add_argument("--d-a", type=int)
-    p.add_argument("--d-h", type=int)
-    p.add_argument("--reasoner-steps", type=int)
-    p.add_argument("--reasoner-heads", type=int)
-    p.add_argument("--relation-reasoner", choices=("msrrn", "rrn"))
-    p.add_argument("--streams", metavar="LIST",
-                   help="comma-separated subset of word,sentence,relation")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--pos-weight", type=float,
-                   help="positive-class loss multiplier (default: auto)")
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--early-stop-f1", type=float,
-                   help="stop once val micro-F1 reaches this percentage")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", parents=[common],
-                       help="evaluate a checkpoint on one split")
-    p.add_argument("--data", metavar="MANIFEST")
-    p.add_argument("--checkpoint", metavar="PATH")
-    p.add_argument("--split")
-    p.add_argument("--threshold", type=float)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("stats", parents=[common],
-                       help="corpus statistics and trope prevalence")
-    p.add_argument("--data", metavar="MANIFEST")
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("cooccur", parents=[common],
-                       help="trope co-occurrence ranking by overlap")
-    p.add_argument("--data", metavar="MANIFEST")
-    p.add_argument("--split")
-    p.add_argument("--top", type=int, help="rows to keep (<= 0 keeps all)")
-    p.set_defaults(func=cmd_cooccur)
-
-    p = sub.add_parser("gradcheck", parents=[common],
-                       help="finite-difference audit of every component")
-    p.add_argument("--eps", type=float)
-    p.add_argument("--max-coords", type=int)
-    p.add_argument("--tolerance", type=float)
-    p.set_defaults(func=cmd_gradcheck)
+    for name, (_, help_text, settings) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument(
+            "--config", metavar="PATH",
+            help="JSON file with the same keys as the flags; flags win",
+        )
+        for s in settings:
+            p.add_argument(_flag(s.name), help=s.help, **_flag_options(s.type))
     return ap
 
 
@@ -465,13 +397,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         level=logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    run, _, settings = COMMANDS[args.command]
     try:
-        file_cfg = _load_config_file(args.config)
-        threads = args.threads if args.threads is not None else file_cfg.get("threads", 1)
-        if not isinstance(threads, int):
-            raise ConfigError(f"threads must be an integer, got {threads!r}")
-        _set_thread_caps(threads)
-        return args.func(args, file_cfg)
+        cfg = _resolve(args, settings)
+        _set_thread_caps(cfg["threads"])
+        return run(cfg)
     except ConfigError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, ValidationError
+from .config import SynthSpec
+from .errors import DataFormatError, ValidationError
 from .graph import EntityMentions, FeatureDoc, validate_doc
 from .ioutil import atomic_write_text, canonical_json
 from .numerics import rng_from_seed
@@ -296,70 +297,6 @@ def cooccurrence_iou(
 # ---------------------------------------------------------------------------
 # synthetic planted-pattern generator
 # ---------------------------------------------------------------------------
-
-@dataclass
-class SynthSpec:
-    """Layout of the planted corpus.
-
-    Vocabulary indices: [0, token_tropes) are reserved trigger tokens,
-    the next 2*motif_tropes are entity-name tokens, the rest filler.
-    """
-
-    docs: int = 2000
-    token_tropes: int = 4
-    motif_tropes: int = 4
-    vocab: int = 64
-    d_w: int = 16
-    d_s: int = 16
-    trigger_prob: float = 0.4
-    filler_sents: int = 2
-    filler_sent_len: int = 4
-    val_frac: float = 0.2
-
-    def __post_init__(self):
-        if self.docs < 1:
-            raise ConfigError("docs must be >= 1")
-        if self.token_tropes < 0 or self.motif_tropes < 0:
-            raise ConfigError("trope counts must be >= 0")
-        if self.token_tropes + self.motif_tropes < 1:
-            raise ConfigError("need at least one trope")
-        reserved = self.token_tropes + 2 * self.motif_tropes
-        if self.vocab < reserved + 4:
-            raise ConfigError(
-                f"vocab {self.vocab} too small for {reserved} reserved tokens "
-                f"plus fillers"
-            )
-        if not 0.0 < self.trigger_prob < 1.0:
-            raise ConfigError("trigger_prob must be in (0, 1)")
-        if self.filler_sents < 1 or self.filler_sent_len < 1:
-            raise ConfigError("filler layout values must be >= 1")
-        if not 0.0 <= self.val_frac < 1.0:
-            raise ConfigError("val_frac must be in [0, 1)")
-        if self.d_w < 1 or self.d_s < 1:
-            raise ConfigError("embedding dims must be >= 1")
-
-    @property
-    def num_tropes(self) -> int:
-        return self.token_tropes + self.motif_tropes
-
-    def trigger_token(self, trope: int) -> int:
-        """Reserved vocab index of a token trope's trigger."""
-        if not 0 <= trope < self.token_tropes:
-            raise ConfigError(f"trope {trope} is not token-triggered")
-        return trope
-
-    def entity_tokens(self, motif: int) -> tuple[int, int]:
-        """Vocab indices of a motif trope's entity-name pair."""
-        if not 0 <= motif < self.motif_tropes:
-            raise ConfigError(f"no motif trope {motif}")
-        base = self.token_tropes + 2 * motif
-        return base, base + 1
-
-    def trope_names(self) -> list[str]:
-        return [f"token_trope_{k}" for k in range(self.token_tropes)] + [
-            f"motif_trope_{k}" for k in range(self.motif_tropes)
-        ]
-
 
 def _synth_doc(
     spec: SynthSpec,

@@ -12,11 +12,12 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from .config import STREAM_NAMES, ModelConfig, TrainConfig  # noqa: F401 (re-exported)
 from .errors import ConfigError, DataFormatError, MulComError, ValidationError
 from .graph import FeatureDoc, SynopsisGraph, build_graph, label_matrix
 from .ioutil import atomic_write_text, canonical_json
@@ -53,59 +54,8 @@ log = logging.getLogger(__name__)
 
 Array = np.ndarray
 
-STREAM_NAMES = ("word", "sentence", "relation")
-
 CHECKPOINT_FORMAT = "mulcom-checkpoint"
 CHECKPOINT_VERSION = 1
-
-
-@dataclass
-class ModelConfig:
-    num_tropes: int
-    d_w: int  # word feature dim
-    d_s: int  # sentence feature dim
-    d_f: int = 64  # trope embedding dim
-    d_a: int = 64  # stream attention dim
-    d_h: int = 64  # reasoner hidden dim
-    reasoner_steps: int = 3
-    reasoner_heads: int = 4
-    relation_reasoner: str = "msrrn"
-    streams: tuple[str, ...] = STREAM_NAMES
-    max_word_tokens: int = 4096
-
-    def __post_init__(self):
-        self.streams = tuple(self.streams)
-        for name in ("num_tropes", "d_w", "d_s", "d_f", "d_a", "d_h", "reasoner_steps",
-                     "reasoner_heads", "max_word_tokens"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-                raise ConfigError(f"{name} must be an integer, got {v!r}")
-            if v < 1:
-                raise ConfigError(f"{name} must be >= 1, got {v}")
-        if not self.streams:
-            raise ConfigError("at least one stream must be enabled")
-        for s in self.streams:  # before the duplicate check, which hashes them
-            if s not in STREAM_NAMES:
-                raise ConfigError(f"unknown stream {s!r}; valid: {STREAM_NAMES}")
-        if len(set(self.streams)) != len(self.streams):
-            raise ConfigError(f"duplicate stream in {self.streams}")
-        if self.relation_reasoner not in ("msrrn", "rrn"):
-            raise ConfigError(
-                f"relation_reasoner must be 'msrrn' or 'rrn', "
-                f"got {self.relation_reasoner!r}"
-            )
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["streams"] = list(self.streams)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        try:
-            return cls(**{**d, "streams": tuple(d["streams"])})
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"bad model config: {exc}") from exc
 
 
 class MulComModel:
@@ -347,32 +297,6 @@ class Adam:
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.zero_grad()
-
-
-@dataclass
-class TrainConfig:
-    learning_rate: float = 1e-3
-    epochs: int = 30
-    batch_size: int = 16
-    seed: int = 0
-    pos_weight: float | None = None  # None -> neg/pos of the split in [1, 20]
-    threshold: float = 0.5
-    early_stop_f1: float | None = None  # percentage; needs val docs
-
-    def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be >= 0")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.pos_weight is not None and self.pos_weight <= 0:
-            raise ConfigError("pos_weight must be positive")
-        if not 0.0 < self.threshold < 1.0:
-            raise ConfigError(f"threshold must be in (0, 1), got {self.threshold}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass

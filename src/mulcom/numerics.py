@@ -792,6 +792,10 @@ def grad_check(
     veto coordinates sitting on non-differentiable points (relu kinks).
     Relative error is |a - n| / max(1e-8, |a| + |n|).
     """
+    if max_coords < 1:
+        raise ConfigError(f"max_coords must be >= 1, got {max_coords}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ConfigError(f"eps must be finite and positive, got {eps}")
     for t in params.values():
         t.zero_grad()
     tape = Tape()

@@ -1,12 +1,18 @@
 """End-to-end command-line checks: artifacts, precedence, exit codes."""
 
+import argparse
 import json
+import math
+import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from mulcom.cli import main
+import mulcom
+from mulcom.cli import build_parser, main
 from mulcom.data import Dataset, load_dataset, save_dataset
 from mulcom.graph import EntityMentions, FeatureDoc
 from mulcom.model import ModelConfig, build_model, load_checkpoint, save_checkpoint
@@ -261,3 +267,151 @@ class TestExitCodes:
             "--threads", "0",
         ])
         assert rc == 2
+
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xff\xfe{}")
+        assert main(["stats", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("train", {"epochs": "3"}),
+        ("train", {"epochs": 2.5}),
+        ("synth", {"docs": "10"}),
+        ("synth", {"vocab": 30.5}),
+        ("cooccur", {"top": "5"}),
+        ("train", {"streams": 5}),
+        ("stats", {"seed": "x"}),
+        ("train", {"threshold": "0.5"}),
+        ("train", {"pos_weight": "2"}),
+        ("train", {"batch_size": True}),
+        ("stats", {"threads": True}),
+        ("train", {"learning_rate": math.nan}),
+        ("eval", {"split": 3}),
+        ("gradcheck", {"eps": math.inf}),
+    ])
+    def test_wrong_config_value_type_is_usage_error(self, command, cfg, tiny_manifest,
+                                                    tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+        if command in ("train", "eval", "stats", "cooccur"):
+            argv += ["--data", tiny_manifest]
+        assert main(argv) == 2
+        (key,) = cfg
+        assert f"usage error: config file {path}: {key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, key", [
+        (["gradcheck", "--max-coords", "0"], "max_coords"),
+        (["gradcheck", "--max-coords", "-1"], "max_coords"),
+        (["gradcheck", "--eps", "0"], "eps"),
+        (["gradcheck", "--tolerance", "0"], "tolerance"),
+        (["train", "--learning-rate", "nan"], "learning_rate"),
+        (["eval", "--threshold", "1.5"], "threshold"),
+    ])
+    def test_bad_flag_value_is_usage_error(self, argv, key, tmp_path, capsys):
+        # the missing dataset and checkpoint would exit 1 if they were read first
+        gone = str(tmp_path / "gone.json")
+        if argv[0] == "train":
+            argv = argv + ["--data", gone]
+        elif argv[0] == "eval":
+            argv = argv + ["--data", gone, "--checkpoint", gone]
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and key in err
+
+
+PARENT_FLAGS = {
+    "synth": {"--d-s", "--d-w", "--docs", "--filler-sent-len", "--filler-sents",
+              "--motif-tropes", "--out", "--seed", "--threads", "--token-tropes",
+              "--trigger-prob", "--val-frac", "--vocab"},
+    "train": {"--batch-size", "--d-a", "--d-f", "--d-h", "--data", "--early-stop-f1",
+              "--epochs", "--learning-rate", "--out", "--pos-weight", "--reasoner-heads",
+              "--reasoner-steps", "--relation-reasoner", "--seed", "--streams",
+              "--threads", "--threshold"},
+    "eval": {"--checkpoint", "--data", "--out", "--seed", "--split", "--threads",
+             "--threshold"},
+    "stats": {"--data", "--out", "--seed", "--threads"},
+    "cooccur": {"--data", "--out", "--seed", "--split", "--threads", "--top"},
+    "gradcheck": {"--eps", "--max-coords", "--out", "--seed", "--threads", "--tolerance"},
+}
+
+
+class TestDeclaredSettings:
+    def test_each_subcommand_keeps_its_flags(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        got = {
+            name: {o for a in p._actions for o in a.option_strings}
+            - {"-h", "--help", "--config"}
+            for name, p in sub.choices.items()
+        }
+        assert got == PARENT_FLAGS
+
+    def test_cli_loads_no_numpy(self):
+        # --threads caps the BLAS threads, which only works before numpy loads
+        code = (
+            "import contextlib, io, sys\n"
+            "import mulcom.cli as cli\n"
+            "cli.build_parser()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    try:\n"
+            "        cli.main(['train', '--help'])\n"
+            "    except SystemExit:\n"
+            "        pass\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        src = os.path.dirname(os.path.dirname(mulcom.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_version_is_the_package_version(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--version"])
+        assert capsys.readouterr().out.strip() == f"mulcom {mulcom.__version__}"
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tiny_manifest, tmp_path_factory):
+    out = tmp_path_factory.mktemp("ckpt")
+    rc = main(["train", "--data", tiny_manifest, "--out", str(out), "--epochs", "1",
+               "--streams", "word", *TINY_TRAIN])
+    assert rc == 0
+    return str(out / "checkpoint.json")
+
+
+ROUND_TRIP = {
+    "train": ["--epochs", "1", "--seed", "3", "--streams", "word, relation",
+              "--pos-weight", "2", "--relation-reasoner", "rrn", *TINY_TRAIN],
+    "eval": ["--split", "train", "--threshold", "0.4"],
+    "stats": ["--seed", "9"],
+    "cooccur": ["--top", "4", "--split", "val"],
+    "gradcheck": ["--max-coords", "2", "--eps", "1e-6", "--seed", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(ROUND_TRIP))
+def test_report_config_reruns_identically(command, tiny_manifest, tiny_checkpoint,
+                                          tmp_path):
+    """A report's config block, fed back through --config, re-runs to the same bytes.
+
+    synth writes no report, so it has no config block to feed back.
+    """
+    out = tmp_path / "run"
+    argv = [command, "--out", str(out), *ROUND_TRIP[command]]
+    if command != "gradcheck":
+        argv += ["--data", tiny_manifest]
+    if command == "eval":
+        argv += ["--checkpoint", tiny_checkpoint]
+    assert main(argv) == 0
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    report = json.loads(first[f"{command}_report.json"])
+    assert {"--" + k.replace("_", "-") for k in report["config"]} == PARENT_FLAGS[command]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(report["config"]))
+    shutil.rmtree(out)
+    assert main([command, "--config", str(cfg)]) == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first

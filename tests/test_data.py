@@ -431,6 +431,11 @@ class TestSynthGenerate:
         for doc in ds.split("train"):
             validate_doc(doc, spec.num_tropes)
 
+    @pytest.mark.parametrize("kw", [{"docs": "10"}, {"vocab": 30.5}, {"val_frac": None}])
+    def test_wrong_types_rejected(self, kw):
+        with pytest.raises(ConfigError, match=next(iter(kw))):
+            small_spec(**kw)
+
     def test_vocab_too_small_rejected(self):
         with pytest.raises(ConfigError, match="vocab"):
             small_spec(vocab=7)

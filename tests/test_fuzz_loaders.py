@@ -5,10 +5,14 @@ dropped, a value given the wrong type, NaN or infinity, the text cut
 short, the whole document replaced by a non-object) and fed to the
 loaders and the command line. `load_dataset` and `load_checkpoint` may
 only raise `MulComError` subclasses, and `mulcom train`, `eval` and
-`stats` may only exit with 0, 1 or 2. The examples are derandomized,
-so every run checks the same inputs.
+`stats` may only exit with 0, 1 or 2. A valid config file with one key
+given a value of the wrong type must be a usage error (exit 2) for
+every subcommand. The examples are derandomized, so every run checks
+the same inputs.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -190,3 +194,81 @@ def test_eval_exits_cleanly_on_mutated_checkpoint(valid, data):
         rc = main(["eval", "--data", manifest, "--checkpoint", ckpt,
                    "--out", os.path.join(out, "run")])
         assert rc in (0, 1, 2)
+
+
+def _valid_config(valid, out, command):
+    """A config file body that runs `command` to exit 0 on the valid inputs."""
+    common = {"out": os.path.join(out, "run"), "seed": 0, "threads": 1}
+    manifest = _write_dataset(valid, out)
+    ckpt = os.path.join(out, "checkpoint.json")
+    with open(ckpt, "w") as fh:
+        json.dump(valid["checkpoint"], fh)
+    return {
+        "synth": {**common, "docs": 10, "token_tropes": 1, "motif_tropes": 1, "vocab": 24,
+                  "d_w": 4, "d_s": 4, "trigger_prob": 0.4, "filler_sents": 2,
+                  "filler_sent_len": 4, "val_frac": 0.2},
+        "train": {**common, "data": manifest, "d_f": 4, "d_a": 4, "d_h": 4,
+                  "reasoner_steps": 1, "reasoner_heads": 1, "relation_reasoner": "msrrn",
+                  "streams": "word,relation", "epochs": 1, "batch_size": 2,
+                  "learning_rate": 1e-3, "pos_weight": None, "threshold": 0.5,
+                  "early_stop_f1": None},
+        "eval": {**common, "data": manifest, "checkpoint": ckpt, "split": "val",
+                 "threshold": 0.5},
+        "stats": {**common, "data": manifest},
+        "cooccur": {**common, "data": manifest, "split": "train", "top": 3},
+        "gradcheck": {**common, "eps": 1e-5, "max_coords": 1, "tolerance": 1e-4},
+    }[command]
+
+
+FLOATS = {"trigger_prob", "val_frac", "learning_rate", "threshold", "eps", "tolerance"}
+STRINGS = {"split"}
+
+
+def _wrong_type(key, value):
+    """Whether `value` is not of the type setting `key` takes."""
+    if key in ("pos_weight", "early_stop_f1", "out", "data", "checkpoint") and value is None:
+        return False
+    if key == "relation_reasoner":
+        return value not in ("msrrn", "rrn")
+    if key == "streams":  # a comma-separated string or a list of names
+        return not (isinstance(value, str) or isinstance(value, list)
+                    and all(isinstance(v, str) for v in value))
+    if key in STRINGS or key in ("out", "data", "checkpoint"):
+        return not isinstance(value, str)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return True
+    return not math.isfinite(value) if key in FLOATS else not isinstance(value, int)
+
+
+COMMANDS = ["synth", "train", "eval", "stats", "cooccur", "gradcheck"]
+
+
+def _run(command, cfg, out):
+    path = os.path.join(out, "cfg.json")
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main([command, "--config", path])
+    return rc, err.getvalue()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_valid_configs_run(valid, command):
+    with tempfile.TemporaryDirectory() as out:
+        assert _run(command, _valid_config(valid, out, command), out)[0] == 0
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@_settings(25)
+@given(data=st.data())
+def test_wrong_setting_type_is_usage_error(valid, command, data):
+    with tempfile.TemporaryDirectory() as out:
+        cfg = _valid_config(valid, out, command)
+        key, value = data.draw(st.sampled_from(
+            [(k, v) for k in sorted(cfg) for v in WRONG if _wrong_type(k, v)]))
+        cfg[key] = value
+        rc, err = _run(command, cfg, out)
+        assert rc == 2
+        assert "usage error: config file " in err and f": {key} must be" in err
+        assert "Traceback" not in err

@@ -87,6 +87,18 @@ class TestModelConfig:
         with pytest.raises(ConfigError, match="relation_reasoner"):
             tiny_cfg(relation_reasoner="gnn")
 
+    @pytest.mark.parametrize("kw", [
+        {"d_f": 8.0}, {"d_a": True}, {"num_tropes": "3"}, {"reasoner_heads": None},
+        {"streams": "word"}, {"streams": ("word", 3)}, {"max_word_tokens": 0},
+    ])
+    def test_rejects_wrong_types_and_sizes(self, kw):
+        with pytest.raises(ConfigError, match=next(iter(kw))):
+            tiny_cfg(**kw)
+
+    def test_accepts_numpy_integers_and_stream_lists(self):
+        cfg = tiny_cfg(num_tropes=np.int64(3), streams=["word", "relation"])
+        assert cfg.streams == ("word", "relation")
+
     def test_roundtrips_through_dict(self):
         cfg = tiny_cfg(streams=("word", "relation"))
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
@@ -356,6 +368,14 @@ class TestTrain:
         model = build_model(tiny_cfg(), seed=24)
         with pytest.raises(ValidationError, match="empty"):
             train(model, [], TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("kw", [
+        {"epochs": 2.5}, {"batch_size": True}, {"learning_rate": float("nan")},
+        {"pos_weight": "2"}, {"threshold": None}, {"seed": "x"},
+    ])
+    def test_config_rejects_wrong_types(self, kw):
+        with pytest.raises(ConfigError, match=next(iter(kw))):
+            TrainConfig(**kw)
 
     def test_non_finite_loss_aborts_with_diagnostics(self):
         model = build_model(tiny_cfg(streams=("word",)), seed=25)

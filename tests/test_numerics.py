@@ -386,6 +386,20 @@ class TestGradCheck:
 
         assert nm.grad_check(f, dict(mlp.named("mlp")), eps=1e-5) < 1e-4
 
+    @pytest.mark.parametrize("kw, key", [
+        ({"max_coords": 0}, "max_coords"),
+        ({"max_coords": -1}, "max_coords"),
+        ({"eps": 0.0}, "eps"),
+        ({"eps": -1e-5}, "eps"),
+        ({"eps": math.nan}, "eps"),
+        ({"eps": math.inf}, "eps"),
+    ])
+    def test_bad_settings_are_config_errors(self, kw, key):
+        # max_coords 0 used to probe nothing and report 0 error; eps 0 divided by zero
+        w = nm.param(np.ones((2, 2)))
+        with pytest.raises(ConfigError, match=key):
+            nm.grad_check(lambda: nm.reduce_sum(w), {"w": w}, **kw)
+
 
 class TestDeterminism:
     def test_seeded_rng_reproduces(self):

@@ -1,10 +1,11 @@
 """Command-line entry point for reproducible runs.
 
 Subcommands: synth | train | eval | stats | gradcheck | cooccur.
-Each setting is one `Setting` (the synth and train ones are the fields
-of `SynthSpec`, `ModelConfig` and `TrainConfig`), which gives its flag,
-config-file key, type check and default. Settings resolve flag >
-config-file key > default; a value of the wrong type is a usage error.
+Each setting is one `Setting` (the synth, train and gradcheck ones are
+the fields of `SynthSpec`, `ModelConfig`, `TrainConfig` and
+`GradcheckConfig`), which gives its flag, config-file key, type check
+and default. Settings resolve flag > config-file key > default; a value
+of the wrong type is a usage error.
 Every report embeds the resolved settings and seed. Reports and
 datasets are written atomically, logs go to standard error only.
 
@@ -25,7 +26,14 @@ from dataclasses import MISSING, fields
 from typing import Literal, NamedTuple, Sequence
 
 from . import __version__
-from .config import ModelConfig, SynthSpec, TrainConfig, check_threshold, check_type
+from .config import (
+    GradcheckConfig,
+    ModelConfig,
+    SynthSpec,
+    TrainConfig,
+    check_threshold,
+    check_type,
+)
 from .errors import ConfigError, MulComError, ValidationError
 from .ioutil import atomic_write_text, canonical_json
 
@@ -81,6 +89,7 @@ SYNTH = _field_settings(SynthSpec)
 # max_word_tokens is a memory guard, not a run setting; --seed fills TrainConfig's seed
 MODEL = _field_settings(ModelConfig, exclude=("max_word_tokens",))
 TRAINING = _field_settings(TrainConfig, exclude=("seed",))
+GRADCHECK = _field_settings(GradcheckConfig)
 
 SETTINGS = {s.name: s for s in (
     Setting("out", str | None, None, "artifact directory"),
@@ -90,9 +99,6 @@ SETTINGS = {s.name: s for s in (
     Setting("checkpoint", str | None, None, "checkpoint.json to evaluate"),
     Setting("split", str, "val", "dataset split to read"),
     Setting("top", int, 15, "rows to keep (<= 0 keeps all)"),
-    Setting("eps", float, 1e-5, "finite-difference step"),
-    Setting("max_coords", int, 8, "coordinates probed per parameter tensor"),
-    Setting("tolerance", float, 1e-4, "largest passing relative error"),
 )}
 COMMON = tuple(SETTINGS[k] for k in ("out", "seed", "threads"))
 
@@ -313,14 +319,11 @@ def cmd_cooccur(cfg: dict) -> int:
 
 
 def cmd_gradcheck(cfg: dict) -> int:
-    tol = cfg["tolerance"]
-    if tol <= 0:
-        raise ConfigError(f"tolerance must be > 0, got {tol}")
+    gcfg = GradcheckConfig(**{k: cfg[k] for k in GRADCHECK})
+    tol = gcfg.tolerance
     from .gradcheck import run_gradcheck
 
-    results = run_gradcheck(
-        seed=cfg["seed"], eps=cfg["eps"], max_coords=cfg["max_coords"]
-    )
+    results = run_gradcheck(seed=cfg["seed"], eps=gcfg.eps, max_coords=gcfg.max_coords)
     all_ok = True
     for r in results:
         ok = r.ok(tol)
@@ -358,7 +361,7 @@ COMMANDS = {  # name: (handler, help, settings)
                 (*COMMON, SETTINGS["data"], SETTINGS["split"]._replace(default="train"),
                  SETTINGS["top"])),
     "gradcheck": (cmd_gradcheck, "finite-difference audit of every component",
-                  (*COMMON, SETTINGS["eps"], SETTINGS["max_coords"], SETTINGS["tolerance"])),
+                  (*COMMON, *GRADCHECK.values())),
 }
 
 

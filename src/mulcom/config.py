@@ -1,4 +1,4 @@
-"""Run settings: the planted-corpus layout, the model and the training loop.
+"""Run settings: the planted-corpus layout, the model, the training loop and the gradient audit.
 
 Each field's annotation is the setting's type and its default the
 setting's default; `__post_init__` checks every value against its
@@ -172,6 +172,25 @@ class ModelConfig:
             return cls(**{**d, "streams": tuple(d["streams"])})
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"bad model config: {exc}") from exc
+
+
+@dataclass
+class GradcheckConfig:
+    """Settings of the finite-difference audit (`mulcom gradcheck`)."""
+
+    eps: float = field(default=1e-5, metadata={"help": "finite-difference step"})
+    max_coords: int = field(
+        default=8, metadata={"help": "coordinates probed per parameter tensor"})
+    tolerance: float = field(default=1e-4, metadata={"help": "largest passing relative error"})
+
+    def __post_init__(self):
+        check_fields(self)
+        if self.eps <= 0:
+            raise ConfigError(f"eps must be finite and positive, got {self.eps}")
+        if self.max_coords < 1:
+            raise ConfigError(f"max_coords must be >= 1, got {self.max_coords}")
+        if self.tolerance <= 0:
+            raise ConfigError(f"tolerance must be > 0, got {self.tolerance}")
 
 
 @dataclass

@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from .config import GradcheckConfig
 from .graph import EntityMentions, FeatureDoc, build_graph, label_matrix
 from .model import ModelConfig, bce_loss, build_model, forward_logits, predict_logits, stream_attention
 from .msrrn import init_reasoner, message_pass
@@ -35,16 +36,13 @@ from .streams import init_stream, relation_stream, sentence_stream, word_stream
 
 Array = np.ndarray
 
-DEFAULT_TOLERANCE = 1e-4
-
-
 @dataclass
 class CheckResult:
     name: str
     max_err: float
     seconds: float
 
-    def ok(self, tol: float = DEFAULT_TOLERANCE) -> bool:
+    def ok(self, tol: float = GradcheckConfig.tolerance) -> bool:
         return self.max_err < tol
 
 
@@ -243,7 +241,9 @@ CHECKS: tuple[tuple[str, Callable], ...] = (
 
 
 def run_gradcheck(
-    seed: int = 0, eps: float = 1e-5, max_coords: int = 8
+    seed: int = 0,
+    eps: float = GradcheckConfig.eps,
+    max_coords: int = GradcheckConfig.max_coords,
 ) -> list[CheckResult]:
     """Run every check; results carry per-check max error and runtime."""
     results = []

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import check_threshold
 from .errors import ValidationError
 from .numerics import rng_from_seed
 
@@ -149,8 +150,7 @@ def evaluate(
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != labels.shape:
         raise ValidationError("evaluate expects matching [N, T] arrays")
-    if not 0.0 < threshold < 1.0:
-        raise ValidationError(f"threshold must be in (0, 1), got {threshold}")
+    check_threshold(threshold)
     n_tropes = labels.shape[1]
     if trope_names is None:
         trope_names = [f"trope_{t}" for t in range(n_tropes)]

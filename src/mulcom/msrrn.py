@@ -7,10 +7,26 @@ reasoner keeps every intermediate state, lets each node attend over
 its own step history with multi-head self-attention, and sums the
 attended states. The plain recurrent baseline returns the final step
 only.
+
+Both variants run as one tape record with a hand-derived backward pass
+through the steps (`_reason`). What no step changes is computed once
+per call: the node and edge input projections, the node-input block of
+the cell's gate pre-activations (one [N, 4h] product) and the edge
+block of the message MLP's first layer. A step then runs one product
+of the states with the receiver, sender and recurrent weight blocks,
+gathers its receiver and sender rows per pair, applies the message
+MLP's second layer, sums the messages per receiver over pairs sorted
+by receiver, and updates the cell. The step attention projects every
+step's states with one [N*T, h] @ [h, 3h] product and sums over steps
+before the output projection, since the sum of ctx_t @ W_o over t is
+(sum of ctx_t) @ W_o. The weights are read as row and column blocks
+of the parameters, whose names and shapes stay those of the composite
+blocks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -24,6 +40,9 @@ from .numerics import (
     MHAParams,
     MLPParams,
     Tensor,
+    _accum,
+    _emit,
+    active_tape,
     affine,
     concat,
     gather_rows,
@@ -31,12 +50,13 @@ from .numerics import (
     init_lstm,
     init_mha,
     init_mlp,
-    lstm_cell,
+    # Not called since the reasoner became one record. perfbench/layer_trace.py
+    # wraps these names on this module, with the three `message_pass` calls,
+    # to time the reasoner's parts, and cannot install without them.
+    lstm_cell,  # noqa: F401
     mlp_apply,
-    multi_head_attention,
-    reduce_sum,
+    multi_head_attention,  # noqa: F401
     scatter_add_rows,
-    stack,
 )
 
 Array = np.ndarray
@@ -90,43 +110,257 @@ def init_reasoner(
     )
 
 
-def _messages(
-    h: Tensor,
-    recv: Array,
-    send: Array,
-    e_proj: Tensor,
-    num_nodes: int,
-    p: ReasonerParams,
-) -> Tensor:
-    """Per-pair MLP(edge, receiver state, sender state), summed per receiver."""
-    h_recv = gather_rows(h, recv)
-    h_send = gather_rows(h, send)
-    pair_in = concat([e_proj, h_recv, h_send], axis=-1)
-    per_pair = mlp_apply(pair_in, p.message_mlp)
-    return scatter_add_rows(per_pair, recv, num_nodes)
-
-
 def message_pass(graph: Graph, h: Tensor, p: ReasonerParams) -> Tensor:
+    """Per-pair MLP(edge, receiver state, sender state), summed per receiver."""
     recv, send, efeat = graph.directed_pairs()
     e_proj = affine(Tensor(efeat), p.edge_in.w, p.edge_in.b)
-    return _messages(h, recv, send, e_proj, graph.x.shape[0], p)
+    pair_in = concat([e_proj, gather_rows(h, recv), gather_rows(h, send)], axis=-1)
+    return scatter_add_rows(mlp_apply(pair_in, p.message_mlp), recv, graph.x.shape[0])
 
 
-def _trace(graph: Graph, p: ReasonerParams) -> list[Tensor]:
-    """Hidden state after each step, starting from zero h and c."""
-    n = graph.x.shape[0]
-    d_h = p.hidden_dim
+class _Segments:
+    """Sums of rows grouped by an index array over [0, n).
+
+    Each value's rows are added in row order, one rank at a time: every
+    value's first row is gathered, then every value's second row added,
+    and so on. That is one gather per rank, where `np.add.reduceat` pays
+    a call per value and `np.add.at` an element at a time; on entity
+    graphs most nodes receive only a few pairs, so the ranks are few.
+    """
+
+    def __init__(self, index: Array, n: int):
+        order = np.argsort(index, kind="stable")
+        counts = np.bincount(index, minlength=n)
+        self.n = n
+        self.present = np.flatnonzero(counts)
+        starts = (np.cumsum(counts) - counts)[self.present]
+        self.ranks = []  # (values, their rows of this rank)
+        values, left = self.present, counts[self.present]
+        while values.size:
+            self.ranks.append((values, order[starts]))
+            more = left > 1
+            values, starts, left = values[more], starts[more] + 1, left[more] - 1
+
+    def sum(self, rows: Array) -> Array:
+        """Per-value row sums, [n, ...]; a value with no rows gets 0."""
+        if not self.ranks:
+            return np.zeros((self.n,) + rows.shape[1:])
+        (values, first), *rest = self.ranks
+        if values.size == self.n:
+            out = rows[first]
+        else:
+            out = np.zeros((self.n,) + rows.shape[1:])
+            out[values] = rows[first]
+        for values, idx in rest:
+            out[values] += rows[idx]
+        return out
+
+
+def _reason(graph: Graph, p: ReasonerParams, attend: bool) -> Tensor:
+    """The reasoner's [N, h] node output as one tape record.
+
+    `attend` gives the step-attended states summed over steps (MSRRN);
+    otherwise the last step's states (RRN), and the step attention's
+    parameters stay off the tape. States start at zero h and c. Each
+    receiver adds its messages in pair order, as a scatter-add would.
+    All four gates take one tanh, the sigmoid ones as
+    sigmoid(a) = (1 + tanh(a/2)) / 2 on pre-activations halved by exact
+    power-of-two weight scaling, as in `lstm_sequence`.
+    """
     recv, send, efeat = graph.directed_pairs()
-    x_proj = affine(Tensor(graph.x), p.node_in.w, p.node_in.b)
-    e_proj = affine(Tensor(efeat), p.edge_in.w, p.edge_in.b)
-    h = Tensor(np.zeros((n, d_h)))
-    c = Tensor(np.zeros((n, d_h)))
-    states = []
-    for _ in range(p.steps):
-        m = _messages(h, recv, send, e_proj, n, p)
-        h, c = lstm_cell(h, c, concat([x_proj, m], axis=-1), p.cell)
-        states.append(h)
-    return states
+    x = np.asarray(graph.x, dtype=np.float64)
+    n, hd, n_t = x.shape[0], p.hidden_dim, p.steps
+    inputs = tuple(t for name, t in p.named() if attend or ".step_attention." not in name)
+    keep = active_tape() is not None and any(t.tracked for t in inputs)
+    segs = _Segments(recv, n)
+
+    (l1, l2), cell = p.message_mlp.layers, p.cell
+    gates = (cell.gate_i, cell.gate_f, cell.gate_o, cell.gate_g)
+    w1, w2, b2 = l1.w.data, l2.w.data, l2.b.data
+    w_cell = np.concatenate([q.w.data for q in gates], axis=1)  # rows h, x_proj, m
+    half = np.ones(4 * hd)
+    half[: 3 * hd] = 0.5  # the sigmoid gates' tanh argument
+    w_half = w_cell * half
+    # what a step multiplies h by: the receiver, sender and recurrent blocks
+    w_step = np.concatenate([w1[hd : 2 * hd], w1[2 * hd :], w_half[:hd]], axis=1)
+
+    x_proj = x @ p.node_in.w.data + p.node_in.b.data
+    e_proj = efeat @ p.edge_in.w.data + p.edge_in.b.data
+    pre_e = e_proj @ w1[:hd] + l1.b.data  # the edge block of message layer 1
+    act_x = x_proj @ w_half[hd : 2 * hd]
+    act_x += np.concatenate([q.b.data for q in gates]) * half
+
+    # Without a tape every step reuses one slot; only h is kept for attention.
+    slot = list(range(n_t)) if keep else [0] * n_t
+    depth = n_t if keep else 1
+    n_p = recv.shape[0]
+    act = np.empty((depth, n, 4 * hd))  # gate activations
+    c = np.empty((depth, n, hd))
+    tc = np.empty((depth, n, hd))  # tanh(c)
+    relu = np.empty((depth, n_p, hd))  # message layer 1 after relu
+    msg = np.empty((depth, n, hd))  # summed messages
+    hs = np.empty((n_t, n, hd))
+    y = np.empty((n, 6 * hd))
+    for t in range(n_t):
+        s = slot[t]
+        a = act[s]
+        if t:
+            np.matmul(hs[t - 1], w_step, out=y)
+            pre = pre_e + y[recv, :hd]
+            pre += y[send, hd : 2 * hd]
+            np.maximum(pre, 0.0, out=relu[s])
+            np.add(act_x, y[:, 2 * hd :], out=a)
+        else:
+            np.maximum(pre_e, 0.0, out=relu[s])
+            a[...] = act_x
+        per_pair = relu[s] @ w2
+        per_pair += b2
+        msg[s] = segs.sum(per_pair)
+        a += msg[s] @ w_half[2 * hd :]
+        np.tanh(a, out=a)
+        sig = a[:, : 3 * hd]
+        sig *= 0.5
+        sig += 0.5
+        if t:
+            np.multiply(a[:, hd : 2 * hd], c[slot[t - 1]], out=c[s])
+            c[s] += a[:, :hd] * a[:, 3 * hd :]
+        else:
+            np.multiply(a[:, :hd], a[:, 3 * hd :], out=c[s])
+        np.tanh(c[s], out=tc[s])
+        np.multiply(a[:, 2 * hd : 3 * hd], tc[s], out=hs[t])
+
+    if attend:
+        mha = p.step_attention
+        heads = mha.heads
+        d_head = hd // heads
+        scale = 1.0 / math.sqrt(d_head)
+        head_sum = np.repeat(np.eye(heads), d_head, axis=0)  # [h, heads]: sums each head's columns
+        w_qkv = np.concatenate([mha.w_q.data, mha.w_k.data, mha.w_v.data], axis=1)
+        h_flat = hs.reshape(n_t * n, hd)
+        qkv = (h_flat @ w_qkv).reshape(n_t, n, 3, heads, d_head)
+        q, k, v = qkv[:, :, 0], qkv[:, :, 1], qkv[:, :, 2]  # [T, N, heads, d_head]
+        scores = np.empty((n_t, n_t * n, heads))  # [key step, query step * N, heads]
+        for j in range(n_t):
+            np.matmul((q * k[j]).reshape(n_t * n, hd), head_sum, out=scores[j])
+        scores = scores.reshape(n_t, n_t, n, heads)
+        scores *= scale
+        scores -= scores.max(axis=0)
+        attn = np.exp(scores)
+        attn /= attn.sum(axis=0)
+        weight = attn.sum(axis=1)  # each key step's weight summed over query steps
+        ctx = (weight[..., None] * v).sum(axis=0).reshape(n, hd)
+        out = Tensor(ctx @ mha.w_o.data)
+    else:
+        out = Tensor(hs[-1])
+    if not keep:
+        return out
+
+    def backward_fn(gout: Array) -> None:
+        grads: dict[int, Array] = {}
+        if attend:
+            grads[id(mha.w_o)] = ctx.T @ gout
+            d_ctx = (gout @ mha.w_o.data.T).reshape(n, heads, d_head)
+            d_qkv = np.empty_like(qkv)
+            dq, dk, dv = d_qkv[:, :, 0], d_qkv[:, :, 1], d_qkv[:, :, 2]
+            np.multiply(weight[..., None], d_ctx, out=dv)
+            d_weight = ((v * d_ctx).reshape(n_t * n, hd) @ head_sum).reshape(n_t, n, heads)
+            d_scores = attn * (d_weight[:, None] - (attn * d_weight[:, None]).sum(axis=0))
+            d_scores *= scale
+            for j in range(n_t):
+                d_j = d_scores[j, ..., None]
+                if j:
+                    dq += d_j * k[j]
+                else:
+                    np.multiply(d_j, k[j], out=dq)
+                np.sum(d_j * q, axis=0, out=dk[j])
+            d_flat = d_qkv.reshape(n_t * n, 3 * hd)
+            dw_qkv = h_flat.T @ d_flat
+            for j, w in enumerate((mha.w_q, mha.w_k, mha.w_v)):
+                grads[id(w)] = dw_qkv[:, j * hd : (j + 1) * hd]
+            gh = (d_flat @ w_qkv.T).reshape(n_t, n, hd)
+        else:
+            gh = np.zeros((n_t, n, hd))
+            gh[-1] = gout
+
+        i, f, o, g = (act[..., j * hd : (j + 1) * hd] for j in range(4))
+        # d act_j / d pre-activation_j, times what multiplies act_j in
+        # c_t = f * c_{t-1} + i * g, or in h_t = o * tanh(c_t) for the o gate;
+        # the loop below scales step t's by the gradient reaching c_t or h_t
+        d_act = 1.0 - act
+        d_act *= act  # the sigmoid derivative; the g block is redone
+        d_act[..., :hd] *= g
+        d_act[0, :, hd : 2 * hd] = 0.0  # c_{-1} = 0
+        d_act[1:, :, hd : 2 * hd] *= c[:-1]
+        d_act[..., 2 * hd : 3 * hd] *= tc
+        np.multiply(g, g, out=d_act[..., 3 * hd :])
+        np.subtract(1.0, d_act[..., 3 * hd :], out=d_act[..., 3 * hd :])
+        d_act[..., 3 * hd :] *= i
+        dc_dh = tc * tc
+        np.subtract(1.0, dc_dh, out=dc_dh)
+        dc_dh *= o
+        d4 = d_act.reshape(n_t, n, 4, hd)
+        d_pair = np.empty((n_t, n_p, hd))  # d loss / d message MLP output
+        d_pre = np.empty((n_t, n_p, hd))  # d loss / d message layer 1 pre-relu
+        d_step = np.empty((max(n_t - 1, 0), n, 6 * hd))  # d loss / d (h_{t-1} @ w_rec)
+        w_rec = np.concatenate([w1[hd : 2 * hd], w1[2 * hd :], w_cell[:hd]], axis=1)
+        w_m = w_cell[2 * hd :]
+        send_segs = _Segments(send, n) if n_t > 1 else None
+        dh = dc = None  # gradients reaching h_t and c_t through step t+1
+        for t in range(n_t - 1, -1, -1):
+            dht = gh[t] if dh is None else gh[t] + dh
+            dct = dht * dc_dh[t]
+            if dc is not None:
+                dct += dc
+            d_o = d4[t, :, 2] * dht  # o feeds h, not c
+            d4[t] *= dct[:, None, :]
+            d4[t, :, 2] = d_o
+            d_pair[t] = (d_act[t] @ w_m.T)[recv]
+            np.multiply(d_pair[t] @ w2.T, relu[t] > 0.0, out=d_pre[t])
+            if t:
+                dc = dct * f[t]
+                ds_t = d_step[t - 1]
+                ds_t[:, :hd] = segs.sum(d_pre[t])
+                ds_t[:, hd : 2 * hd] = send_segs.sum(d_pre[t])
+                ds_t[:, 2 * hd :] = d_act[t]
+                dh = ds_t @ w_rec.T
+
+        flat = d_act.reshape(n_t * n, 4 * hd)
+        d_act_x = d_act.sum(axis=0)
+        dw_cell = np.empty_like(w_cell)
+        dw_cell[hd : 2 * hd] = x_proj.T @ d_act_x
+        dw_cell[2 * hd :] = msg.reshape(n_t * n, hd).T @ flat
+        dw1 = np.empty_like(w1)
+        if n_t > 1:
+            dw_step = hs[:-1].reshape(-1, hd).T @ d_step.reshape(-1, 6 * hd)
+            dw1[hd:] = np.concatenate([dw_step[:, :hd], dw_step[:, hd : 2 * hd]])
+            dw_cell[:hd] = dw_step[:, 2 * hd :]
+        else:  # the only step reads h = 0
+            dw1[hd:] = 0.0
+            dw_cell[:hd] = 0.0
+        d_pre_e = d_pre.sum(axis=0)
+        dw1[:hd] = e_proj.T @ d_pre_e
+        db_cell = d_act_x.sum(axis=0)
+        for j, gate in enumerate(gates):
+            cols = slice(j * hd, (j + 1) * hd)
+            grads[id(gate.w)] = dw_cell[:, cols]
+            grads[id(gate.b)] = db_cell[cols]
+        grads[id(l1.w)] = dw1
+        grads[id(l1.b)] = d_pre_e.sum(axis=0)
+        grads[id(l2.w)] = relu.reshape(-1, hd).T @ d_pair.reshape(-1, hd)
+        grads[id(l2.b)] = d_pair.sum(axis=(0, 1))
+        d_e_proj = d_pre_e @ w1[:hd].T
+        grads[id(p.edge_in.w)] = efeat.T @ d_e_proj
+        grads[id(p.edge_in.b)] = d_e_proj.sum(axis=0)
+        d_x_proj = d_act_x @ w_cell[hd : 2 * hd].T
+        grads[id(p.node_in.w)] = x.T @ d_x_proj
+        grads[id(p.node_in.b)] = d_x_proj.sum(axis=0)
+        # every gradient is computed here, or is a block of such an array
+        # that no other block overlaps, so it is adopted without a copy
+        for leaf in inputs:
+            if leaf.tracked:
+                _accum(leaf, grads[id(leaf)], fresh=True)
+
+    return _emit(inputs, out, backward_fn)
 
 
 def run_msrrn(graph: Graph, p: ReasonerParams) -> Tensor:
@@ -134,11 +368,9 @@ def run_msrrn(graph: Graph, p: ReasonerParams) -> Tensor:
 
     Returns [n, d_h]: the attended step states summed over steps.
     """
-    omega = stack(_trace(graph, p), axis=1)  # [n, T, d_h]
-    attended = multi_head_attention(omega, omega, omega, p.step_attention)
-    return reduce_sum(attended, axis=1)
+    return _reason(graph, p, attend=True)
 
 
 def run_rrn(graph: Graph, p: ReasonerParams) -> Tensor:
     """Last-step-only baseline, same iteration as run_msrrn."""
-    return _trace(graph, p)[-1]
+    return _reason(graph, p, attend=False)

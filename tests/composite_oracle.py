@@ -1,11 +1,12 @@
-"""The LSTM cell, the LSTM sequence and multi-head attention as compositions.
+"""The LSTM cell, the LSTM sequence, multi-head attention and the reasoner as compositions.
 
 These are the blocks as they were before fusion: one tape record per
 gate affine, activation and product, one fused `lstm_cell` call per
-time step, and one slice-matmul-softmax chain per attention head.
-`tests/test_fused.py` requires the fused primitives in
-`mulcom.numerics` to match them in values and in every input and
-parameter gradient.
+time step, one slice-matmul-softmax chain per attention head, and a
+reasoner step loop of gathers, message MLP, scatter-add and fused cell
+followed by batched-head step attention. `tests/test_fused.py` requires
+the fused primitives in `mulcom.numerics` and `mulcom.msrrn` to match
+them in values and in every input and parameter gradient.
 """
 
 import math
@@ -20,9 +21,12 @@ from mulcom.numerics import (
     concat,
     gather_rows,
     matmul,
+    mlp_apply,
     mul,
+    reduce_sum,
     reshape,
     scale,
+    scatter_add_rows,
     sigmoid,
     slice_last,
     softmax,
@@ -70,3 +74,39 @@ def multi_head_attention(q, k, v, p):
         scores = scale(matmul(qh, transpose(kh)), 1.0 / math.sqrt(dh))
         outs.append(matmul(softmax(scores, axis=-1), vh))
     return matmul(concat(outs, axis=-1), p.w_o)
+
+
+def _messages(h, recv, send, e_proj, num_nodes, p):
+    """Per-pair MLP(edge, receiver state, sender state), summed per receiver."""
+    h_recv = gather_rows(h, recv)
+    h_send = gather_rows(h, send)
+    pair_in = concat([e_proj, h_recv, h_send], axis=-1)
+    per_pair = mlp_apply(pair_in, p.message_mlp)
+    return scatter_add_rows(per_pair, recv, num_nodes)
+
+
+def reasoner_trace(graph, p):
+    """Hidden state after each reasoner step, starting from zero h and c."""
+    n = graph.x.shape[0]
+    d_h = p.hidden_dim
+    recv, send, efeat = graph.directed_pairs()
+    x_proj = affine(Tensor(graph.x), p.node_in.w, p.node_in.b)
+    e_proj = affine(Tensor(efeat), p.edge_in.w, p.edge_in.b)
+    h = Tensor(np.zeros((n, d_h)))
+    c = Tensor(np.zeros((n, d_h)))
+    states = []
+    for _ in range(p.steps):
+        m = _messages(h, recv, send, e_proj, n, p)
+        h, c = nm.lstm_cell(h, c, concat([x_proj, m], axis=-1), p.cell)
+        states.append(h)
+    return states
+
+
+def run_msrrn(graph, p):
+    omega = stack(reasoner_trace(graph, p), axis=1)  # [n, T, d_h]
+    attended = nm.multi_head_attention(omega, omega, omega, p.step_attention)
+    return reduce_sum(attended, axis=1)
+
+
+def run_rrn(graph, p):
+    return reasoner_trace(graph, p)[-1]

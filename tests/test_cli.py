@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import mulcom
+from mulcom import cli
 from mulcom.cli import build_parser, main
 from mulcom.data import Dataset, load_dataset, save_dataset
 from mulcom.graph import EntityMentions, FeatureDoc
@@ -215,6 +216,19 @@ class TestGradcheckCommand:
     def test_unreachable_tolerance_fails(self):
         rc = main(["gradcheck", "--max-coords", "2", "--tolerance", "1e-18"])
         assert rc == 1
+
+    def test_flag_defaults_are_the_library_defaults(self):
+        import inspect
+
+        from mulcom.gradcheck import CheckResult, run_gradcheck
+
+        _, _, settings = cli.COMMANDS["gradcheck"]
+        cfg = cli._resolve(build_parser().parse_args(["gradcheck"]), settings)
+        run_defaults = inspect.signature(run_gradcheck).parameters
+        assert cfg["eps"] == run_defaults["eps"].default == 1e-5
+        assert cfg["max_coords"] == run_defaults["max_coords"].default == 8
+        tol = inspect.signature(CheckResult.ok).parameters["tol"].default
+        assert cfg["tolerance"] == tol == 1e-4
 
 
 class TestExitCodes:

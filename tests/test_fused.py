@@ -1,23 +1,29 @@
-"""The fused LSTM cell and sequence and batched-head attention against compositions.
+"""The fused LSTM cell, sequence, batched-head attention and reasoner against compositions.
 
 `composite_oracle.py` holds the blocks as chains of primitives: one
-tape record per gate and per head, and one `lstm_cell` call per time
-step. The fused primitives must give the same values and the same
-gradient for every input and parameter, and must stay few records, so
-per-gate, per-step or per-head records cannot return unnoticed.
+tape record per gate and per head, one `lstm_cell` call per time step,
+and a reasoner step loop of gathers, message MLP and scatter-add. The
+fused primitives must give the same values and the same gradient for
+every input and parameter, and must stay few records, so per-gate,
+per-step or per-head records cannot return unnoticed.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import composite_oracle as oracle
+from mulcom import msrrn
 from mulcom import numerics as nm
 from mulcom.data import SynthSpec, synth_generate
 from mulcom.errors import ShapeMismatchError
-from mulcom.graph import FeatureDoc, build_graph
+from mulcom.graph import FeatureDoc, batch_graphs, build_graph
 from mulcom.model import ModelConfig, build_model, forward_logits
 from mulcom.numerics import Tape, Tensor
 from mulcom.streams import init_stream, sentence_stream
+
+from test_graph import make_doc
 
 TOL = 1e-12
 
@@ -242,14 +248,117 @@ class TestMultiHeadAttention:
         assert len(set(counts.values())) == 1, counts
 
 
+D_S, D_H = 5, 8
+
+
+def _planted_union():
+    ds = synth_generate(3, SynthSpec(docs=16, val_frac=0.0, d_w=6, d_s=D_S, vocab=24))
+    return batch_graphs([build_graph(d) for d in ds.split("train")])
+
+
+def _path_doc():
+    """Path e0-e1-e2-e3: sentence k mentions entities k and k+1."""
+    return make_doc({f"e{i}": [s for s in (i - 1, i) if 0 <= s < 3] for i in range(4)},
+                    n_sents=3, d_s=D_S, seed=4)
+
+
+REASONER_GRAPHS = {
+    "no-pairs": lambda: build_graph(make_doc({"A": [], "B": []}, n_sents=1, d_s=D_S)),
+    "isolated-node": lambda: build_graph(
+        make_doc({"A": [0], "B": [0], "C": []}, n_sents=1, d_s=D_S, seed=1)),
+    "lone-self-loop": lambda: build_graph(make_doc({"A": [0]}, n_sents=1, d_s=D_S, seed=2)),
+    "path": lambda: build_graph(_path_doc()),
+    "clique": lambda: build_graph(  # every node receives three pairs
+        make_doc({"A": [0], "B": [0], "C": [0, 1], "D": [0]}, n_sents=2, d_s=D_S, seed=3)),
+    "planted-16": _planted_union,
+}
+RUNS = {"msrrn": (msrrn.run_msrrn, oracle.run_msrrn), "rrn": (msrrn.run_rrn, oracle.run_rrn)}
+
+
+def _reasoner(steps, heads, seed=0):
+    rng = np.random.default_rng([steps, heads, seed])
+    p = msrrn.init_reasoner(rng, d_s=D_S, d_h=D_H, steps=steps, heads=heads)
+    for name, t in p.named():  # nonzero biases exercise their gradients
+        if name.endswith(".b"):
+            t.data[...] = rng.uniform(-0.5, 0.5, size=t.shape)
+    return p, rng
+
+
+def _reasoner_grads(run, graph, p, w):
+    """Output and every reasoner parameter gradient (None if off the tape)."""
+    leaves = dict(p.named())
+    for t in leaves.values():
+        t.zero_grad()
+    with Tape() as tape:
+        out = run(graph, p)
+        loss = nm.reduce_sum(nm.mul(out, Tensor(w)))
+    nm.backward(loss, tape)
+    return out.data.copy(), {k: None if t.grad is None else t.grad.copy()
+                             for k, t in leaves.items()}
+
+
+def _assert_reasoner_matches(kind, graph, p, rng):
+    fused_run, composite_run = RUNS[kind]
+    w = rng.standard_normal((graph.x.shape[0], D_H))
+    got, got_grads = _reasoner_grads(fused_run, graph, p, w)
+    want, want_grads = _reasoner_grads(composite_run, graph, p, w)
+    assert got.shape == want.shape
+    assert _max_abs_diff(got, want) <= TOL
+    for name, g in got_grads.items():
+        if want_grads[name] is None:  # rrn leaves the step attention off the tape
+            assert g is None, name
+            continue
+        assert _max_abs_diff(g, want_grads[name]) <= TOL, name
+
+
+class TestReasoner:
+    @pytest.mark.parametrize("graph", list(REASONER_GRAPHS))
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("steps", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", list(RUNS))
+    def test_matches_composite(self, kind, steps, heads, graph):
+        p, rng = _reasoner(steps, heads)
+        _assert_reasoner_matches(kind, REASONER_GRAPHS[graph](), p, rng)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(
+        table=st.lists(st.lists(st.integers(0, 4), max_size=4), min_size=1, max_size=7),
+        steps=st.integers(1, 4),
+        heads=st.sampled_from([1, 2, 4]),
+        kind=st.sampled_from(list(RUNS)),
+    )
+    def test_random_mention_tables_match_composite(self, table, steps, heads, kind):
+        doc = make_doc({f"e{i}": sents for i, sents in enumerate(table)},
+                       n_sents=5, d_s=D_S, seed=len(table))
+        p, rng = _reasoner(steps, heads, seed=len(table))
+        _assert_reasoner_matches(kind, build_graph(doc), p, rng)
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", list(RUNS))
+    def test_one_record(self, kind, steps):
+        p, _ = _reasoner(steps, 2)
+        with Tape() as tape:
+            RUNS[kind][0](_planted_union(), p)
+        assert len(tape) == 1
+
+    def test_without_a_tape_matches_the_recorded_output(self):
+        # the forward-only path keeps one step's intermediates, not all of them
+        p, _ = _reasoner(3, 4)
+        graph = _planted_union()
+        for kind, (run, _) in RUNS.items():
+            with Tape():
+                recorded = run(graph, p).data
+            np.testing.assert_array_equal(run(graph, p).data, recorded, err_msg=kind)
+
+
 # Records of one 16-doc forward on the planted corpus below (at most 10
 # sentences a doc, 2 reasoner steps). The bounds are the counts with the
-# fused blocks and the one-record sentence LSTM; per-gate and per-head
-# records gave 144, 341 and 227, and one fused cell per sentence 91, 129
-# and 68.
+# fused blocks, the one-record sentence LSTM and the one-record reasoner;
+# per-gate and per-head records gave 144, 341 and 227, one fused cell per
+# sentence 91, 129 and 68, and the reasoner as a composite 91, 109 and 48.
 FORWARD_RECORD_BOUNDS = {
-    ("word", "relation"): 91,
-    ("word", "sentence", "relation"): 109,
+    ("word", "relation"): 48,
+    ("word", "sentence", "relation"): 66,
     ("word", "sentence"): 48,
 }
 

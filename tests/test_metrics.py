@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from mulcom.errors import ValidationError
+from mulcom.errors import ConfigError, ValidationError
 from mulcom.metrics import (
     average_precision,
     evaluate,
@@ -232,7 +232,7 @@ class TestEvaluate:
         assert rep.macro_f1 == f1_oracle(preds, labels, "macro")
 
     def test_threshold_out_of_range_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError):
             evaluate(np.zeros((1, 1)), np.zeros((1, 1), dtype=int), threshold=1.5)
 
     def test_values_within_percentage_range(self):

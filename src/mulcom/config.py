@@ -1,4 +1,4 @@
-"""Run settings: the planted-corpus layout, the model, the training loop and the gradient audit.
+"""Run settings: the planted corpus, the model, training and the gradient audit.
 
 Each field's annotation is the setting's type and its default the
 setting's default; `__post_init__` checks every value against its

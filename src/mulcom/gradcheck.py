@@ -36,6 +36,7 @@ from .streams import init_stream, relation_stream, sentence_stream, word_stream
 
 Array = np.ndarray
 
+
 @dataclass
 class CheckResult:
     name: str

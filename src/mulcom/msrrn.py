@@ -39,6 +39,7 @@ from .numerics import (
     LSTMParams,
     MHAParams,
     MLPParams,
+    Segments,
     Tensor,
     _accum,
     _emit,
@@ -118,44 +119,6 @@ def message_pass(graph: Graph, h: Tensor, p: ReasonerParams) -> Tensor:
     return scatter_add_rows(mlp_apply(pair_in, p.message_mlp), recv, graph.x.shape[0])
 
 
-class _Segments:
-    """Sums of rows grouped by an index array over [0, n).
-
-    Each value's rows are added in row order, one rank at a time: every
-    value's first row is gathered, then every value's second row added,
-    and so on. That is one gather per rank, where `np.add.reduceat` pays
-    a call per value and `np.add.at` an element at a time; on entity
-    graphs most nodes receive only a few pairs, so the ranks are few.
-    """
-
-    def __init__(self, index: Array, n: int):
-        order = np.argsort(index, kind="stable")
-        counts = np.bincount(index, minlength=n)
-        self.n = n
-        self.present = np.flatnonzero(counts)
-        starts = (np.cumsum(counts) - counts)[self.present]
-        self.ranks = []  # (values, their rows of this rank)
-        values, left = self.present, counts[self.present]
-        while values.size:
-            self.ranks.append((values, order[starts]))
-            more = left > 1
-            values, starts, left = values[more], starts[more] + 1, left[more] - 1
-
-    def sum(self, rows: Array) -> Array:
-        """Per-value row sums, [n, ...]; a value with no rows gets 0."""
-        if not self.ranks:
-            return np.zeros((self.n,) + rows.shape[1:])
-        (values, first), *rest = self.ranks
-        if values.size == self.n:
-            out = rows[first]
-        else:
-            out = np.zeros((self.n,) + rows.shape[1:])
-            out[values] = rows[first]
-        for values, idx in rest:
-            out[values] += rows[idx]
-        return out
-
-
 def _reason(graph: Graph, p: ReasonerParams, attend: bool) -> Tensor:
     """The reasoner's [N, h] node output as one tape record.
 
@@ -164,31 +127,34 @@ def _reason(graph: Graph, p: ReasonerParams, attend: bool) -> Tensor:
     parameters stay off the tape. States start at zero h and c. Each
     receiver adds its messages in pair order, as a scatter-add would.
     All four gates take one tanh, the sigmoid ones as
-    sigmoid(a) = (1 + tanh(a/2)) / 2 on pre-activations halved by exact
-    power-of-two weight scaling, as in `lstm_sequence`.
+    sigmoid(a) = (1 + tanh(a/2)) / 2, with the halving folded into the
+    weights and biases (exact, a power of two), as in `lstm_sequence`.
     """
     recv, send, efeat = graph.directed_pairs()
     x = np.asarray(graph.x, dtype=np.float64)
     n, hd, n_t = x.shape[0], p.hidden_dim, p.steps
     inputs = tuple(t for name, t in p.named() if attend or ".step_attention." not in name)
     keep = active_tape() is not None and any(t.tracked for t in inputs)
-    segs = _Segments(recv, n)
+    segs = Segments(recv, n)
 
     (l1, l2), cell = p.message_mlp.layers, p.cell
     gates = (cell.gate_i, cell.gate_f, cell.gate_o, cell.gate_g)
     w1, w2, b2 = l1.w.data, l2.w.data, l2.b.data
-    w_cell = np.concatenate([q.w.data for q in gates], axis=1)  # rows h, x_proj, m
+    gate_w = [q.w.data for q in gates]  # rows: h, x_proj, m
     half = np.ones(4 * hd)
     half[: 3 * hd] = 0.5  # the sigmoid gates' tanh argument
-    w_half = w_cell * half
     # what a step multiplies h by: the receiver, sender and recurrent blocks
-    w_step = np.concatenate([w1[hd : 2 * hd], w1[2 * hd :], w_half[:hd]], axis=1)
+    w_step = np.concatenate([w1[hd : 2 * hd], w1[2 * hd :]] + [w[:hd] for w in gate_w], axis=1)
+    w_step[:, 2 * hd :] *= half
+    w_msg = np.concatenate([w[2 * hd :] for w in gate_w], axis=1)
+    w_msg *= half
 
     x_proj = x @ p.node_in.w.data + p.node_in.b.data
     e_proj = efeat @ p.edge_in.w.data + p.edge_in.b.data
     pre_e = e_proj @ w1[:hd] + l1.b.data  # the edge block of message layer 1
-    act_x = x_proj @ w_half[hd : 2 * hd]
-    act_x += np.concatenate([q.b.data for q in gates]) * half
+    act_x = x_proj @ np.concatenate([w[hd : 2 * hd] for w in gate_w], axis=1)
+    act_x += np.concatenate([q.b.data for q in gates])
+    act_x *= half
 
     # Without a tape every step reuses one slot; only h is kept for attention.
     slot = list(range(n_t)) if keep else [0] * n_t
@@ -216,7 +182,7 @@ def _reason(graph: Graph, p: ReasonerParams, attend: bool) -> Tensor:
         per_pair = relu[s] @ w2
         per_pair += b2
         msg[s] = segs.sum(per_pair)
-        a += msg[s] @ w_half[2 * hd :]
+        a += msg[s] @ w_msg
         np.tanh(a, out=a)
         sig = a[:, : 3 * hd]
         sig *= 0.5
@@ -302,9 +268,10 @@ def _reason(graph: Graph, p: ReasonerParams, attend: bool) -> Tensor:
         d_pair = np.empty((n_t, n_p, hd))  # d loss / d message MLP output
         d_pre = np.empty((n_t, n_p, hd))  # d loss / d message layer 1 pre-relu
         d_step = np.empty((max(n_t - 1, 0), n, 6 * hd))  # d loss / d (h_{t-1} @ w_rec)
+        w_cell = np.concatenate(gate_w, axis=1)
         w_rec = np.concatenate([w1[hd : 2 * hd], w1[2 * hd :], w_cell[:hd]], axis=1)
         w_m = w_cell[2 * hd :]
-        send_segs = _Segments(send, n) if n_t > 1 else None
+        send_segs = Segments(send, n) if n_t > 1 else None
         dh = dc = None  # gradients reaching h_t and c_t through step t+1
         for t in range(n_t - 1, -1, -1):
             dht = gh[t] if dh is None else gh[t] + dh

@@ -391,16 +391,56 @@ def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
     return _emit((x,), out, backward_fn)
 
 
+class Segments:
+    """Sums of rows grouped by an index array: out[v] = sum of rows[p] with index[p] == v.
+
+    Each group's rows are added in row order, one rank at a time: every
+    group's first row is gathered, then every group's second row added,
+    and so on. That sums in the order `np.add.at` does, with one gather
+    per rank where `np.add.at` works an element at a time and
+    `np.add.reduceat` pays a call per group; on entity graphs most nodes
+    receive only a few pairs, so the ranks are few.
+    """
+
+    def __init__(self, index: Array, n: int):
+        index = np.asarray(index, dtype=np.intp)
+        if index.size and not (index.min() >= 0 and index.max() < n):
+            raise ShapeMismatchError(f"Segments: index outside [0, {n})")
+        order = np.argsort(index, kind="stable")
+        counts = np.bincount(index, minlength=n)
+        self.n = n
+        groups = np.flatnonzero(counts)
+        starts = (np.cumsum(counts) - counts)[groups]
+        left = counts[groups]
+        self.ranks = []  # (groups, their rows of this rank)
+        while groups.size:
+            self.ranks.append((groups, order[starts]))
+            more = left > 1
+            groups, starts, left = groups[more], starts[more] + 1, left[more] - 1
+
+    def sum(self, rows: Array) -> Array:
+        """Per-group row sums, [n, ...]; a group with no rows gets 0."""
+        if not self.ranks:
+            return np.zeros((self.n,) + rows.shape[1:])
+        (groups, first), *rest = self.ranks
+        if groups.size == self.n:
+            out = rows[first]
+        else:
+            out = np.zeros((self.n,) + rows.shape[1:])
+            out[groups] = rows[first]
+        for groups, idx in rest:
+            out[groups] += rows[idx]
+        return out
+
+
 def gather_rows(x: Tensor, index: Sequence[int]) -> Tensor:
-    """Select rows (axis 0) by integer index, repeats allowed."""
+    """Select rows (axis 0) by integer index in [0, rows), repeats allowed."""
     idx = np.asarray(index, dtype=np.intp)
     out = Tensor(x.data[idx])
 
     def backward_fn(g: Array) -> None:
         if x.tracked:
-            buf = np.zeros_like(x.data)
-            np.add.at(buf, idx, g)
-            _accum(x, buf, fresh=True)
+            _accum(x, Segments(idx, x.shape[0]).sum(g), fresh=True)
 
     return _emit((x,), out, backward_fn)
 
@@ -408,9 +448,7 @@ def gather_rows(x: Tensor, index: Sequence[int]) -> Tensor:
 def scatter_add_rows(x: Tensor, index: Sequence[int], num_rows: int) -> Tensor:
     """Sum rows of `x` into `num_rows` output rows: out[index[p]] += x[p]."""
     idx = np.asarray(index, dtype=np.intp)
-    data = np.zeros((num_rows,) + x.shape[1:], dtype=np.float64)
-    np.add.at(data, idx, x.data)
-    out = Tensor(data)
+    out = Tensor(Segments(idx, num_rows).sum(x.data))
 
     def backward_fn(g: Array) -> None:
         if x.tracked:

@@ -178,6 +178,20 @@ class TestConcatAndShapes:
         out = nm.scatter_add_rows(x, [1, 1, 0, 2], num_rows=3)
         npt.assert_array_equal(out.data, [[1, 1], [2, 2], [1, 1]])
 
+    @pytest.mark.parametrize("n_rows, n_groups", [(0, 3), (5, 1), (9, 4), (40, 6)])
+    def test_segment_sums_match_add_at_bit_for_bit(self, n_rows, n_groups):
+        rng = np.random.default_rng([n_rows, n_groups])
+        index = rng.integers(0, n_groups, size=n_rows)  # some groups may be empty
+        rows = rng.standard_normal((n_rows, 3))
+        want = np.zeros((n_groups, 3))
+        np.add.at(want, index, rows)
+        npt.assert_array_equal(nm.Segments(index, n_groups).sum(rows), want)
+
+    @pytest.mark.parametrize("index", [[0, 3], [-1, 0]])
+    def test_segment_index_out_of_range(self, index):
+        with pytest.raises(ShapeMismatchError):
+            nm.scatter_add_rows(Tensor(np.ones((2, 2))), index, num_rows=3)
+
 
 class TestAffineAndReductions:
     def test_affine_identity(self):

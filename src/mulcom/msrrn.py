@@ -9,7 +9,8 @@ attended states. The plain recurrent baseline returns the final step
 only.
 
 Both variants run as one tape record with a hand-derived backward pass
-through the steps (`_reason`). What no step changes is computed once
+through the steps (`_reason`), whose cell is the sentence LSTM's gate
+update (`numerics.lstm_update`). What no step changes is computed once
 per call: the node and edge input projections, the node-input block of
 the cell's gate pre-activations (one [N, 4h] product) and the edge
 block of the message MLP's first layer. A step then runs one product
@@ -51,6 +52,8 @@ from .numerics import (
     init_lstm,
     init_mha,
     init_mlp,
+    lstm_update,
+    lstm_update_backward,
     # Not called since the reasoner became one record. perfbench/layer_trace.py
     # wraps these names on this module, with the three `message_pass` calls,
     # to time the reasoner's parts, and cannot install without them.
@@ -126,9 +129,8 @@ def _reason(graph: Graph, p: ReasonerParams, attend: bool) -> Tensor:
     otherwise the last step's states (RRN), and the step attention's
     parameters stay off the tape. States start at zero h and c. Each
     receiver adds its messages in pair order, as a scatter-add would.
-    All four gates take one tanh, the sigmoid ones as
-    sigmoid(a) = (1 + tanh(a/2)) / 2, with the halving folded into the
-    weights and biases (exact, a power of two), as in `lstm_sequence`.
+    The cell runs `lstm_update` and its backward pass
+    `lstm_update_backward`, as `lstm_sequence` does.
     """
     recv, send, efeat = graph.directed_pairs()
     x = np.asarray(graph.x, dtype=np.float64)
@@ -141,20 +143,15 @@ def _reason(graph: Graph, p: ReasonerParams, attend: bool) -> Tensor:
     gates = (cell.gate_i, cell.gate_f, cell.gate_o, cell.gate_g)
     w1, w2, b2 = l1.w.data, l2.w.data, l2.b.data
     gate_w = [q.w.data for q in gates]  # rows: h, x_proj, m
-    half = np.ones(4 * hd)
-    half[: 3 * hd] = 0.5  # the sigmoid gates' tanh argument
     # what a step multiplies h by: the receiver, sender and recurrent blocks
     w_step = np.concatenate([w1[hd : 2 * hd], w1[2 * hd :]] + [w[:hd] for w in gate_w], axis=1)
-    w_step[:, 2 * hd :] *= half
     w_msg = np.concatenate([w[2 * hd :] for w in gate_w], axis=1)
-    w_msg *= half
 
     x_proj = x @ p.node_in.w.data + p.node_in.b.data
     e_proj = efeat @ p.edge_in.w.data + p.edge_in.b.data
     pre_e = e_proj @ w1[:hd] + l1.b.data  # the edge block of message layer 1
     act_x = x_proj @ np.concatenate([w[hd : 2 * hd] for w in gate_w], axis=1)
     act_x += np.concatenate([q.b.data for q in gates])
-    act_x *= half
 
     # Without a tape every step reuses one slot; only h is kept for attention.
     slot = list(range(n_t)) if keep else [0] * n_t
@@ -183,17 +180,7 @@ def _reason(graph: Graph, p: ReasonerParams, attend: bool) -> Tensor:
         per_pair += b2
         msg[s] = segs.sum(per_pair)
         a += msg[s] @ w_msg
-        np.tanh(a, out=a)
-        sig = a[:, : 3 * hd]
-        sig *= 0.5
-        sig += 0.5
-        if t:
-            np.multiply(a[:, hd : 2 * hd], c[slot[t - 1]], out=c[s])
-            c[s] += a[:, :hd] * a[:, 3 * hd :]
-        else:
-            np.multiply(a[:, :hd], a[:, 3 * hd :], out=c[s])
-        np.tanh(c[s], out=tc[s])
-        np.multiply(a[:, 2 * hd : 3 * hd], tc[s], out=hs[t])
+        lstm_update(a, c[slot[t - 1]] if t else None, c[s], tc[s], hs[t])
 
     if attend:
         mha = p.step_attention
@@ -248,23 +235,6 @@ def _reason(graph: Graph, p: ReasonerParams, attend: bool) -> Tensor:
             gh = np.zeros((n_t, n, hd))
             gh[-1] = gout
 
-        i, f, o, g = (act[..., j * hd : (j + 1) * hd] for j in range(4))
-        # d act_j / d pre-activation_j, times what multiplies act_j in
-        # c_t = f * c_{t-1} + i * g, or in h_t = o * tanh(c_t) for the o gate;
-        # the loop below scales step t's by the gradient reaching c_t or h_t
-        d_act = 1.0 - act
-        d_act *= act  # the sigmoid derivative; the g block is redone
-        d_act[..., :hd] *= g
-        d_act[0, :, hd : 2 * hd] = 0.0  # c_{-1} = 0
-        d_act[1:, :, hd : 2 * hd] *= c[:-1]
-        d_act[..., 2 * hd : 3 * hd] *= tc
-        np.multiply(g, g, out=d_act[..., 3 * hd :])
-        np.subtract(1.0, d_act[..., 3 * hd :], out=d_act[..., 3 * hd :])
-        d_act[..., 3 * hd :] *= i
-        dc_dh = tc * tc
-        np.subtract(1.0, dc_dh, out=dc_dh)
-        dc_dh *= o
-        d4 = d_act.reshape(n_t, n, 4, hd)
         d_pair = np.empty((n_t, n_p, hd))  # d loss / d message MLP output
         d_pre = np.empty((n_t, n_p, hd))  # d loss / d message layer 1 pre-relu
         d_step = np.empty((max(n_t - 1, 0), n, 6 * hd))  # d loss / d (h_{t-1} @ w_rec)
@@ -272,25 +242,20 @@ def _reason(graph: Graph, p: ReasonerParams, attend: bool) -> Tensor:
         w_rec = np.concatenate([w1[hd : 2 * hd], w1[2 * hd :], w_cell[:hd]], axis=1)
         w_m = w_cell[2 * hd :]
         send_segs = Segments(send, n) if n_t > 1 else None
-        dh = dc = None  # gradients reaching h_t and c_t through step t+1
-        for t in range(n_t - 1, -1, -1):
-            dht = gh[t] if dh is None else gh[t] + dh
-            dct = dht * dc_dh[t]
-            if dc is not None:
-                dct += dc
-            d_o = d4[t, :, 2] * dht  # o feeds h, not c
-            d4[t] *= dct[:, None, :]
-            d4[t, :, 2] = d_o
-            d_pair[t] = (d_act[t] @ w_m.T)[recv]
-            np.multiply(d_pair[t] @ w2.T, relu[t] > 0.0, out=d_pre[t])
-            if t:
-                dc = dct * f[t]
-                ds_t = d_step[t - 1]
-                ds_t[:, :hd] = segs.sum(d_pre[t])
-                ds_t[:, hd : 2 * hd] = send_segs.sum(d_pre[t])
-                ds_t[:, 2 * hd :] = d_act[t]
-                dh = ds_t @ w_rec.T
 
+        def step(t: int, d_act_t: Array) -> Array | None:
+            """Back through step t's messages; the gradient reaching h_{t-1}."""
+            d_pair[t] = (d_act_t @ w_m.T)[recv]
+            np.multiply(d_pair[t] @ w2.T, relu[t] > 0.0, out=d_pre[t])
+            if not t:
+                return None
+            ds_t = d_step[t - 1]
+            ds_t[:, :hd] = segs.sum(d_pre[t])
+            ds_t[:, hd : 2 * hd] = send_segs.sum(d_pre[t])
+            ds_t[:, 2 * hd :] = d_act_t
+            return ds_t @ w_rec.T
+
+        d_act = lstm_update_backward(act, c, tc, gh, step)
         flat = d_act.reshape(n_t * n, 4 * hd)
         d_act_x = d_act.sum(axis=0)
         dw_cell = np.empty_like(w_cell)

@@ -1,9 +1,12 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-Every differentiable computation in the package (message passing, LSTM
-updates, attention pooling, the classifier head) is composed from the
-primitives here. Gradient checks against central finite differences are
-the primary correctness instrument, so all arithmetic stays in float64.
+Every differentiable computation in the package is composed from the
+primitives here, `lstm_cell` and `multi_head_attention` included, except
+two fused single records with hand-derived backward passes: the LSTM
+sequence here and the reasoner in `mulcom.msrrn`, which share one gate
+update, `lstm_update` and `lstm_update_backward`. Gradient checks against
+central finite differences are the primary correctness instrument, so
+all arithmetic stays in float64.
 
 A forward pass records primitives on the innermost active :class:`Tape`;
 ``backward`` replays the records in exact reverse order. Tapes are
@@ -351,22 +354,14 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     return _emit((x,), out, backward_fn)
 
 
-def transpose(
-    x: Tensor, axes: Sequence[int] | None = None, contiguous: bool = False
-) -> Tensor:
-    """Swap the last two axes by default, or permute by `axes`.
-
-    The result is a view unless `contiguous`, which copies it into its own
-    memory order: stacked products of many tiny matrices run several
-    times faster on such operands than on permuted views.
-    """
+def transpose(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
+    """Swap the last two axes by default, or permute by `axes`; a view."""
     if axes is None:
         if x.ndim < 2:
             raise ShapeMismatchError(f"transpose: rank {x.ndim} < 2")
         axes = tuple(range(x.ndim - 2)) + (x.ndim - 1, x.ndim - 2)
     axes = tuple(axes)
-    data = x.data.transpose(axes)
-    out = Tensor(np.ascontiguousarray(data) if contiguous else data)
+    out = Tensor(x.data.transpose(axes))
 
     def backward_fn(g: Array) -> None:
         if x.tracked:
@@ -391,6 +386,14 @@ def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
     return _emit((x,), out, backward_fn)
 
 
+def _row_index(index: Sequence[int], n: int, op: str) -> Array:
+    """`index` as an integer array, every entry a row in [0, n)."""
+    idx = np.asarray(index, dtype=np.intp)
+    if idx.size and not (idx.min() >= 0 and idx.max() < n):
+        raise ShapeMismatchError(f"{op}: index outside [0, {n})")
+    return idx
+
+
 class Segments:
     """Sums of rows grouped by an index array: out[v] = sum of rows[p] with index[p] == v.
 
@@ -403,9 +406,7 @@ class Segments:
     """
 
     def __init__(self, index: Array, n: int):
-        index = np.asarray(index, dtype=np.intp)
-        if index.size and not (index.min() >= 0 and index.max() < n):
-            raise ShapeMismatchError(f"Segments: index outside [0, {n})")
+        index = _row_index(index, n, "Segments")
         order = np.argsort(index, kind="stable")
         counts = np.bincount(index, minlength=n)
         self.n = n
@@ -435,7 +436,7 @@ class Segments:
 
 def gather_rows(x: Tensor, index: Sequence[int]) -> Tensor:
     """Select rows (axis 0) by integer index in [0, rows), repeats allowed."""
-    idx = np.asarray(index, dtype=np.intp)
+    idx = _row_index(index, x.shape[0], "gather_rows")
     out = Tensor(x.data[idx])
 
     def backward_fn(g: Array) -> None:
@@ -612,57 +613,81 @@ def mlp_apply(x: Tensor, p: MLPParams) -> Tensor:
 
 
 def lstm_cell(h: Tensor, c: Tensor, x: Tensor, p: LSTMParams) -> tuple[Tensor, Tensor]:
-    """One LSTM update on row-aligned state matrices.
+    """One LSTM update on row-aligned state matrices, composed from primitives.
 
     c' = f*c + i*g and h' = o*tanh(c') with sigmoid gates i, f, o and tanh
     candidate g, each computed from concat(h, x) by its own affine block.
-    The cell is two tape records, c' then h'. The h' record passes the o
-    gate's output gradient to the c' record, whose backward runs all four
-    gates, so a loss through h' only or c' only is handled alike.
     """
-    gates = (p.gate_i, p.gate_f, p.gate_o, p.gate_g)
-    z = np.concatenate([h.data, x.data], axis=-1)
-    i, f, o = (_sigmoid_raw(z @ q.w.data + q.b.data) for q in gates[:3])
-    g = np.tanh(z @ p.gate_g.w.data + p.gate_g.b.data)
-    c_next = Tensor(f * c.data + i * g)
-    tc = np.tanh(c_next.data)
-    h_next = Tensor(o * tc)
-    o_grad: list[Array | None] = [None]  # d loss / d o, left by the h' record
+    z = concat([h, x], axis=-1)
+    i = sigmoid(affine(z, p.gate_i.w, p.gate_i.b))
+    f = sigmoid(affine(z, p.gate_f.w, p.gate_f.b))
+    o = sigmoid(affine(z, p.gate_o.w, p.gate_o.b))
+    g = tanh(affine(z, p.gate_g.w, p.gate_g.b))
+    c_next = add(mul(f, c), mul(i, g))
+    return mul(o, tanh(c_next)), c_next
 
-    def c_backward(gc: Array) -> None:
-        do, o_grad[0] = o_grad[0], None
-        # pre-activation gradients, in the order a per-gate tape would visit them
-        pre = [(p.gate_g, (gc * i) * (1.0 - g * g))]
-        if do is not None:
-            pre.append((p.gate_o, (do * o) * (1.0 - o)))
-        pre.append((p.gate_f, ((gc * c.data) * f) * (1.0 - f)))
-        pre.append((p.gate_i, ((gc * g) * i) * (1.0 - i)))
-        if c.tracked:
-            _accum(c, gc * f, fresh=True)
-        z2 = z.reshape(-1, z.shape[-1])
-        dz = None
-        for q, da in pre:
-            if q.w.tracked:
-                _accum(q.w, z2.T @ da.reshape(-1, da.shape[-1]), fresh=True)
-            if q.b.tracked:
-                _accum(q.b, _unbroadcast(da, q.b.shape), fresh=True)
-            if h.tracked or x.tracked:
-                if dz is None:
-                    dz = da @ q.w.data.T
-                else:
-                    dz += da @ q.w.data.T
-        if h.tracked:
-            _accum(h, dz[..., : h.shape[-1]], fresh=True)
-        if x.tracked:
-            _accum(x, dz[..., h.shape[-1] :], fresh=True)
 
-    def h_backward(gh: Array) -> None:
-        o_grad[0] = gh * tc
-        _accum(c_next, (gh * o) * (1.0 - tc * tc), fresh=True)
+def lstm_update(a: Array, c_prev: Array | None, c: Array, tc: Array, h: Array) -> None:
+    """One LSTM state update of the fused recurrences, written in place.
 
-    inputs = (h, c, x) + tuple(t for q in gates for t in (q.w, q.b))
-    _emit(inputs, c_next, c_backward)
-    return _emit((c_next,), h_next, h_backward), c_next
+    `a` [n, 4h] holds the pre-activations of gates i, f, o and g, and
+    becomes the gate activations: all four take one tanh, the sigmoid
+    ones as sigmoid(z) = (1 + tanh(z/2)) / 2. Then c = f*c_prev + i*g
+    (`c_prev` None is the zero state), tc = tanh(c) and h = o*tc. `c` may
+    be the `c_prev` buffer, since f*c_prev is formed before i*g is added.
+    """
+    hd = a.shape[-1] // 4
+    sig = a[:, : 3 * hd]
+    sig *= 0.5
+    np.tanh(a, out=a)
+    sig *= 0.5
+    sig += 0.5
+    if c_prev is None:
+        np.multiply(a[:, :hd], a[:, 3 * hd :], out=c)
+    else:
+        np.multiply(a[:, hd : 2 * hd], c_prev, out=c)
+        c += a[:, :hd] * a[:, 3 * hd :]
+    np.tanh(c, out=tc)
+    np.multiply(a[:, 2 * hd : 3 * hd], tc, out=h)
+
+
+def lstm_update_backward(
+    act: Array, c: Array, tc: Array, gh: Array, step: Callable[[int, Array], Array | None]
+) -> Array:
+    """Pre-activation gradients [T, n, 4h] of `lstm_update` run T steps from zero state.
+
+    `act`, `c` and `tc` are every step's gate activations, c and tanh(c);
+    `gh` [T, n, h] is the gradient reaching each step's h from outside the
+    recurrence. Walking back from the last step, `step(t, d_t)` gets step
+    t's finished pre-activation gradient [n, 4h] and returns the gradient
+    reaching h_{t-1} through step t's pre-activations (ignored at t = 0).
+    """
+    n_t, hd = act.shape[0], c.shape[-1]
+    i, f, o, g = (act[..., k * hd : (k + 1) * hd] for k in range(4))
+    # d act_k / d pre-activation_k, times what multiplies act_k in
+    # c_t = f * c_{t-1} + i * g, or in h_t = o * tanh(c_t) for the o gate;
+    # the loop scales step t's by the gradient reaching c_t or h_t
+    d_act = act * (1.0 - act)  # the sigmoid derivative; the g block is redone
+    d_act[..., :hd] *= g
+    d_act[0, :, hd : 2 * hd] = 0.0  # c_{-1} = 0
+    d_act[1:, :, hd : 2 * hd] *= c[:-1]
+    d_act[..., 2 * hd : 3 * hd] *= tc
+    np.multiply(i, 1.0 - g * g, out=d_act[..., 3 * hd :])
+    dc_dh = o * (1.0 - tc * tc)  # d c_t / d h_t through tanh(c_t), times o
+    d4 = d_act.reshape(act.shape[:2] + (4, hd))
+    dh = dc = None  # gradients reaching h_t and c_t through step t+1
+    for t in range(n_t - 1, -1, -1):
+        dht = gh[t] if dh is None else gh[t] + dh
+        dct = dht * dc_dh[t]
+        if dc is not None:
+            dct += dc
+        d4[t, :, :2] *= dct[:, None]
+        d4[t, :, 2] *= dht  # o feeds h, not c
+        d4[t, :, 3] *= dct
+        dh = step(t, d_act[t])
+        if t:
+            dc = dct * f[t]
+    return d_act
 
 
 def lstm_sequence(x: Tensor, p: LSTMParams) -> Tensor:
@@ -672,13 +697,11 @@ def lstm_sequence(x: Tensor, p: LSTMParams) -> Tensor:
     The four gate blocks are joined once per call into [fan_in, 4h] (order
     i, f, o, g), and every step's input pre-activation is one GEMM over
     the time-major [S*B, d_in] rows, so only the [B, h] @ [h, 4h]
-    recurrent product and the gate activations run per step. All four
-    gates take one tanh, the sigmoid ones as sigmoid(a) = (1 + tanh(a/2)) / 2
-    on pre-activations halved by exact power-of-two weight scaling, so
-    states agree with `lstm_cell` to rounding, not bit for bit. The
-    backward pass forms every step's local gate derivatives at once and
-    loops only for the state gradients; the weight, bias and input
-    gradients are one product or sum each.
+    recurrent product and `lstm_update` run per step. Its one tanh for
+    all four gates makes states agree with `lstm_cell` to rounding, not
+    bit for bit. The backward pass is `lstm_update_backward`, whose step
+    adds one recurrent product; the weight, bias and input gradients are
+    one product or sum each.
     """
     if x.ndim != 3 or x.shape[-1] + p.hidden_dim != p.gate_i.w.shape[0]:
         raise ShapeMismatchError(
@@ -689,57 +712,24 @@ def lstm_sequence(x: Tensor, p: LSTMParams) -> Tensor:
     n_b, n_s, d_in = x.shape
     w = np.concatenate([q.w.data for q in gates], axis=1)  # [fan_in, 4h]
     w_h, w_x = w[:hd], w[hd:]
-    half = np.ones(4 * hd)
-    half[: 3 * hd] = 0.5  # the sigmoid gates' tanh argument
     xt = x.data.transpose(1, 0, 2).reshape(n_s * n_b, d_in)  # time-major rows
-    act = xt @ (w_x * half)
-    act += np.concatenate([q.b.data for q in gates]) * half
+    act = xt @ w_x
+    act += np.concatenate([q.b.data for q in gates])
     act = act.reshape(n_s, n_b, 4 * hd)  # pre-activations, then activations in place
-    w_rec = w_h * half
     c = np.empty((n_s, n_b, hd))
     tc = np.empty((n_s, n_b, hd))  # tanh(c)
     hs = np.empty((n_s, n_b, hd))
     for t in range(n_s):
         a = act[t]
         if t:
-            a += hs[t - 1] @ w_rec
-        np.tanh(a, out=a)
-        sig = a[:, : 3 * hd]
-        sig *= 0.5
-        sig += 0.5
-        np.multiply(a[:, :hd], a[:, 3 * hd :], out=c[t])
-        if t:
-            c[t] += a[:, hd : 2 * hd] * c[t - 1]
-        np.tanh(c[t], out=tc[t])
-        np.multiply(a[:, 2 * hd : 3 * hd], tc[t], out=hs[t])
+            a += hs[t - 1] @ w_h
+        lstm_update(a, c[t - 1] if t else None, c[t], tc[t], hs[t])
     out = Tensor(np.ascontiguousarray(hs.transpose(1, 0, 2)))
 
     def backward_fn(gout: Array) -> None:
-        i, f, o, g = (act[..., k * hd : (k + 1) * hd] for k in range(4))
-        # d act_k / d pre-activation_k, times what multiplies act_k in
-        # c_t = f * c_{t-1} + i * g, or in h_t = o * tanh(c_t) for the o gate
-        local = act * (1.0 - act)  # the sigmoid derivative; the g block is redone
-        local[..., :hd] *= g
-        local[0, :, hd : 2 * hd] = 0.0  # c_{-1} = 0
-        local[1:, :, hd : 2 * hd] *= c[:-1]
-        local[..., 2 * hd : 3 * hd] *= tc
-        np.multiply(i, 1.0 - g * g, out=local[..., 3 * hd :])
-        dc_dh = o * (1.0 - tc * tc)  # d c_t / d h_t through tanh(c_t), times o
-        l4 = local.reshape(n_s, n_b, 4, hd)
-        gh = gout.transpose(1, 0, 2)  # [S, B, h]
-        d_act = np.empty_like(act)
-        d4 = d_act.reshape(n_s, n_b, 4, hd)
-        dh = dc = None  # gradients reaching h_t and c_t through step t+1
-        for t in range(n_s - 1, -1, -1):
-            dht = gh[t] if dh is None else gh[t] + dh
-            dct = dht * dc_dh[t]
-            if dc is not None:
-                dct += dc
-            np.multiply(l4[t], dct[:, None, :], out=d4[t])
-            np.multiply(l4[t, :, 2], dht, out=d4[t, :, 2])  # o feeds h, not c
-            if t:
-                dc = dct * f[t]
-                dh = d_act[t] @ w_h.T
+        d_act = lstm_update_backward(
+            act, c, tc, gout.transpose(1, 0, 2), lambda t, d: d @ w_h.T if t else None
+        )
         flat = d_act.reshape(n_s * n_b, 4 * hd)
         dw = np.empty_like(w)
         dw[hd:] = xt.T @ flat
@@ -760,34 +750,26 @@ def lstm_sequence(x: Tensor, p: LSTMParams) -> Tensor:
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, p: MHAParams) -> Tensor:
-    """Scaled dot-product attention with `p.heads` heads.
+    """Scaled dot-product attention with `p.heads` heads, composed from primitives.
 
-    Inputs are [..., L, d] with shared leading batch axes; each head h
-    computes softmax(Qh Kh^T / sqrt(d_head)) Vh on its slice of the
-    projected inputs, heads are concatenated and output-projected. All
-    heads run as one batched product over a [..., heads, L, d_head] layout.
+    Inputs are [..., L, d] with shared leading batch axes; head j computes
+    softmax(Qj Kj^T / sqrt(d_head)) Vj on its column slice of the
+    projected inputs, and the heads are concatenated and output-projected.
     """
     d = q.shape[-1]
     if d % p.heads != 0:
         raise ConfigError(f"attention dim {d} not divisible by {p.heads} heads")
     dh = d // p.heads
-
-    def split_heads(t: Tensor, w: Tensor, keys: bool = False) -> Tensor:
-        """Project [..., L, d] to [..., heads, L, dh], or [..., heads, dh, L] for keys."""
-        proj = matmul(t, w)
-        n = proj.ndim - 2
-        split = reshape(proj, proj.shape[:-1] + (p.heads, dh))  # [..., L, heads, dh]
-        last = (n + 2, n) if keys else (n, n + 2)
-        return transpose(split, tuple(range(n)) + (n + 1,) + last, contiguous=True)
-
-    qh = split_heads(q, p.w_q)
-    kt = split_heads(k, p.w_k, keys=True)
-    vh = split_heads(v, p.w_v)
-    scores = scale(matmul(qh, kt), 1.0 / math.sqrt(dh))
-    ctx = matmul(softmax(scores, axis=-1), vh)  # [..., heads, Lq, dh]
-    n = ctx.ndim - 3
-    merged = transpose(ctx, tuple(range(n)) + (n + 1, n, n + 2))
-    return matmul(reshape(merged, ctx.shape[:-3] + (ctx.shape[-2], d)), p.w_o)
+    qp, kp, vp = matmul(q, p.w_q), matmul(k, p.w_k), matmul(v, p.w_v)
+    outs = []
+    for j in range(p.heads):
+        lo, hi = j * dh, (j + 1) * dh
+        qh = slice_last(qp, lo, hi)
+        kh = slice_last(kp, lo, hi)
+        vh = slice_last(vp, lo, hi)
+        scores = scale(matmul(qh, transpose(kh)), 1.0 / math.sqrt(dh))
+        outs.append(matmul(softmax(scores, axis=-1), vh))
+    return matmul(concat(outs, axis=-1), p.w_o)
 
 
 # ---------------------------------------------------------------------------

@@ -1,50 +1,30 @@
-"""The LSTM cell, the LSTM sequence, multi-head attention and the reasoner as compositions.
+"""The LSTM sequence and the reasoner as compositions of primitives.
 
-These are the blocks as they were before fusion: one tape record per
-gate affine, activation and product, one fused `lstm_cell` call per
-time step, one slice-matmul-softmax chain per attention head, and a
-reasoner step loop of gathers, message MLP, scatter-add and fused cell
-followed by batched-head step attention. `tests/test_fused.py` requires
-the fused primitives in `mulcom.numerics` and `mulcom.msrrn` to match
-them in values and in every input and parameter gradient.
+These are the blocks as they were before fusion: one `lstm_cell` call
+per time step, and a reasoner step loop of `message_pass` (gathers,
+message MLP, scatter-add) and `lstm_cell`, followed by per-head step
+attention. `lstm_cell` and `multi_head_attention` are the library's own
+composite definitions, one tape record per gate affine, activation,
+product and head. `tests/test_fused.py` requires the fused primitives
+in `mulcom.numerics` and `mulcom.msrrn` to match these in values and in
+every input and parameter gradient.
 """
-
-import math
 
 import numpy as np
 
-from mulcom import numerics as nm
+from mulcom.msrrn import message_pass
 from mulcom.numerics import (
     Tensor,
-    add,
     affine,
     concat,
     gather_rows,
-    matmul,
-    mlp_apply,
-    mul,
+    lstm_cell,
+    multi_head_attention,
     reduce_sum,
     reshape,
-    scale,
-    scatter_add_rows,
-    sigmoid,
-    slice_last,
-    softmax,
     stack,
-    tanh,
     transpose,
 )
-
-
-def lstm_cell(h, c, x, p):
-    z = concat([h, x], axis=-1)
-    i = sigmoid(affine(z, p.gate_i.w, p.gate_i.b))
-    f = sigmoid(affine(z, p.gate_f.w, p.gate_f.b))
-    o = sigmoid(affine(z, p.gate_o.w, p.gate_o.b))
-    g = tanh(affine(z, p.gate_g.w, p.gate_g.b))
-    c_next = add(mul(f, c), mul(i, g))
-    h_next = mul(o, tanh(c_next))
-    return h_next, c_next
 
 
 def lstm_sequence(x, p):
@@ -55,56 +35,28 @@ def lstm_sequence(x, p):
     steps = transpose(x, (1, 0, 2))
     states = []
     for s in range(n_s):
-        h, c = nm.lstm_cell(h, c, reshape(gather_rows(steps, [s]), (n_b, d)), p)
+        h, c = lstm_cell(h, c, reshape(gather_rows(steps, [s]), (n_b, d)), p)
         states.append(h)
     return stack(states, axis=1)
-
-
-def multi_head_attention(q, k, v, p):
-    dh = q.shape[-1] // p.heads
-    qp = matmul(q, p.w_q)
-    kp = matmul(k, p.w_k)
-    vp = matmul(v, p.w_v)
-    outs = []
-    for h in range(p.heads):
-        lo, hi = h * dh, (h + 1) * dh
-        qh = slice_last(qp, lo, hi)
-        kh = slice_last(kp, lo, hi)
-        vh = slice_last(vp, lo, hi)
-        scores = scale(matmul(qh, transpose(kh)), 1.0 / math.sqrt(dh))
-        outs.append(matmul(softmax(scores, axis=-1), vh))
-    return matmul(concat(outs, axis=-1), p.w_o)
-
-
-def _messages(h, recv, send, e_proj, num_nodes, p):
-    """Per-pair MLP(edge, receiver state, sender state), summed per receiver."""
-    h_recv = gather_rows(h, recv)
-    h_send = gather_rows(h, send)
-    pair_in = concat([e_proj, h_recv, h_send], axis=-1)
-    per_pair = mlp_apply(pair_in, p.message_mlp)
-    return scatter_add_rows(per_pair, recv, num_nodes)
 
 
 def reasoner_trace(graph, p):
     """Hidden state after each reasoner step, starting from zero h and c."""
     n = graph.x.shape[0]
-    d_h = p.hidden_dim
-    recv, send, efeat = graph.directed_pairs()
     x_proj = affine(Tensor(graph.x), p.node_in.w, p.node_in.b)
-    e_proj = affine(Tensor(efeat), p.edge_in.w, p.edge_in.b)
-    h = Tensor(np.zeros((n, d_h)))
-    c = Tensor(np.zeros((n, d_h)))
+    h = Tensor(np.zeros((n, p.hidden_dim)))
+    c = Tensor(np.zeros((n, p.hidden_dim)))
     states = []
     for _ in range(p.steps):
-        m = _messages(h, recv, send, e_proj, n, p)
-        h, c = nm.lstm_cell(h, c, concat([x_proj, m], axis=-1), p.cell)
+        m = message_pass(graph, h, p)
+        h, c = lstm_cell(h, c, concat([x_proj, m], axis=-1), p.cell)
         states.append(h)
     return states
 
 
 def run_msrrn(graph, p):
     omega = stack(reasoner_trace(graph, p), axis=1)  # [n, T, d_h]
-    attended = nm.multi_head_attention(omega, omega, omega, p.step_attention)
+    attended = multi_head_attention(omega, omega, omega, p.step_attention)
     return reduce_sum(attended, axis=1)
 
 

@@ -1,11 +1,12 @@
-"""The fused LSTM cell, sequence, batched-head attention and reasoner against compositions.
+"""The fused LSTM sequence and reasoner against compositions of primitives.
 
 `composite_oracle.py` holds the blocks as chains of primitives: one
-tape record per gate and per head, one `lstm_cell` call per time step,
-and a reasoner step loop of gathers, message MLP and scatter-add. The
-fused primitives must give the same values and the same gradient for
-every input and parameter, and must stay few records, so per-gate,
-per-step or per-head records cannot return unnoticed.
+`lstm_cell` call per time step, and a reasoner step loop of
+`message_pass` and `lstm_cell` followed by `multi_head_attention`, the
+library's composite cell and attention. The fused primitives must give
+the same values and the same gradient for every input and parameter,
+and must stay few records, so per-gate, per-step or per-head records
+cannot return unnoticed.
 """
 
 import numpy as np
@@ -32,94 +33,25 @@ def _max_abs_diff(a, b):
     return float(np.abs(np.asarray(a) - np.asarray(b)).max())
 
 
-def _run(fn, leaves, weights):
-    """Values and leaf gradients of sum(weights[k] * outputs[k])."""
+def _run(fn, leaves, w):
+    """Value and leaf gradients of sum(w * fn())."""
     for t in leaves.values():
         t.zero_grad()
     with Tape() as tape:
-        outs = fn()
-        loss = None
-        for out, w in zip(outs, weights):
-            if w is None:
-                continue
-            term = nm.reduce_sum(nm.mul(out, Tensor(w)))
-            loss = term if loss is None else nm.add(loss, term)
+        out = fn()
+        loss = nm.reduce_sum(nm.mul(out, Tensor(w)))
     nm.backward(loss, tape)
-    grads = {name: t.grad.copy() for name, t in leaves.items()}
-    return [out.data.copy() for out in outs], grads
+    return out.data.copy(), {name: t.grad.copy() for name, t in leaves.items()}
 
 
 def _assert_same(fused, composite):
-    (vals_f, grads_f), (vals_c, grads_c) = fused, composite
-    for a, b in zip(vals_f, vals_c):
-        assert a.shape == b.shape
-        assert _max_abs_diff(a, b) <= TOL
+    (val_f, grads_f), (val_c, grads_c) = fused, composite
+    assert val_f.shape == val_c.shape
+    assert _max_abs_diff(val_f, val_c) <= TOL
     assert grads_f.keys() == grads_c.keys()
     for name in grads_f:
         assert grads_f[name].shape == grads_c[name].shape, name
         assert _max_abs_diff(grads_f[name], grads_c[name]) <= TOL, name
-
-
-LEADS = [(1,), (6,), (3, 4)]  # one row, many rows, a 3-d stack of rows
-
-
-class TestLSTMCell:
-    def _setup(self, lead, steps, tracked_inputs=True):
-        rng = np.random.default_rng([*lead, steps])
-        input_dim, hidden = 3, 4
-        p = nm.init_lstm(rng, input_dim, hidden)
-        for _, t in p.named("lstm"):  # nonzero biases exercise their gradients
-            t.data[...] = rng.uniform(-0.8, 0.8, size=t.shape)
-        make = nm.param if tracked_inputs else Tensor
-        h0 = make(rng.standard_normal(lead + (hidden,)))
-        c0 = make(rng.standard_normal(lead + (hidden,)))
-        xs = [make(rng.standard_normal(lead + (input_dim,))) for _ in range(steps)]
-        leaves = dict(p.named("lstm"))
-        if tracked_inputs:
-            leaves.update({"h0": h0, "c0": c0})
-            leaves.update({f"x{s}": x for s, x in enumerate(xs)})
-        weights = [rng.standard_normal(lead + (hidden,)) for _ in range(2)]
-        return p, h0, c0, xs, leaves, weights
-
-    @staticmethod
-    def _chain(cell, p, h0, c0, xs):
-        def fn():
-            h, c = h0, c0
-            for x in xs:
-                h, c = cell(h, c, x, p)
-            return h, c
-        return fn
-
-    @pytest.mark.parametrize("lead", LEADS, ids=str)
-    @pytest.mark.parametrize("steps", [1, 3])
-    @pytest.mark.parametrize("through", ["h", "c", "both"])
-    def test_matches_composite(self, lead, steps, through):
-        p, h0, c0, xs, leaves, (wh, wc) = self._setup(lead, steps)
-        weights = (wh if through != "c" else None, wc if through != "h" else None)
-        fused = _run(self._chain(nm.lstm_cell, p, h0, c0, xs), leaves, weights)
-        composite = _run(self._chain(oracle.lstm_cell, p, h0, c0, xs), leaves, weights)
-        _assert_same(fused, composite)
-
-    def test_forward_is_bit_identical(self):
-        p, h0, c0, xs, _, _ = self._setup((6,), 3)
-        fused = self._chain(nm.lstm_cell, p, h0, c0, xs)()
-        composite = self._chain(oracle.lstm_cell, p, h0, c0, xs)()
-        for a, b in zip(fused, composite):
-            np.testing.assert_array_equal(a.data, b.data)
-
-    def test_untracked_state_and_input(self):
-        # the sentence LSTM's first step: only the parameters are tracked
-        p, h0, c0, xs, leaves, weights = self._setup((5,), 3, tracked_inputs=False)
-        fused = _run(self._chain(nm.lstm_cell, p, h0, c0, xs), leaves, weights)
-        composite = _run(self._chain(oracle.lstm_cell, p, h0, c0, xs), leaves, weights)
-        _assert_same(fused, composite)
-        assert h0.grad is None and c0.grad is None
-
-    def test_at_most_two_records(self):
-        p, h0, c0, xs, _, _ = self._setup((6,), 1)
-        with Tape() as tape:
-            nm.lstm_cell(h0, c0, xs[0], p)
-        assert len(tape) <= 2
 
 
 # batch, steps, and each row's real steps (None: no padding)
@@ -156,16 +88,16 @@ class TestLSTMSequence:
         p, x, leaves, weights = self._setup(*SEQUENCES[case])
         if through == "even-steps":
             weights[:, 1::2] = 0.0
-        fused = _run(lambda: [nm.lstm_sequence(x, p)], leaves, [weights])
-        composite = _run(lambda: [oracle.lstm_sequence(x, p)], leaves, [weights])
+        fused = _run(lambda: nm.lstm_sequence(x, p), leaves, weights)
+        composite = _run(lambda: oracle.lstm_sequence(x, p), leaves, weights)
         _assert_same(fused, composite)
         assert set(fused[1]) == {"x"} | {name for name, _ in p.named("lstm")}
 
     def test_untracked_input(self):
         # the sentence stream's use: only the parameters are tracked
         p, x, leaves, weights = self._setup(3, 7, (7, 4, 2), tracked_input=False)
-        fused = _run(lambda: [nm.lstm_sequence(x, p)], leaves, [weights])
-        composite = _run(lambda: [oracle.lstm_sequence(x, p)], leaves, [weights])
+        fused = _run(lambda: nm.lstm_sequence(x, p), leaves, weights)
+        composite = _run(lambda: oracle.lstm_sequence(x, p), leaves, weights)
         _assert_same(fused, composite)
         assert x.grad is None
 
@@ -200,52 +132,6 @@ def test_sentence_stream_emits_one_lstm_record():
         assert len(lstm) == 1, n_sents
         totals.add(len(tape))
     assert len(totals) == 1, totals  # no record grows with the sentence count
-
-
-def _mha_records(heads):
-    rng = np.random.default_rng(heads)
-    p = nm.init_mha(rng, 8, heads)
-    x = nm.param(rng.standard_normal((5, 3, 8)))
-    with Tape() as tape:
-        nm.multi_head_attention(x, x, x, p)
-    return len(tape)
-
-
-class TestMultiHeadAttention:
-    @pytest.mark.parametrize("heads", [1, 2, 4])
-    @pytest.mark.parametrize(
-        "shapes",
-        [((1, 8), (1, 8)), ((5, 8), (7, 8)), ((3, 4, 8), (3, 6, 8))],
-        ids=["one-row", "many-rows", "stacked"],
-    )
-    def test_matches_composite(self, heads, shapes):
-        q_shape, kv_shape = shapes
-        rng = np.random.default_rng(100 + heads)
-        p = nm.init_mha(rng, 8, heads)
-        q = nm.param(rng.standard_normal(q_shape))
-        k = nm.param(rng.standard_normal(kv_shape))
-        v = nm.param(rng.standard_normal(kv_shape))
-        leaves = {**dict(p.named("mha")), "q": q, "k": k, "v": v}
-        w = [rng.standard_normal(q_shape)]
-        fused = _run(lambda: [nm.multi_head_attention(q, k, v, p)], leaves, w)
-        composite = _run(lambda: [oracle.multi_head_attention(q, k, v, p)], leaves, w)
-        _assert_same(fused, composite)
-
-    @pytest.mark.parametrize("heads", [1, 2, 4])
-    def test_self_attention_matches_composite(self, heads):
-        # the reasoner's use: one tensor as query, key and value
-        rng = np.random.default_rng(200 + heads)
-        p = nm.init_mha(rng, 8, heads)
-        x = nm.param(rng.standard_normal((6, 3, 8)))
-        leaves = {**dict(p.named("mha")), "x": x}
-        w = [rng.standard_normal((6, 3, 8))]
-        fused = _run(lambda: [nm.multi_head_attention(x, x, x, p)], leaves, w)
-        composite = _run(lambda: [oracle.multi_head_attention(x, x, x, p)], leaves, w)
-        _assert_same(fused, composite)
-
-    def test_record_count_does_not_grow_with_heads(self):
-        counts = {heads: _mha_records(heads) for heads in (1, 2, 4)}
-        assert len(set(counts.values())) == 1, counts
 
 
 D_S, D_H = 5, 8
@@ -341,9 +227,12 @@ class TestReasoner:
             RUNS[kind][0](_planted_union(), p)
         assert len(tape) == 1
 
-    def test_without_a_tape_matches_the_recorded_output(self):
-        # the forward-only path keeps one step's intermediates, not all of them
-        p, _ = _reasoner(3, 4)
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("steps", [1, 2, 3, 4])
+    def test_without_a_tape_matches_the_recorded_output(self, steps, heads):
+        # the forward-only path keeps one step's intermediates, not all of
+        # them, so c_{t-1} and c_t share one buffer
+        p, _ = _reasoner(steps, heads)
         graph = _planted_union()
         for kind, (run, _) in RUNS.items():
             with Tape():

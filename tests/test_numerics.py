@@ -173,6 +173,12 @@ class TestConcatAndShapes:
         nm.backward(loss, tape)
         npt.assert_array_equal(x.grad, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
 
+    @pytest.mark.parametrize("index", [[0, -1], [0, 3]], ids=["negative", "past-the-end"])
+    def test_gather_index_out_of_range(self, index):
+        # rejected by the forward pass, not only when a backward pass runs
+        with pytest.raises(ShapeMismatchError, match=r"gather_rows: index outside \[0, 3\)"):
+            nm.gather_rows(Tensor(np.ones((3, 2))), index)
+
     def test_scatter_add(self):
         x = Tensor(np.ones((4, 2)))
         out = nm.scatter_add_rows(x, [1, 1, 0, 2], num_rows=3)

@@ -36,6 +36,7 @@ from .numerics import (
     param,
     reduce_mean,
     reshape,
+    retain_heap,
     rng_from_seed,
     slice_last,
     softmax,
@@ -173,6 +174,10 @@ def forward_logits(
     """
     if not docs:
         raise ValidationError("forward_logits: empty batch")
+    if graphs is not None and len(graphs) != len(docs):
+        raise ValidationError(
+            f"forward_logits: {len(graphs)} graphs for {len(docs)} docs"
+        )
     cfg = model.cfg
     outs: dict[str, Tensor] = {}
     for name in cfg.streams:
@@ -199,7 +204,8 @@ def forward(
 ) -> Array:
     """Per-trope scores in (0, 1), [len(docs), num_tropes]; no gradients."""
     logits = forward_logits(model, docs, graphs)
-    return 1.0 / (1.0 + np.exp(-logits.data))
+    with np.errstate(over="ignore"):  # exp(-logit) = inf below -709 gives score 0
+        return 1.0 / (1.0 + np.exp(-logits.data))
 
 
 # Docs per forward pass when scoring. Larger chunks cut per-op overhead
@@ -212,6 +218,7 @@ def score_dataset(
     docs: Sequence[FeatureDoc],
     graphs: Sequence[SynopsisGraph] | None = None,
 ) -> Array:
+    retain_heap()
     scores = np.zeros((len(docs), model.cfg.num_tropes))
     for lo in range(0, len(docs), SCORE_CHUNK):
         chunk = slice(lo, lo + SCORE_CHUNK)
@@ -251,21 +258,13 @@ class Adam:
             lo += t.size
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
-        # The gathered gradient and a work buffer. The first step makes them,
-        # while a batch's tape is alive, so they sit above its memory in the
-        # heap and the allocator cannot hand the pages each tape frees back
-        # to the OS and fault them in again for the next batch (thousands of
-        # minor faults an epoch when they were made here).
-        self._g: Array | None = None
-        self._a: Array | None = None
+        self._g = np.empty_like(self.flat)  # the gathered gradient
+        self._a = np.empty_like(self.flat)  # a work buffer
 
     def step(self) -> None:
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        if self._g is None:
-            self._g = np.empty_like(self.flat)
-            self._a = np.empty_like(self.flat)
         runs: list[list[int]] = []  # maximal runs of parameters with a gradient
         for t, (lo, hi) in zip(self.params.values(), self.spans):
             if t.grad is None:
@@ -334,6 +333,7 @@ def train(
     """Mini-batch Adam on weighted BCE; optional early stop on val F1."""
     if not docs:
         raise ValidationError("train: empty training split")
+    retain_heap()
     num_tropes = model.cfg.num_tropes
     y = label_matrix(docs, num_tropes)
     pos_weight = cfg.pos_weight if cfg.pos_weight is not None else default_pos_weight(y)

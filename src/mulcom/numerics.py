@@ -2,20 +2,25 @@
 
 Every differentiable computation in the package is composed from the
 primitives here, `lstm_cell` and `multi_head_attention` included, except
-two fused single records with hand-derived backward passes: the LSTM
-sequence here and the reasoner in `mulcom.msrrn`, which share one gate
-update, `lstm_update` and `lstm_update_backward`. Gradient checks against
-central finite differences are the primary correctness instrument, so
-all arithmetic stays in float64.
+three fused single records with hand-derived backward passes: the LSTM
+sequence here, the reasoner in `mulcom.msrrn`, which shares its gate
+update `lstm_update` and `lstm_update_backward`, and the trope-query
+pooling `mulcom.streams.attend`. Gradient checks against central finite
+differences are the primary correctness instrument, so all arithmetic
+stays in float64.
 
 A forward pass records primitives on the innermost active :class:`Tape`;
 ``backward`` replays the records in exact reverse order. Tapes are
 rebuilt per forward pass (graphs differ per batch) and are confined
-to a single thread.
+to a single thread. The loops that build and free one tape per batch
+call `retain_heap` first, so the memory a tape frees stays mapped for
+the next batch instead of going back to the OS.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -26,6 +31,33 @@ import numpy as np
 from .errors import ConfigError, ShapeMismatchError
 
 Array = np.ndarray
+
+
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def retain_heap() -> tuple[int, ...]:
+    """Keep freed tape memory in the process heap, on glibc; once per process.
+
+    By default glibc serves arrays above a dynamic threshold with their
+    own mmap and returns the free top of the heap to the OS, so the
+    memory each batch's tape frees is unmapped and faulted in again by
+    the next batch. This serves arrays up to 32 MiB from the heap and
+    trims it only past 256 MiB of free top. Setting either one stops
+    glibc from raising its mmap threshold as large arrays are freed, so
+    both are set. Returns mallopt's results (1 on success), or () where
+    there is no mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return ()
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return (mallopt(_M_MMAP_THRESHOLD, 32 << 20), mallopt(_M_TRIM_THRESHOLD, 256 << 20))
 
 
 def rng_from_seed(seed: int, stream: int = 0) -> np.random.Generator:

@@ -8,6 +8,8 @@ projected back to the trope dim, so every stream emits [B x num_tropes
 x d_f] regardless of the views' lengths. Views of different lengths
 are zero-padded to the longest and the padding is masked out of the
 attention, so a document's result does not depend on its batch mates.
+The pooling, `attend`, is one tape record with a hand-derived backward
+pass, like the sentence LSTM and the reasoner it reads from.
 """
 
 from __future__ import annotations
@@ -26,19 +28,15 @@ from .numerics import (
     AffineParams,
     LSTMParams,
     Tensor,
-    add,
-    affine,
+    _accum,
+    _emit,
     init_affine,
     init_lstm,
     # Not called here. perfbench/layer_trace.py looks this name up to count
     # sentence-LSTM calls, which read 0 now that the LSTM is one record.
     lstm_cell,  # noqa: F401
     lstm_sequence,
-    matmul,
-    scale,
     scatter_rows,
-    softmax,
-    transpose,
 )
 
 log = logging.getLogger(__name__)
@@ -93,20 +91,69 @@ def attend(
     result is [num_tropes, d_f] or [B, num_tropes, d_f]. `mask` [B, 1, L]
     holds 0 at real positions and -inf at padding, so padding gets a
     softmax weight of exactly 0; every row must keep a real position.
+    `return_weights` also returns the softmax weights [..., num_tropes, L]
+    as an untracked tensor.
+
+    One tape record. The forward pass is the composition of affine,
+    scaled product, mask, softmax and affine primitives, op for op, so
+    its values are theirs bit for bit. The backward pass folds the batch
+    axis into the rows of one GEMM per weight, and of one for the query.
     """
     if feats.shape[-2] == 0:
         raise EmptyDocumentError("attend: no positions to attend over")
-    d_a = p.query_proj.w.shape[1]
-    q = affine(e, p.query_proj.w, p.query_proj.b)
-    k = affine(feats, p.key_proj.w, p.key_proj.b)
-    v = affine(feats, p.value_proj.w, p.value_proj.b)
-    scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(d_a))
+    qp, kp, vp, op = p.query_proj, p.key_proj, p.value_proj, p.out_proj
+    d_a = qp.w.shape[1]
+    c = 1.0 / math.sqrt(d_a)
+    q = e.data @ qp.w.data + qp.b.data
+    k = feats.data @ kp.w.data + kp.b.data
+    v = feats.data @ vp.w.data + vp.b.data
+    scores = (q @ np.swapaxes(k, -1, -2)) * c
     if mask is not None:
-        scores = add(scores, Tensor(mask))
-    weights = softmax(scores, axis=-1)  # [..., num_tropes, L]
-    out = affine(matmul(weights, v), p.out_proj.w, p.out_proj.b)
+        scores = scores + mask
+    z = scores - scores.max(axis=-1, keepdims=True)
+    w = np.exp(z)
+    w = w / w.sum(axis=-1, keepdims=True)  # [..., num_tropes, L]
+    ctx = w @ v
+    out = Tensor(ctx @ op.w.data + op.b.data)
+
+    def backward_fn(gout: Array) -> None:
+        n_t, n_l, d_f = e.shape[0], feats.shape[-2], out.shape[-1]
+        n_b = feats.size // (n_l * feats.shape[-1])
+        g = gout.reshape(n_b * n_t, d_f)
+        d_ctx = (g @ op.w.data.T).reshape(n_b, n_t, d_a)
+        w3 = w.reshape(n_b, n_t, n_l)
+        dw = d_ctx @ np.swapaxes(v.reshape(n_b, n_l, d_a), -1, -2)
+        ds = w3 * (dw - (dw * w3).sum(axis=-1, keepdims=True))
+        ds *= c  # d loss / d scores before scaling; the mask takes none
+        dq = ds.transpose(1, 0, 2).reshape(n_t, n_b * n_l) @ k.reshape(n_b * n_l, d_a)
+        dk = (np.swapaxes(ds, -1, -2) @ q).reshape(n_b * n_l, d_a)
+        dv = (np.swapaxes(w3, -1, -2) @ d_ctx).reshape(n_b * n_l, d_a)
+        rows = feats.data.reshape(n_b * n_l, -1)
+        ones = np.ones(n_b * n_l)  # a GEMV sums the rows several times faster than .sum
+        grads = {
+            id(op.w): ctx.reshape(n_b * n_t, d_a).T @ g,
+            id(op.b): g.sum(axis=0),
+            id(qp.w): e.data.T @ dq,
+            id(qp.b): dq.sum(axis=0),
+            id(kp.w): rows.T @ dk,
+            id(kp.b): ones @ dk,
+            id(vp.w): rows.T @ dv,
+            id(vp.b): ones @ dv,
+        }
+        for leaf in inputs[2:]:
+            if leaf.tracked:
+                _accum(leaf, grads[id(leaf)], fresh=True)
+        if e.tracked:
+            _accum(e, dq @ qp.w.data.T, fresh=True)
+        if feats.tracked:
+            d_feats = dk @ kp.w.data.T
+            d_feats += dv @ vp.w.data.T
+            _accum(feats, d_feats.reshape(feats.shape), fresh=True)
+
+    inputs = (e, feats, qp.w, qp.b, kp.w, kp.b, vp.w, vp.b, op.w, op.b)
+    out = _emit(inputs, out, backward_fn)
     if return_weights:
-        return out, weights
+        return out, Tensor(w)
     return out
 
 

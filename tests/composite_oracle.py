@@ -1,27 +1,35 @@
-"""The LSTM sequence and the reasoner as compositions of primitives.
+"""The LSTM sequence, the reasoner and stream pooling as compositions of primitives.
 
 These are the blocks as they were before fusion: one `lstm_cell` call
-per time step, and a reasoner step loop of `message_pass` (gathers,
+per time step, a reasoner step loop of `message_pass` (gathers,
 message MLP, scatter-add) and `lstm_cell`, followed by per-head step
-attention. `lstm_cell` and `multi_head_attention` are the library's own
-composite definitions, one tape record per gate affine, activation,
-product and head. `tests/test_fused.py` requires the fused primitives
-in `mulcom.numerics` and `mulcom.msrrn` to match these in values and in
-every input and parameter gradient.
+attention, and trope-query pooling as a chain of affine, product,
+scale, mask, softmax and affine records. `lstm_cell` and
+`multi_head_attention` are the library's own composite definitions,
+one tape record per gate affine, activation, product and head.
+`tests/test_fused.py` requires the fused primitives in
+`mulcom.numerics`, `mulcom.msrrn` and `mulcom.streams` to match these
+in values and in every input and parameter gradient.
 """
+
+import math
 
 import numpy as np
 
 from mulcom.msrrn import message_pass
 from mulcom.numerics import (
     Tensor,
+    add,
     affine,
     concat,
     gather_rows,
     lstm_cell,
+    matmul,
     multi_head_attention,
     reduce_sum,
     reshape,
+    scale,
+    softmax,
     stack,
     transpose,
 )
@@ -62,3 +70,19 @@ def run_msrrn(graph, p):
 
 def run_rrn(graph, p):
     return reasoner_trace(graph, p)[-1]
+
+
+def attend(e, feats, p, mask=None, return_weights=False):
+    """Trope-query pooling of `feats` [L, d] or [B, L, d], one record per op."""
+    d_a = p.query_proj.w.shape[1]
+    q = affine(e, p.query_proj.w, p.query_proj.b)
+    k = affine(feats, p.key_proj.w, p.key_proj.b)
+    v = affine(feats, p.value_proj.w, p.value_proj.b)
+    scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(d_a))
+    if mask is not None:
+        scores = add(scores, Tensor(mask))
+    weights = softmax(scores, axis=-1)
+    out = affine(matmul(weights, v), p.out_proj.w, p.out_proj.b)
+    if return_weights:
+        return out, weights
+    return out

@@ -1,12 +1,13 @@
-"""The fused LSTM sequence and reasoner against compositions of primitives.
+"""The fused LSTM sequence, reasoner and stream pooling against compositions of primitives.
 
 `composite_oracle.py` holds the blocks as chains of primitives: one
-`lstm_cell` call per time step, and a reasoner step loop of
-`message_pass` and `lstm_cell` followed by `multi_head_attention`, the
-library's composite cell and attention. The fused primitives must give
+`lstm_cell` call per time step, a reasoner step loop of `message_pass`
+and `lstm_cell` followed by `multi_head_attention`, the library's
+composite cell and attention, and trope-query pooling as affine,
+product, scale, mask and softmax records. The fused primitives must give
 the same values and the same gradient for every input and parameter,
-and must stay few records, so per-gate, per-step or per-head records
-cannot return unnoticed.
+and must stay few records, so per-gate, per-step, per-head or per-op
+records cannot return unnoticed.
 """
 
 import numpy as np
@@ -22,7 +23,7 @@ from mulcom.errors import ShapeMismatchError
 from mulcom.graph import FeatureDoc, batch_graphs, build_graph
 from mulcom.model import ModelConfig, build_model, forward_logits
 from mulcom.numerics import Tape, Tensor
-from mulcom.streams import init_stream, sentence_stream
+from mulcom.streams import _layout, attend, init_stream, sentence_stream
 
 from test_graph import make_doc
 
@@ -134,6 +135,64 @@ def test_sentence_stream_emits_one_lstm_record():
     assert len(totals) == 1, totals  # no record grows with the sentence count
 
 
+# trope count, view shape, each row's real positions (None: no mask), feats tracked
+POOLS = {
+    "single-view": (3, (6, 5), None, True),
+    "padded-batch": (3, (4, 6, 5), (6, 3, 1, 4), True),
+    "unmasked-batch": (3, (3, 6, 5), None, True),
+    "untracked-feats": (3, (4, 6, 5), (6, 2, 6, 5), False),
+    "single-position": (4, (2, 1, 5), None, True),
+}
+
+
+class TestAttend:
+    def _setup(self, case):
+        n_tropes, shape, lengths, tracked = POOLS[case]
+        rng = np.random.default_rng([len(shape), shape[-2], 3])
+        p = init_stream(rng, view_dim=shape[-1], d_f=4, d_a=6)
+        for _, t in p.named("pool"):  # nonzero biases exercise their gradients
+            t.data[...] = rng.uniform(-0.8, 0.8, size=t.shape)
+        e = nm.param(rng.standard_normal((n_tropes, 4)))
+        mask = None
+        data = rng.standard_normal(shape)
+        if lengths is not None:
+            valid, mask = _layout(np.array(lengths))
+            data[~valid] = 0.0  # zero padding, as the streams pad
+        feats = (nm.param if tracked else Tensor)(data)
+        leaves = dict(p.named("pool"), E=e)
+        if tracked:
+            leaves["feats"] = feats
+        weights = rng.standard_normal(shape[:-2] + (n_tropes, 4))
+        return p, e, feats, mask, leaves, weights
+
+    @pytest.mark.parametrize("case", list(POOLS))
+    def test_matches_composite(self, case):
+        p, e, feats, mask, leaves, w = self._setup(case)
+        fused = _run(lambda: attend(e, feats, p, mask), leaves, w)
+        composite = _run(lambda: oracle.attend(e, feats, p, mask), leaves, w)
+        np.testing.assert_array_equal(fused[0], composite[0])  # scores bit for bit
+        _assert_same(fused, composite)
+        assert len(fused[1]) == (10 if feats.tracked else 9)  # E, 8 projections, feats
+        assert feats.tracked or feats.grad is None
+
+    @pytest.mark.parametrize("case", list(POOLS))
+    def test_returns_the_composite_weights(self, case):
+        p, e, feats, mask, _, _ = self._setup(case)
+        out, weights = attend(e, feats, p, mask, return_weights=True)
+        want_out, want_weights = oracle.attend(e, feats, p, mask, return_weights=True)
+        np.testing.assert_array_equal(out.data, want_out.data)
+        np.testing.assert_array_equal(weights.data, want_weights.data)
+        if mask is not None:
+            assert (weights.data[np.broadcast_to(mask, weights.shape) != 0] == 0.0).all()
+
+    @pytest.mark.parametrize("case", list(POOLS))
+    def test_one_record(self, case):
+        p, e, feats, mask, _, _ = self._setup(case)
+        with Tape() as tape:
+            attend(e, feats, p, mask)
+        assert len(tape) == 1
+
+
 D_S, D_H = 5, 8
 
 
@@ -242,13 +301,14 @@ class TestReasoner:
 
 # Records of one 16-doc forward on the planted corpus below (at most 10
 # sentences a doc, 2 reasoner steps). The bounds are the counts with the
-# fused blocks, the one-record sentence LSTM and the one-record reasoner;
-# per-gate and per-head records gave 144, 341 and 227, one fused cell per
-# sentence 91, 129 and 68, and the reasoner as a composite 91, 109 and 48.
+# one-record sentence LSTM, reasoner and pooling; per-gate and per-head
+# records gave 144, 341 and 227, one fused cell per sentence 91, 129 and
+# 68, the reasoner as a composite 91, 109 and 48, and pooling as a
+# composite 48, 66 and 48.
 FORWARD_RECORD_BOUNDS = {
-    ("word", "relation"): 48,
-    ("word", "sentence", "relation"): 66,
-    ("word", "sentence"): 48,
+    ("word", "relation"): 23,
+    ("word", "sentence", "relation"): 28,
+    ("word", "sentence"): 22,
 }
 
 

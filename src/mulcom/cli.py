@@ -16,7 +16,6 @@ can reach the numerics backend before it loads.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -35,7 +34,7 @@ from .config import (
     check_type,
 )
 from .errors import ConfigError, MulComError, ValidationError
-from .ioutil import atomic_write_text, canonical_json
+from .ioutil import atomic_write_text, canonical_json, read_json
 
 log = logging.getLogger("mulcom.cli")
 
@@ -55,8 +54,7 @@ def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        with open(path) as fh:
-            obj = json.load(fh)
+        obj = read_json(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}")
     except ValueError as exc:  # bad JSON, or text that is not UTF-8

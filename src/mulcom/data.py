@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from .config import SynthSpec
 from .errors import DataFormatError, ValidationError
 from .graph import EntityMentions, FeatureDoc, validate_doc
-from .ioutil import atomic_write_text, canonical_json
+from .ioutil import atomic_write_text, canonical_json, loads, read_json
 from .numerics import rng_from_seed
 
 Array = np.ndarray
@@ -111,11 +112,27 @@ def _record_to_doc(rec: dict, path: str, line: int) -> FeatureDoc:
     )
 
 
+def _record_lines(path: str) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each non-blank line of record file `path`.
+
+    Lines are read one at a time, with universal newlines, so a split's
+    whole text is never held at once.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                if not raw.isspace():
+                    yield lineno, raw
+    except FileNotFoundError:
+        raise DataFormatError(f"record file not found: {path}", path=path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"cannot read record file: {exc}", path=path)
+
+
 def load_dataset(manifest_path: str) -> Dataset:
     """Read a manifest and all its record files, validating every doc."""
     try:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
+        manifest = read_json(manifest_path)
     except FileNotFoundError:
         raise DataFormatError(f"manifest not found: {manifest_path}",
                               path=manifest_path)
@@ -133,6 +150,11 @@ def load_dataset(manifest_path: str) -> Dataset:
         raise DataFormatError(
             f"unexpected manifest format {manifest.get('format')!r}",
             path=manifest_path,
+        )
+    version = manifest.get("version")
+    if type(version) is not int or version != MANIFEST_VERSION:
+        raise DataFormatError(
+            f"unsupported manifest version {version!r}", path=manifest_path
         )
     trope_names = manifest.get("trope_names", [])
     if not (isinstance(trope_names, list) and all(isinstance(t, str) for t in trope_names)):
@@ -161,18 +183,9 @@ def load_dataset(manifest_path: str) -> Dataset:
         docs: list[FeatureDoc] = []
         for rel in files:
             path = os.path.join(base, rel)
-            try:
-                with open(path) as fh:
-                    lines = fh.readlines()
-            except FileNotFoundError:
-                raise DataFormatError(f"record file not found: {path}", path=path)
-            except (OSError, UnicodeDecodeError) as exc:
-                raise DataFormatError(f"cannot read record file: {exc}", path=path)
-            for lineno, raw in enumerate(lines, start=1):
-                if not raw.strip():
-                    continue
+            for lineno, raw in _record_lines(path):
                 try:
-                    rec = json.loads(raw)
+                    rec = loads(raw)
                 except json.JSONDecodeError as exc:
                     raise DataFormatError(
                         f"invalid JSON record: {exc}", path=path, line=lineno

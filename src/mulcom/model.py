@@ -20,7 +20,7 @@ import numpy as np
 from .config import STREAM_NAMES, ModelConfig, TrainConfig  # noqa: F401 (re-exported)
 from .errors import ConfigError, DataFormatError, MulComError, ValidationError
 from .graph import FeatureDoc, SynopsisGraph, build_graph, label_matrix
-from .ioutil import atomic_write_text, canonical_json
+from .ioutil import atomic_write_text, canonical_json, read_json
 from .metrics import f1 as f1_metric
 from .msrrn import ReasonerParams, init_reasoner
 from .numerics import (
@@ -172,6 +172,7 @@ def forward_logits(
     `graphs`, when given, are the entity graphs of `docs` in order;
     otherwise they are built here when the relation stream needs them.
     """
+    retain_heap()
     if not docs:
         raise ValidationError("forward_logits: empty batch")
     if graphs is not None and len(graphs) != len(docs):
@@ -218,7 +219,6 @@ def score_dataset(
     docs: Sequence[FeatureDoc],
     graphs: Sequence[SynopsisGraph] | None = None,
 ) -> Array:
-    retain_heap()
     scores = np.zeros((len(docs), model.cfg.num_tropes))
     for lo in range(0, len(docs), SCORE_CHUNK):
         chunk = slice(lo, lo + SCORE_CHUNK)
@@ -333,7 +333,7 @@ def train(
     """Mini-batch Adam on weighted BCE; optional early stop on val F1."""
     if not docs:
         raise ValidationError("train: empty training split")
-    retain_heap()
+    retain_heap()  # before Adam's buffers and the graphs, which live the whole run
     num_tropes = model.cfg.num_tropes
     y = label_matrix(docs, num_tropes)
     pos_weight = cfg.pos_weight if cfg.pos_weight is not None else default_pos_weight(y)
@@ -406,8 +406,7 @@ def save_checkpoint(model: MulComModel, path: str) -> None:
 def load_checkpoint(path: str) -> MulComModel:
     """Rebuild a saved model; any malformed content is a DataFormatError."""
     try:
-        with open(path) as fh:
-            payload = json.load(fh)
+        payload = read_json(path)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"checkpoint {path}: cannot read: {exc}", path=path)
     except json.JSONDecodeError as exc:

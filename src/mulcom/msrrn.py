@@ -54,6 +54,7 @@ from .numerics import (
     init_mlp,
     lstm_update,
     lstm_update_backward,
+    retain_heap,
     # Not called since the reasoner became one record. perfbench/layer_trace.py
     # wraps these names on this module, with the three `message_pass` calls,
     # to time the reasoner's parts, and cannot install without them.
@@ -132,6 +133,7 @@ def _reason(graph: Graph, p: ReasonerParams, attend: bool) -> Tensor:
     The cell runs `lstm_update` and its backward pass
     `lstm_update_backward`, as `lstm_sequence` does.
     """
+    retain_heap()
     recv, send, efeat = graph.directed_pairs()
     x = np.asarray(graph.x, dtype=np.float64)
     n, hd, n_t = x.shape[0], p.hidden_dim, p.steps

@@ -12,9 +12,10 @@ stays in float64.
 A forward pass records primitives on the innermost active :class:`Tape`;
 ``backward`` replays the records in exact reverse order. Tapes are
 rebuilt per forward pass (graphs differ per batch) and are confined
-to a single thread. The loops that build and free one tape per batch
-call `retain_heap` first, so the memory a tape frees stays mapped for
-the next batch instead of going back to the OS.
+to a single thread. The model's forward pass, the reasoner and the
+training loop call `retain_heap` first, so the memory a tape or a
+forward pass frees stays mapped for the next batch instead of going
+back to the OS.
 """
 
 from __future__ import annotations

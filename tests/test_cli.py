@@ -30,6 +30,8 @@ def tiny_manifest(tmp_path_factory):
     return str(base / "manifest.json")
 
 
+DEEP = "[" * 100_000 + "]" * 100_000  # past the recursion limit
+
 TINY_TRAIN = [
     "--d-f", "8", "--d-a", "8", "--d-h", "8",
     "--reasoner-steps", "2", "--reasoner-heads", "2",
@@ -248,6 +250,32 @@ class TestExitCodes:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("not json {")
         assert main(["stats", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+    def test_deeply_nested_config_file_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(DEEP)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert f"usage error: config file {cfg} is not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["manifest", "record"])
+    def test_deeply_nested_data_exits_1_without_a_traceback(self, where, tiny_manifest,
+                                                            tmp_path):
+        data = tmp_path / "ds"
+        shutil.copytree(os.path.dirname(tiny_manifest), data)
+        if where == "manifest":
+            (data / "manifest.json").write_text(DEEP)
+        else:
+            with open(data / "train.jsonl", "a") as fh:
+                fh.write(DEEP + "\n")
+        src = os.path.dirname(os.path.dirname(mulcom.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "mulcom.cli", "stats", "--data", str(data / "manifest.json"),
+             "--out", str(tmp_path / "out")], env=env, capture_output=True, text=True)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert str(data / ("manifest.json" if where == "manifest" else "train.jsonl")) in proc.stderr
 
     def test_missing_dataset_is_runtime_error(self, tmp_path):
         rc = main([

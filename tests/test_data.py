@@ -1,11 +1,15 @@
 """Dataset I/O, statistics, and planted-generator construction checks."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import mulcom.data
 from mulcom.data import (
     Dataset,
     SynthSpec,
@@ -21,6 +25,8 @@ from mulcom.graph import build_graph
 from mulcom.numerics import rng_from_seed
 
 from test_graph import make_doc
+
+DEEP = "[" * 100_000 + "]" * 100_000  # past the recursion limit
 
 
 def small_spec(**kw):
@@ -118,6 +124,15 @@ class TestLoadErrors:
         with pytest.raises(ValidationError, match="d0"):
             load_dataset(path)
 
+    def test_label_wider_than_64_bits_names_the_doc(self, tmp_path):
+        # the reader loads it as the nearest float, which is out of range too
+        rec = {"doc_id": "d0", "word_feats": [[0.0]], "sent_feats": [[0.0]],
+               "entities": [], "labels": [12345678901234567890123]}
+        (tmp_path / "train.jsonl").write_text(json.dumps(rec) + "\n")
+        path = self.write_manifest(tmp_path, {"train": ["train.jsonl"]})
+        with pytest.raises(ValidationError, match="d0: label index"):
+            load_dataset(path)
+
     def test_duplicate_doc_id_across_splits(self, tmp_path):
         rec = {
             "doc_id": "d0", "word_feats": [[0.0]], "sent_feats": [[0.0]],
@@ -197,6 +212,50 @@ class TestLoadErrors:
         path = self.write_manifest(tmp_path, {"train": ["gone.jsonl"]})
         with pytest.raises(DataFormatError, match="gone.jsonl"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("version", [2, "drop", True, 1.5])
+    def test_unsupported_manifest_version(self, tmp_path, version):
+        path = self.write_manifest(tmp_path, {})
+        manifest = json.loads(open(path).read())
+        if version == "drop":
+            del manifest["version"]
+        else:
+            manifest["version"] = version
+        with open(path, "w") as fh:
+            json.dump(manifest, fh)
+        with pytest.raises(DataFormatError, match=r"unsupported manifest version.*manifest\.json"):
+            load_dataset(path)
+
+    def test_deeply_nested_manifest(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text(DEEP)
+        with pytest.raises(DataFormatError, match=r"manifest is not valid JSON.*manifest\.json"):
+            load_dataset(str(path))
+
+    def test_deeply_nested_record_line(self, tmp_path):
+        rec = {"doc_id": "d0", "word_feats": [[0.0]], "sent_feats": [[0.0]],
+               "entities": [], "labels": []}
+        (tmp_path / "train.jsonl").write_text(json.dumps(rec) + "\n" + DEEP + "\n")
+        path = self.write_manifest(tmp_path, {"train": ["train.jsonl"]})
+        with pytest.raises(DataFormatError, match=r"invalid JSON record.*train\.jsonl:2"):
+            load_dataset(path)
+
+    def test_records_read_as_utf8_whatever_the_locale(self, tmp_path):
+        rec = {"doc_id": "café-1", "word_feats": [[0.0]], "sent_feats": [[0.0]],
+               "entities": [{"id": "Zoë", "sents": [0]}], "labels": [0]}
+        (tmp_path / "train.jsonl").write_bytes(
+            json.dumps(rec, ensure_ascii=False).encode("utf-8") + b"\n")
+        path = self.write_manifest(tmp_path, {"train": ["train.jsonl"]}, tropes=("trope_à",))
+        code = ("import sys\nfrom mulcom.data import load_dataset\n"
+                "ds = load_dataset(sys.argv[1])\ndoc = ds.split('train')[0]\n"
+                "print(ascii([ds.trope_names, doc.doc_id, doc.entities[0].entity_id]))\n")
+        src = os.path.dirname(os.path.dirname(mulcom.data.__file__))
+        env = {**os.environ, "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "PYTHONUTF8": "0",
+               "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run([sys.executable, "-X", "utf8=0", "-c", code, path], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ascii([["trope_à"], "café-1", "Zoë"])
 
 
 def stats_oracle(docs):

@@ -1,23 +1,27 @@
-"""No module of the package, and no test oracle, keeps an import it does not use.
+"""No module of the package, and no test oracle, keeps an import it does not use,
+and the package imports no module that it does not declare.
 
 An import counts as used when a name it binds appears in the module's
 code, or as a string literal in an `__all__` assignment (the package
 builds its list with `sorted(...)`). A line marked `# noqa: F401` keeps
 its imports on purpose: a re-export, or a name the benchmark's tracer
-looks up on the module.
+looks up on the module. A module of the package may import the standard
+library, `mulcom` and what `[project].dependencies` in pyproject.toml
+names.
 """
 
 import ast
 import glob
 import os
+import re
+import sys
 
 import pytest
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
-FILES = sorted(
-    glob.glob(os.path.join(TESTS, os.pardir, "src", "mulcom", "*.py"))
-    + glob.glob(os.path.join(TESTS, "*oracle*.py"))
-)
+PACKAGE = sorted(glob.glob(os.path.join(TESTS, os.pardir, "src", "mulcom", "*.py")))
+FILES = PACKAGE + sorted(glob.glob(os.path.join(TESTS, "*oracle*.py")))
+PYPROJECT = os.path.join(TESTS, os.pardir, "pyproject.toml")
 
 
 def unused_imports(source):
@@ -59,3 +63,48 @@ def test_the_rule_sees_unused_and_exempt_imports():
         "print(e)\n"
     )
     assert unused_imports(source) == [(1, "os"), (3, "pi")]
+
+
+def undeclared_imports(source, declared):
+    """(line, module) of every top-level module `source` imports that is not
+    in the standard library, not `mulcom` and not in `declared`."""
+    allowed = set(sys.stdlib_module_names) | {"mulcom"} | set(declared)
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:  # a relative import stays inside the package
+            continue
+        found += [(node.lineno, top) for top in (n.split(".")[0] for n in names)
+                  if top not in allowed]
+    return found
+
+
+def declared_modules():
+    """The module names of pyproject.toml's `[project].dependencies`."""
+    tomllib = pytest.importorskip("tomllib")  # standard library from 3.11
+    with open(PYPROJECT, "rb") as fh:
+        requirements = tomllib.load(fh)["project"]["dependencies"]
+    return {re.match(r"[A-Za-z0-9_.-]+", r).group().lower().replace("-", "_")
+            for r in requirements}
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=os.path.basename)
+def test_every_import_is_declared(path):
+    with open(path, encoding="utf-8") as fh:
+        assert undeclared_imports(fh.read(), declared_modules()) == []
+
+
+def test_the_rule_sees_undeclared_imports():
+    source = (
+        "import json, os.path\n"
+        "import numpy.linalg\n"
+        "import orjson\n"
+        "from mulcom.errors import MulComError\n"
+        "from . import graph\n"
+        "from .numerics import Tensor\n"
+    )
+    assert undeclared_imports(source, {"numpy"}) == [(3, "orjson")]
+    assert undeclared_imports(source, {"numpy", "orjson"}) == []

@@ -460,6 +460,31 @@ print(json.dumps({"mallopt": numerics.retain_heap(),
 """
 
 
+# Runs the CLI-default reasoner (d_h = 64, 3 steps, 4 heads) without a
+# tape on one 32-doc graph union in a fresh process, and prints the minor
+# page faults of each call.
+REASONER_FAULTS_SCRIPT = """
+import json, resource
+from mulcom import numerics
+from mulcom.data import SynthSpec, synth_generate
+from mulcom.graph import batch_graphs, build_graph
+from mulcom.model import ModelConfig, build_model
+from mulcom.msrrn import run_msrrn
+
+assert numerics.retain_heap.cache_info().currsize == 0, "importing set mallopt"
+docs = synth_generate(5, SynthSpec(docs=32, val_frac=0.0)).split("train")
+model = build_model(ModelConfig(num_tropes=8, d_w=docs[0].word_feats.shape[1],
+                                d_s=docs[0].sent_feats.shape[1]), seed=0)
+union = batch_graphs([build_graph(d) for d in docs])
+faults = []
+for _ in range(6):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_msrrn(union, model.reasoner)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps({"mallopt": numerics.retain_heap(), "faults": faults}))
+"""
+
+
 class TestRetainHeap:
     def test_is_a_no_op_without_mallopt(self, monkeypatch):
         monkeypatch.setattr(numerics.ctypes, "CDLL", lambda name: object())
@@ -480,6 +505,20 @@ class TestRetainHeap:
         assert result["mallopt"] == [1, 1]
         assert len(result["faults"]) == 3
         assert result["faults"][2] < 1000, result["faults"]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc mallopt")
+    def test_a_direct_reasoner_call_keeps_its_memory(self):
+        # Without the mallopt settings each call took about 1350 minor
+        # faults: glibc returned the freed buffers to the OS after every call.
+        src = os.path.dirname(os.path.dirname(numerics.__file__))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run([sys.executable, "-c", REASONER_FAULTS_SCRIPT], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["mallopt"] == [1, 1]
+        assert all(f < 100 for f in result["faults"][1:]), result["faults"]
 
 
 class TestPosWeight:
@@ -528,6 +567,12 @@ class TestCheckpoint:
         path = tmp_path / "bad.json"
         path.write_text("not json {")
         with pytest.raises(DataFormatError):
+            load_checkpoint(str(path))
+
+    def test_rejects_deeply_nested_file(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(DataFormatError, match=r"invalid JSON.*deep\.json"):
             load_checkpoint(str(path))
 
     def test_rejects_wrong_format_tag(self, tmp_path):

@@ -36,6 +36,8 @@ _EXPORTS = {
     "Tape": "numerics",
     "grad_check": "numerics",
     "build_graph": "graph",
+    "graph_batch": "graph",
+    "GraphBatch": "graph",
     "FeatureDoc": "graph",
     "EntityMentions": "graph",
     "ModelConfig": "config",

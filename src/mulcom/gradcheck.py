@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .config import GradcheckConfig
-from .graph import EntityMentions, FeatureDoc, build_graph, label_matrix
+from .graph import EntityMentions, FeatureDoc, build_graph, graph_batch, label_matrix
 from .model import ModelConfig, bce_loss, build_model, forward_logits, predict_logits, stream_attention
 from .msrrn import init_reasoner, message_pass
 from .numerics import (
@@ -143,7 +143,7 @@ def _check_sentence_stream(rng, eps, max_coords):
 
 def _check_relation_stream(rng, eps, max_coords):
     d_w, d_s, d_f, d_a, d_h, tropes = 4, 5, 6, 5, 6, 3
-    graph = build_graph(_tiny_doc(rng, d_w, d_s))
+    graphs = graph_batch([_tiny_doc(rng, d_w, d_s)])
     reasoner = init_reasoner(rng, d_s=d_s, d_h=d_h, steps=2, heads=2)
     p = init_stream(rng, d_h, d_f, d_a)
     e = param(rng.standard_normal((tropes, d_f)))
@@ -152,7 +152,7 @@ def _check_relation_stream(rng, eps, max_coords):
     params.update(p.named("relation"))
     params.update(reasoner.named("reasoner"))
     return grad_check(
-        lambda: _weighted_sum(relation_stream([graph], e, reasoner, p), w),
+        lambda: _weighted_sum(relation_stream(graphs, e, reasoner, p), w),
         params, eps=eps, max_coords=max_coords, rng=rng,
     )
 
@@ -220,7 +220,7 @@ def _ragged_docs(rng: np.random.Generator, d_w: int, d_s: int) -> list[FeatureDo
 def _check_full_model(rng, eps, max_coords):
     model = _tiny_model(seed=9)
     docs = _ragged_docs(rng, model.cfg.d_w, model.cfg.d_s)
-    graphs = [build_graph(doc) for doc in docs]
+    graphs = graph_batch(docs)
     targets = label_matrix(docs, model.cfg.num_tropes)
     return grad_check(
         lambda: bce_loss(forward_logits(model, docs, graphs), targets, pos_weight=2.0),

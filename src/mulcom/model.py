@@ -19,7 +19,10 @@ import numpy as np
 
 from .config import STREAM_NAMES, ModelConfig, TrainConfig  # noqa: F401 (re-exported)
 from .errors import ConfigError, DataFormatError, MulComError, ValidationError
-from .graph import FeatureDoc, SynopsisGraph, build_graph, label_matrix
+from .graph import FeatureDoc, GraphBatch, graph_batch, label_matrix
+# Not called here. perfbench/layer_trace.py looks this name up on this module
+# to time graph building, which reads 0 now that batches build their graphs.
+from .graph import build_graph  # noqa: F401
 from .ioutil import atomic_write_text, canonical_json, read_json
 from .metrics import f1 as f1_metric
 from .msrrn import ReasonerParams, init_reasoner
@@ -165,19 +168,20 @@ def bce_loss(logits: Tensor, targets: Array, pos_weight: float = 1.0) -> Tensor:
 def forward_logits(
     model: MulComModel,
     docs: Sequence[FeatureDoc],
-    graphs: Sequence[SynopsisGraph] | None = None,
+    graphs: GraphBatch | None = None,
 ) -> Tensor:
     """Raw per-trope logits [len(docs), num_tropes], recorded on one tape.
 
-    `graphs`, when given, are the entity graphs of `docs` in order;
-    otherwise they are built here when the relation stream needs them.
+    `graphs`, when given, is the union of the entity graphs of `docs`,
+    one member per doc in order; otherwise it is built here when the
+    relation stream needs it.
     """
     retain_heap()
     if not docs:
         raise ValidationError("forward_logits: empty batch")
-    if graphs is not None and len(graphs) != len(docs):
+    if graphs is not None and graphs.n_members != len(docs):
         raise ValidationError(
-            f"forward_logits: {len(graphs)} graphs for {len(docs)} docs"
+            f"forward_logits: {graphs.n_members} graphs for {len(docs)} docs"
         )
     cfg = model.cfg
     outs: dict[str, Tensor] = {}
@@ -189,10 +193,9 @@ def forward_logits(
         elif name == "sentence":
             outs[name] = sentence_stream(docs, model.E, model.streams[name])
         else:
-            gs = graphs if graphs is not None else [build_graph(d) for d in docs]
             outs[name] = relation_stream(
-                gs, model.E, model.reasoner, model.streams[name],
-                kind=cfg.relation_reasoner,
+                graphs if graphs is not None else graph_batch(docs),
+                model.E, model.reasoner, model.streams[name], kind=cfg.relation_reasoner,
             )
     mixed = organize(outs, stream_attention(model), cfg.streams)
     return predict_logits(model, mixed)
@@ -201,7 +204,7 @@ def forward_logits(
 def forward(
     model: MulComModel,
     docs: Sequence[FeatureDoc],
-    graphs: Sequence[SynopsisGraph] | None = None,
+    graphs: GraphBatch | None = None,
 ) -> Array:
     """Per-trope scores in (0, 1), [len(docs), num_tropes]; no gradients."""
     logits = forward_logits(model, docs, graphs)
@@ -217,12 +220,14 @@ SCORE_CHUNK = 32
 def score_dataset(
     model: MulComModel,
     docs: Sequence[FeatureDoc],
-    graphs: Sequence[SynopsisGraph] | None = None,
+    graphs: GraphBatch | None = None,
 ) -> Array:
+    """Scores of `docs`, a chunk at a time; `graphs` as in `forward_logits`."""
     scores = np.zeros((len(docs), model.cfg.num_tropes))
     for lo in range(0, len(docs), SCORE_CHUNK):
-        chunk = slice(lo, lo + SCORE_CHUNK)
-        scores[chunk] = forward(model, docs[chunk], None if graphs is None else graphs[chunk])
+        hi = min(lo + SCORE_CHUNK, len(docs))
+        chunk_graphs = None if graphs is None else graphs.select(range(lo, hi))
+        scores[lo:hi] = forward(model, docs[lo:hi], chunk_graphs)
     return scores
 
 
@@ -316,14 +321,6 @@ def default_pos_weight(y: Array) -> float:
     return float(min(max(ratio, 1.0), 20.0))
 
 
-def _prebuild_graphs(
-    model: MulComModel, docs: Sequence[FeatureDoc]
-) -> list[SynopsisGraph] | None:
-    if "relation" not in model.cfg.streams:
-        return None
-    return [build_graph(d) for d in docs]
-
-
 def train(
     model: MulComModel,
     docs: Sequence[FeatureDoc],
@@ -337,10 +334,10 @@ def train(
     num_tropes = model.cfg.num_tropes
     y = label_matrix(docs, num_tropes)
     pos_weight = cfg.pos_weight if cfg.pos_weight is not None else default_pos_weight(y)
-    graphs = _prebuild_graphs(model, docs)
-    val_graphs = (
-        _prebuild_graphs(model, val_docs) if val_docs is not None else None
-    )
+    # each split's graphs are built once; a step selects its batch's members
+    relation = "relation" in model.cfg.streams
+    graphs = graph_batch(docs) if relation else None
+    val_graphs = graph_batch(val_docs) if relation and val_docs is not None else None
     val_y = label_matrix(val_docs, num_tropes) if val_docs is not None else None
 
     params = model.named_parameters()
@@ -358,7 +355,7 @@ def train(
             tape = Tape()
             with tape:
                 logits = forward_logits(
-                    model, batch, None if graphs is None else [graphs[i] for i in idx]
+                    model, batch, None if graphs is None else graphs.select(idx)
                 )
                 loss = bce_loss(logits, y[idx], pos_weight)
             loss_val = float(loss.data)

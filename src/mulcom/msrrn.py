@@ -34,7 +34,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConfigError
-from .graph import GraphBatch, SynopsisGraph
+from .graph import GraphBatch
 from .numerics import (
     AffineParams,
     LSTMParams,
@@ -65,10 +65,6 @@ from .numerics import (
 )
 
 Array = np.ndarray
-
-# One graph, or the disjoint union of a batch's graphs; nothing here
-# tells them apart, since no pair crosses from one member to another.
-Graph = SynopsisGraph | GraphBatch
 
 
 @dataclass
@@ -115,7 +111,7 @@ def init_reasoner(
     )
 
 
-def message_pass(graph: Graph, h: Tensor, p: ReasonerParams) -> Tensor:
+def message_pass(graph: GraphBatch, h: Tensor, p: ReasonerParams) -> Tensor:
     """Per-pair MLP(edge, receiver state, sender state), summed per receiver."""
     recv, send, efeat = graph.directed_pairs()
     e_proj = affine(Tensor(efeat), p.edge_in.w, p.edge_in.b)
@@ -123,7 +119,7 @@ def message_pass(graph: Graph, h: Tensor, p: ReasonerParams) -> Tensor:
     return scatter_add_rows(mlp_apply(pair_in, p.message_mlp), recv, graph.x.shape[0])
 
 
-def _reason(graph: Graph, p: ReasonerParams, attend: bool) -> Tensor:
+def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
     """The reasoner's [N, h] node output as one tape record.
 
     `attend` gives the step-attended states summed over steps (MSRRN);
@@ -297,7 +293,7 @@ def _reason(graph: Graph, p: ReasonerParams, attend: bool) -> Tensor:
     return _emit(inputs, out, backward_fn)
 
 
-def run_msrrn(graph: Graph, p: ReasonerParams) -> Tensor:
+def run_msrrn(graph: GraphBatch, p: ReasonerParams) -> Tensor:
     """All-step reasoner: self-attention over each node's step history.
 
     Returns [n, d_h]: the attended step states summed over steps.
@@ -305,6 +301,6 @@ def run_msrrn(graph: Graph, p: ReasonerParams) -> Tensor:
     return _reason(graph, p, attend=True)
 
 
-def run_rrn(graph: Graph, p: ReasonerParams) -> Tensor:
+def run_rrn(graph: GraphBatch, p: ReasonerParams) -> Tensor:
     """Last-step-only baseline, same iteration as run_msrrn."""
     return _reason(graph, p, attend=False)

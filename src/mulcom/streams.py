@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import EmptyDocumentError
-from .graph import FeatureDoc, SynopsisGraph, batch_graphs
+from .graph import FeatureDoc, GraphBatch
 from .msrrn import ReasonerParams, run_msrrn, run_rrn
 from .numerics import (
     AffineParams,
@@ -211,7 +211,7 @@ def sentence_stream(docs: Sequence[FeatureDoc], e: Tensor, p: StreamParams) -> T
 
 
 def relation_stream(
-    graphs: Sequence[SynopsisGraph],
+    graphs: GraphBatch,
     e: Tensor,
     reasoner: ReasonerParams,
     p: StreamParams,
@@ -219,11 +219,12 @@ def relation_stream(
 ) -> Tensor:
     """Attention over reasoner node states; [B, T, d_f].
 
-    The reasoner runs once on the disjoint union of the graphs. A graph
-    without nodes yields a zero row block and takes no part in attention.
+    The reasoner runs once on `graphs`, the disjoint union of the
+    batch's graphs. A member without nodes yields a zero row block and
+    takes no part in attention.
     """
-    sizes = np.array([g.n_nodes for g in graphs], dtype=np.intp)
-    out_shape = (len(graphs), e.shape[0], p.out_proj.w.shape[1])
+    sizes = graphs.node_counts
+    out_shape = (graphs.n_members, e.shape[0], p.out_proj.w.shape[1])
     present = np.flatnonzero(sizes)
     if present.size < sizes.size:
         log.warning("%d of %d graphs have no entities; relation stream emits zeros "
@@ -231,12 +232,10 @@ def relation_stream(
     if present.size == 0:
         return Tensor(np.zeros(out_shape))
     run = run_msrrn if kind == "msrrn" else run_rrn
-    # a single graph is its own union
-    union = graphs[0] if len(graphs) == 1 else batch_graphs(graphs)
-    nodes = run(union, reasoner)  # [N, d_h], members in order
+    nodes = run(graphs, reasoner)  # [N, d_h], members in order
     valid, mask = _layout(sizes[present])
     view = scatter_rows(nodes, valid, valid.shape + nodes.shape[-1:])
     pooled = attend(e, view, p, mask)
-    if present.size < len(graphs):
+    if present.size < sizes.size:
         pooled = scatter_rows(pooled, present, out_shape)
     return pooled

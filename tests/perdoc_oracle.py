@@ -4,14 +4,21 @@ This is the model's forward pass as it ran before batching: one tape
 segment per document, no padding and no masks, each graph reasoned over
 on its own. `tests/test_batched.py` requires the batched path to match
 it in logits and in every parameter gradient.
+
+`build_graph` and `batch_graphs` are the entity-graph construction as it
+ran before `mulcom.graph.graph_batch`: a dict-and-loop pass per document
+that adds one sentence row at a time, then a concatenation of the
+per-document graphs. `tests/test_graph_batch.py` requires `graph_batch`
+to equal it byte for byte.
 """
 
 import math
+from itertools import combinations
 
 import numpy as np
 
 from mulcom.errors import EmptyDocumentError
-from mulcom.graph import build_graph
+from mulcom.graph import GraphBatch
 from mulcom.model import organize, stream_attention
 from mulcom.msrrn import run_msrrn, run_rrn
 from mulcom.numerics import (
@@ -26,6 +33,70 @@ from mulcom.numerics import (
     softmax,
     transpose,
 )
+
+
+def build_graph(doc):
+    n = len(doc.entities)
+    d_s = doc.sent_feats.shape[1]
+
+    sentence_entities = {}
+    for ei, ent in enumerate(doc.entities):
+        for s in ent.sents:
+            sentence_entities.setdefault(s, []).append(ei)
+
+    x = np.zeros((n, d_s))
+    for ei, ent in enumerate(doc.entities):
+        for s in sorted(set(ent.sents)):
+            x[ei] += doc.sent_feats[s]
+
+    pair_feats = {}
+    for s in sorted(sentence_entities):
+        members = sorted(set(sentence_entities[s]))
+        if len(members) == 1:
+            keys = [(members[0], members[0])]
+        else:
+            keys = list(combinations(members, 2))
+        for key in keys:
+            if key in pair_feats:
+                pair_feats[key] = pair_feats[key] + doc.sent_feats[s]
+            else:
+                pair_feats[key] = doc.sent_feats[s].copy()
+
+    recv, send, feats = [], [], []
+    for i, j in sorted(pair_feats):
+        e = pair_feats[(i, j)]
+        if i == j:
+            recv.append(i)
+            send.append(i)
+            feats.append(e)
+        else:
+            recv += (i, j)
+            send += (j, i)
+            feats += (e, e)
+
+    return GraphBatch(
+        entity_ids=[ent.entity_id for ent in doc.entities],
+        x=x,
+        recv=np.asarray(recv, dtype=np.intp),
+        send=np.asarray(send, dtype=np.intp),
+        efeat=np.stack(feats) if feats else np.zeros((0, d_s)),
+        node_counts=np.array([n], dtype=np.intp),
+        pair_counts=np.array([len(recv)], dtype=np.intp),
+    )
+
+
+def batch_graphs(graphs):
+    sizes = [g.n_nodes for g in graphs]
+    offsets = np.cumsum(sizes) - sizes
+    return GraphBatch(
+        entity_ids=[eid for g in graphs for eid in g.entity_ids],
+        x=np.concatenate([g.x for g in graphs]),
+        recv=np.concatenate([g.recv + o for g, o in zip(graphs, offsets)]),
+        send=np.concatenate([g.send + o for g, o in zip(graphs, offsets)]),
+        efeat=np.concatenate([g.efeat for g in graphs]),
+        node_counts=np.concatenate([g.node_counts for g in graphs]),
+        pair_counts=np.concatenate([g.pair_counts for g in graphs]),
+    )
 
 
 def attend(e, feats, p):

@@ -20,7 +20,7 @@ from mulcom import msrrn
 from mulcom import numerics as nm
 from mulcom.data import SynthSpec, synth_generate
 from mulcom.errors import ShapeMismatchError
-from mulcom.graph import FeatureDoc, batch_graphs, build_graph
+from mulcom.graph import FeatureDoc, build_graph, graph_batch
 from mulcom.model import ModelConfig, build_model, forward_logits
 from mulcom.numerics import Tape, Tensor
 from mulcom.streams import _layout, attend, init_stream, sentence_stream
@@ -198,7 +198,7 @@ D_S, D_H = 5, 8
 
 def _planted_union():
     ds = synth_generate(3, SynthSpec(docs=16, val_frac=0.0, d_w=6, d_s=D_S, vocab=24))
-    return batch_graphs([build_graph(d) for d in ds.split("train")])
+    return graph_batch(ds.split("train"))
 
 
 def _path_doc():
@@ -319,7 +319,7 @@ def test_batch_forward_records_stay_bounded(streams):
     cfg = ModelConfig(num_tropes=ds.num_tropes, d_w=6, d_s=5, d_f=8, d_a=8, d_h=8,
                       reasoner_steps=2, reasoner_heads=4, streams=streams)
     model = build_model(cfg, seed=0)
-    graphs = [build_graph(d) for d in docs]
+    graphs = graph_batch(docs)
     with Tape() as tape:
         forward_logits(model, docs, graphs)
     assert len(tape) <= FORWARD_RECORD_BOUNDS[streams]

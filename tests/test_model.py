@@ -17,7 +17,7 @@ from mulcom.errors import (
     MulComError,
     ValidationError,
 )
-from mulcom.graph import build_graph, label_matrix
+from mulcom.graph import build_graph, graph_batch, label_matrix
 from mulcom.model import (
     Adam,
     ModelConfig,
@@ -275,7 +275,7 @@ class TestForward:
                             model.predictor).reshape(-1)
         expected = np_sigmoid(logits)
 
-        npt.assert_allclose(forward(model, [doc], [g])[0], expected, rtol=1e-9, atol=1e-12)
+        npt.assert_allclose(forward(model, [doc], g)[0], expected, rtol=1e-9, atol=1e-12)
 
     def test_rrn_variant_differs_from_msrrn(self):
         doc = tiny_doc(seed=12)
@@ -289,7 +289,7 @@ class TestForward:
         model = build_model(tiny_cfg(), seed=14)
         docs = [tiny_doc(seed=s) for s in range(4)]
         with pytest.raises(ValidationError, match="1 graphs for 4 docs"):
-            forward_logits(model, docs, [build_graph(docs[0])])
+            forward_logits(model, docs, build_graph(docs[0]))
 
     def test_very_negative_logits_score_zero_without_overflow(self):
         model = build_model(tiny_cfg(), seed=15)
@@ -304,7 +304,7 @@ class TestEndToEndGradients:
     def test_full_model_gradcheck(self):
         model = build_model(tiny_cfg(), seed=14)
         docs = [tiny_doc(seed=15, labels=(0, 2)), tiny_doc(seed=16, labels=(1,))]
-        graphs = [build_graph(d) for d in docs]
+        graphs = graph_batch(docs)
         y = label_matrix(docs, 3)
 
         def loss_fn():
@@ -467,7 +467,7 @@ REASONER_FAULTS_SCRIPT = """
 import json, resource
 from mulcom import numerics
 from mulcom.data import SynthSpec, synth_generate
-from mulcom.graph import batch_graphs, build_graph
+from mulcom.graph import graph_batch
 from mulcom.model import ModelConfig, build_model
 from mulcom.msrrn import run_msrrn
 
@@ -475,7 +475,7 @@ assert numerics.retain_heap.cache_info().currsize == 0, "importing set mallopt"
 docs = synth_generate(5, SynthSpec(docs=32, val_frac=0.0)).split("train")
 model = build_model(ModelConfig(num_tropes=8, d_w=docs[0].word_feats.shape[1],
                                 d_s=docs[0].sent_feats.shape[1]), seed=0)
-union = batch_graphs([build_graph(d) for d in docs])
+union = graph_batch(docs)
 faults = []
 for _ in range(6):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

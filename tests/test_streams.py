@@ -195,7 +195,7 @@ class TestRelationStream:
         reasoner = init_reasoner(rng, d_s=3, d_h=8, steps=2, heads=2)
         p = init_stream(rng, view_dim=8, d_f=4, d_a=5)
         e = rng.standard_normal((3, 4))
-        out = relation_stream([g], Tensor(e), reasoner, p)
+        out = relation_stream(g, Tensor(e), reasoner, p)
         h = oracle_msrrn(g, reasoner)
         npt.assert_allclose(out.data[0], attend_oracle(e, h, p), rtol=1e-10, atol=1e-12)
 
@@ -206,7 +206,7 @@ class TestRelationStream:
         reasoner = init_reasoner(rng, d_s=3, d_h=8, steps=3, heads=2)
         p = init_stream(rng, view_dim=8, d_f=4, d_a=5)
         e = rng.standard_normal((2, 4))
-        out = relation_stream([g], Tensor(e), reasoner, p)
+        out = relation_stream(g, Tensor(e), reasoner, p)
         h = oracle_msrrn(g, reasoner)
         npt.assert_allclose(out.data[0], attend_oracle(e, h, p), rtol=1e-10, atol=1e-12)
 
@@ -221,8 +221,8 @@ class TestRelationStream:
         reasoner = init_reasoner(rng2, d_s=3, d_h=8, steps=2, heads=2)
         p = init_stream(rng2, view_dim=8, d_f=4, d_a=5)
         e = Tensor(rng.standard_normal((2, 4)))
-        out1 = relation_stream([build_graph(doc)], e, reasoner, p).data
-        out2 = relation_stream([build_graph(doc2)], e, reasoner, p).data
+        out1 = relation_stream(build_graph(doc), e, reasoner, p).data
+        out2 = relation_stream(build_graph(doc2), e, reasoner, p).data
         npt.assert_allclose(out1, out2, rtol=0, atol=1e-10)
 
     def test_zero_node_graph_emits_zeros_and_warns(self, caplog):
@@ -232,7 +232,7 @@ class TestRelationStream:
         reasoner = init_reasoner(rng, d_s=3, d_h=8, steps=2, heads=2)
         p = init_stream(rng, view_dim=8, d_f=4, d_a=5)
         with caplog.at_level("WARNING"):
-            out = relation_stream([g], Tensor(np.zeros((3, 4))), reasoner, p)
+            out = relation_stream(g, Tensor(np.zeros((3, 4))), reasoner, p)
         assert "no entities" in caplog.text
         npt.assert_array_equal(out.data[0], np.zeros((3, 4)))
 
@@ -243,8 +243,8 @@ class TestRelationStream:
         reasoner = init_reasoner(rng, d_s=3, d_h=8, steps=2, heads=2)
         p = init_stream(rng, view_dim=8, d_f=4, d_a=5)
         e = Tensor(rng.standard_normal((2, 4)))
-        out_ms = relation_stream([g], e, reasoner, p, kind="msrrn").data
-        out_rrn = relation_stream([g], e, reasoner, p, kind="rrn").data
+        out_ms = relation_stream(g, e, reasoner, p, kind="msrrn").data
+        out_rrn = relation_stream(g, e, reasoner, p, kind="rrn").data
         assert np.abs(out_ms - out_rrn).max() > 1e-8
 
 

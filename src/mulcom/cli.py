@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import statistics
 import sys
 import types
 import typing
@@ -265,13 +266,7 @@ def cmd_stats(cfg: dict) -> int:
         prevalence[split] = {
             name: p for name, p in zip(ds.trope_names, prev)
         }
-        ordered = sorted(prev)
-        mid = len(ordered) // 2
-        median = (
-            ordered[mid]
-            if len(ordered) % 2
-            else (ordered[mid - 1] + ordered[mid]) / 2.0
-        )
+        median = statistics.median(prev)
         summary[split] = {"median": median, "max": max(prev), "min": min(prev)}
         log.info(
             "%s: %d docs, prevalence median %.2f%% max %.2f%%",

@@ -31,9 +31,6 @@ Array = np.ndarray
 MANIFEST_FORMAT = "mulcom-dataset"
 MANIFEST_VERSION = 1
 
-SPLIT_NAMES = ("train", "val", "test")
-
-
 @dataclass
 class Dataset:
     trope_names: list[str]

@@ -45,9 +45,6 @@ from .numerics import (
     _accum,
     _emit,
     active_tape,
-    affine,
-    concat,
-    gather_rows,
     init_affine,
     init_lstm,
     init_mha,
@@ -56,12 +53,13 @@ from .numerics import (
     lstm_update_backward,
     retain_heap,
     # Not called since the reasoner became one record. perfbench/layer_trace.py
-    # wraps these names on this module, with the three `message_pass` calls,
-    # to time the reasoner's parts, and cannot install without them.
+    # wraps these names on this module to time the reasoner's parts, and
+    # cannot install without them.
+    gather_rows,  # noqa: F401
     lstm_cell,  # noqa: F401
-    mlp_apply,
+    mlp_apply,  # noqa: F401
     multi_head_attention,  # noqa: F401
-    scatter_add_rows,
+    scatter_add_rows,  # noqa: F401
 )
 
 Array = np.ndarray
@@ -109,14 +107,6 @@ def init_reasoner(
         step_attention=init_mha(rng, d_h, heads),
         steps=steps,
     )
-
-
-def message_pass(graph: GraphBatch, h: Tensor, p: ReasonerParams) -> Tensor:
-    """Per-pair MLP(edge, receiver state, sender state), summed per receiver."""
-    recv, send, efeat = graph.directed_pairs()
-    e_proj = affine(Tensor(efeat), p.edge_in.w, p.edge_in.b)
-    pair_in = concat([e_proj, gather_rows(h, recv), gather_rows(h, send)], axis=-1)
-    return scatter_add_rows(mlp_apply(pair_in, p.message_mlp), recv, graph.x.shape[0])
 
 
 def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:

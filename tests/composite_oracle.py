@@ -16,7 +16,6 @@ import math
 
 import numpy as np
 
-from mulcom.msrrn import message_pass
 from mulcom.numerics import (
     Tensor,
     add,
@@ -25,10 +24,12 @@ from mulcom.numerics import (
     gather_rows,
     lstm_cell,
     matmul,
+    mlp_apply,
     multi_head_attention,
     reduce_sum,
     reshape,
     scale,
+    scatter_add_rows,
     softmax,
     stack,
     transpose,
@@ -46,6 +47,14 @@ def lstm_sequence(x, p):
         h, c = lstm_cell(h, c, reshape(gather_rows(steps, [s]), (n_b, d)), p)
         states.append(h)
     return stack(states, axis=1)
+
+
+def message_pass(graph, h, p):
+    """Per-pair MLP(edge, receiver state, sender state), summed per receiver."""
+    recv, send, efeat = graph.directed_pairs()
+    e_proj = affine(Tensor(efeat), p.edge_in.w, p.edge_in.b)
+    pair_in = concat([e_proj, gather_rows(h, recv), gather_rows(h, send)], axis=-1)
+    return scatter_add_rows(mlp_apply(pair_in, p.message_mlp), recv, graph.x.shape[0])
 
 
 def reasoner_trace(graph, p):

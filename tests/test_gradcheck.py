@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from mulcom import gradcheck, msrrn
 from mulcom import numerics as nx
 from mulcom.gradcheck import CHECKS, run_gradcheck
 
@@ -17,6 +18,43 @@ def test_all_components_covered_and_pass():
     assert {r.name for r in results} == expected
     for r in results:
         assert r.ok(), (r.name, r.max_err)
+
+
+def test_component_checks_cover_every_parameter(monkeypatch):
+    # grad_check on no tensors returns 0.0, so a check whose prefixes
+    # match nothing after a rename would pass without probing anything.
+    probed = []
+
+    def record(f, params, **kwargs):
+        probed.append(set(params))
+        return 0.0
+
+    monkeypatch.setattr(gradcheck, "grad_check", record)
+    run_gradcheck()
+    every = set(gradcheck._tiny_model(seed=9).named_parameters())
+    *components, full = probed
+    for (name, _), names in zip(CHECKS, components):
+        assert names, name
+    assert set().union(*components) == every
+    assert full == every
+
+
+def test_a_wrong_fused_gradient_fails_under_its_component(monkeypatch):
+    # Double the step attention's output-projection gradient inside the
+    # fused reasoner record; only the checks that probe it may fail.
+    model = gradcheck._tiny_model(seed=9)
+    w_o = model.named_parameters()["reasoner.step_attention.w_o"]
+    accum = msrrn._accum
+
+    def doubled(leaf, grad, **kwargs):
+        accum(leaf, 2.0 * grad if leaf is w_o else grad, **kwargs)
+
+    monkeypatch.setattr(msrrn, "_accum", doubled)
+    monkeypatch.setattr(gradcheck, "_tiny_model", lambda seed: model)
+    results = {r.name: r for r in run_gradcheck()}
+    assert not results["multi_head_attention"].ok()
+    assert not results["full_model"].ok()
+    assert results["word_stream"].ok()
 
 
 def test_errors_deterministic_in_seed():

@@ -11,7 +11,6 @@ from mulcom.graph import build_graph
 from mulcom.msrrn import (
     ReasonerParams,
     init_reasoner,
-    message_pass,
     run_msrrn,
     run_rrn,
 )
@@ -26,6 +25,7 @@ from mulcom.numerics import (
     rng_from_seed,
 )
 
+from composite_oracle import message_pass
 from test_graph import make_doc
 
 

@@ -230,6 +230,12 @@ def cmd_eval(cfg: dict) -> int:
             f"checkpoint has {model.cfg.num_tropes} tropes, "
             f"dataset has {ds.num_tropes}"
         )
+    dims = {"d_w": docs[0].word_feats.shape[1], "d_s": docs[0].sent_feats.shape[1]}
+    for key, readers in (("d_w", {"word"}), ("d_s", {"sentence", "relation"})):
+        if readers & set(model.cfg.streams) and getattr(model.cfg, key) != dims[key]:
+            raise ValidationError(
+                f"checkpoint has {key}={getattr(model.cfg, key)}, dataset has {key}={dims[key]}"
+            )
     scores = score_dataset(model, docs)
     labels = label_matrix(docs, ds.num_tropes)
     rep = evaluate(

@@ -96,6 +96,10 @@ def _record_to_doc(rec: dict, path: str, line: int) -> FeatureDoc:
             path=path, line=line,
         )
     for name, feats in (("word_feats", word_feats), ("sent_feats", sent_feats)):
+        if feats.shape[1] == 0:
+            raise DataFormatError(
+                f"doc {doc_id}: {name} rows have no features (width 0)", path=path, line=line
+            )
         if not np.isfinite(feats).all():
             raise DataFormatError(
                 f"doc {doc_id}: {name} holds non-finite values", path=path, line=line

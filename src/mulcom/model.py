@@ -62,24 +62,16 @@ CHECKPOINT_FORMAT = "mulcom-checkpoint"
 CHECKPOINT_VERSION = 1
 
 
+@dataclass(eq=False)
 class MulComModel:
     """Parameter container; all computation lives in module functions."""
 
-    def __init__(
-        self,
-        cfg: ModelConfig,
-        E: Tensor,
-        streams: dict[str, StreamParams],
-        reasoner: ReasonerParams | None,
-        stream_attn_mlp: MLPParams,
-        predictor: MLPParams,
-    ):
-        self.cfg = cfg
-        self.E = E
-        self.streams = streams
-        self.reasoner = reasoner
-        self.stream_attn_mlp = stream_attn_mlp
-        self.predictor = predictor
+    cfg: ModelConfig
+    E: Tensor
+    streams: dict[str, StreamParams]
+    reasoner: ReasonerParams | None
+    stream_attn_mlp: MLPParams
+    predictor: MLPParams
 
     def named_parameters(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {"trope_embedding": self.E}
@@ -239,19 +231,13 @@ class Adam:
     vectorized update over every parameter that has a gradient.
     """
 
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = dict(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         tensors = self.params.values()
         self.flat = np.concatenate([np.zeros(0)] + [t.data.reshape(-1) for t in tensors])

@@ -40,6 +40,7 @@ from .numerics import (
     LSTMParams,
     MHAParams,
     MLPParams,
+    Params,
     Segments,
     Tensor,
     _accum,
@@ -66,7 +67,7 @@ Array = np.ndarray
 
 
 @dataclass
-class ReasonerParams:
+class ReasonerParams(Params):
     """Shared-across-steps parameters of both reasoner variants."""
 
     node_in: AffineParams  # d_s -> d_h
@@ -81,19 +82,15 @@ class ReasonerParams:
         return self.cell.hidden_dim
 
     def named(self, prefix: str = "reasoner") -> Iterator[tuple[str, Tensor]]:
-        yield from self.node_in.named(f"{prefix}.node_in")
-        yield from self.edge_in.named(f"{prefix}.edge_in")
-        yield from self.message_mlp.named(f"{prefix}.message_mlp")
-        yield from self.cell.named(f"{prefix}.cell")
-        yield from self.step_attention.named(f"{prefix}.step_attention")
+        return super().named(prefix)
 
 
 def init_reasoner(
     rng: np.random.Generator,
     d_s: int,
-    d_h: int = 64,
-    steps: int = 3,
-    heads: int = 4,
+    d_h: int,
+    steps: int,
+    heads: int,
 ) -> ReasonerParams:
     if steps < 1:
         raise ConfigError(f"reasoner needs steps >= 1, got {steps}")
@@ -123,22 +120,24 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
     recv, send, efeat = graph.directed_pairs()
     x = np.asarray(graph.x, dtype=np.float64)
     n, hd, n_t = x.shape[0], p.hidden_dim, p.steps
-    inputs = tuple(t for name, t in p.named() if attend or ".step_attention." not in name)
+    (l1, l2), mha = p.message_mlp.layers, p.step_attention
+    gates = (p.cell.gate_i, p.cell.gate_f, p.cell.gate_o, p.cell.gate_g)
+    inputs = tuple(t for q in (p.node_in, p.edge_in, l1, l2, *gates) for t in (q.w, q.b))
+    if attend:
+        inputs += (mha.w_q, mha.w_k, mha.w_v, mha.w_o)
     keep = active_tape() is not None and any(t.tracked for t in inputs)
     segs = Segments(recv, n)
 
-    (l1, l2), cell = p.message_mlp.layers, p.cell
-    gates = (cell.gate_i, cell.gate_f, cell.gate_o, cell.gate_g)
     w1, w2, b2 = l1.w.data, l2.w.data, l2.b.data
-    gate_w = [q.w.data for q in gates]  # rows: h, x_proj, m
+    w_cell = np.concatenate([q.w.data for q in gates], axis=1)  # rows: h, x_proj, m
+    w_msg = w_cell[2 * hd :]
     # what a step multiplies h by: the receiver, sender and recurrent blocks
-    w_step = np.concatenate([w1[hd : 2 * hd], w1[2 * hd :]] + [w[:hd] for w in gate_w], axis=1)
-    w_msg = np.concatenate([w[2 * hd :] for w in gate_w], axis=1)
+    w_step = np.concatenate([w1[hd : 2 * hd], w1[2 * hd :], w_cell[:hd]], axis=1)
 
     x_proj = x @ p.node_in.w.data + p.node_in.b.data
     e_proj = efeat @ p.edge_in.w.data + p.edge_in.b.data
     pre_e = e_proj @ w1[:hd] + l1.b.data  # the edge block of message layer 1
-    act_x = x_proj @ np.concatenate([w[hd : 2 * hd] for w in gate_w], axis=1)
+    act_x = x_proj @ w_cell[hd : 2 * hd]
     act_x += np.concatenate([q.b.data for q in gates])
 
     # Without a tape every step reuses one slot; only h is kept for attention.
@@ -171,7 +170,6 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
         lstm_update(a, c[slot[t - 1]] if t else None, c[s], tc[s], hs[t])
 
     if attend:
-        mha = p.step_attention
         heads = mha.heads
         d_head = hd // heads
         scale = 1.0 / math.sqrt(d_head)
@@ -225,15 +223,12 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
 
         d_pair = np.empty((n_t, n_p, hd))  # d loss / d message MLP output
         d_pre = np.empty((n_t, n_p, hd))  # d loss / d message layer 1 pre-relu
-        d_step = np.empty((max(n_t - 1, 0), n, 6 * hd))  # d loss / d (h_{t-1} @ w_rec)
-        w_cell = np.concatenate(gate_w, axis=1)
-        w_rec = np.concatenate([w1[hd : 2 * hd], w1[2 * hd :], w_cell[:hd]], axis=1)
-        w_m = w_cell[2 * hd :]
+        d_step = np.empty((max(n_t - 1, 0), n, 6 * hd))  # d loss / d (h_{t-1} @ w_step)
         send_segs = Segments(send, n) if n_t > 1 else None
 
         def step(t: int, d_act_t: Array) -> Array | None:
             """Back through step t's messages; the gradient reaching h_{t-1}."""
-            d_pair[t] = (d_act_t @ w_m.T)[recv]
+            d_pair[t] = (d_act_t @ w_msg.T)[recv]
             np.multiply(d_pair[t] @ w2.T, relu[t] > 0.0, out=d_pre[t])
             if not t:
                 return None
@@ -241,7 +236,7 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
             ds_t[:, :hd] = segs.sum(d_pre[t])
             ds_t[:, hd : 2 * hd] = send_segs.sum(d_pre[t])
             ds_t[:, 2 * hd :] = d_act_t
-            return ds_t @ w_rec.T
+            return ds_t @ w_step.T
 
         d_act = lstm_update_backward(act, c, tc, gh, step)
         flat = d_act.reshape(n_t * n, 4 * hd)

@@ -24,8 +24,8 @@ import ctypes
 import functools
 import math
 import threading
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, fields
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -509,7 +509,7 @@ def scatter_rows(x: Tensor, index, shape: Sequence[int]) -> Tensor:
     return _emit((x,), out, backward_fn)
 
 
-def reduce_sum(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
+def reduce_sum(x: Tensor, axis: int | None = None) -> Tensor:
     if axis is None:
         out = Tensor(x.data.sum())
 
@@ -519,20 +519,18 @@ def reduce_sum(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Te
 
     else:
         axis = _norm_axis(axis, x.ndim, "reduce_sum")
-        out = Tensor(x.data.sum(axis=axis, keepdims=keepdims))
+        out = Tensor(x.data.sum(axis=axis))
 
         def backward_fn(g: Array) -> None:
             if x.tracked:
-                if not keepdims:
-                    g = np.expand_dims(g, axis)
-                _accum(x, np.broadcast_to(g, x.shape))
+                _accum(x, np.broadcast_to(np.expand_dims(g, axis), x.shape))
 
     return _emit((x,), out, backward_fn)
 
 
-def reduce_mean(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    n = x.size if axis is None else x.shape[_norm_axis(axis, x.ndim, "reduce_mean")]
-    return scale(reduce_sum(x, axis=axis, keepdims=keepdims), 1.0 / n)
+def reduce_mean(x: Tensor) -> Tensor:
+    """Mean over every element."""
+    return scale(reduce_sum(x), 1.0 / x.size)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -544,31 +542,43 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # parameter blocks and composite cells
 # ---------------------------------------------------------------------------
 
+class Params:
+    """A parameter block: a dataclass whose fields hold its parameters."""
+
+    def named(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
+        """(`prefix.field`, tensor) of every parameter, in field declaration order.
+
+        A nested block extends the prefix, and a list of blocks names its
+        items `layer0`, `layer1`, ...; other values (counts, None) hold none.
+        """
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Tensor):
+                yield f"{prefix}.{f.name}", value
+            elif isinstance(value, Params):
+                yield from value.named(f"{prefix}.{f.name}")
+            elif isinstance(value, list):
+                for i, block in enumerate(value):
+                    yield from block.named(f"{prefix}.layer{i}")
+
+
 @dataclass
-class AffineParams:
+class AffineParams(Params):
     """One affine layer: weight [fan_in x fan_out], bias [fan_out]."""
 
     w: Tensor
     b: Tensor
 
-    def named(self, prefix: str):
-        yield f"{prefix}.w", self.w
-        yield f"{prefix}.b", self.b
-
 
 @dataclass
-class MLPParams:
+class MLPParams(Params):
     """Stacked affine layers with relu between (none after the last)."""
 
     layers: list[AffineParams]
 
-    def named(self, prefix: str):
-        for i, layer in enumerate(self.layers):
-            yield from layer.named(f"{prefix}.layer{i}")
-
 
 @dataclass
-class LSTMParams:
+class LSTMParams(Params):
     """Four gate blocks, each mapping concat(h, input) to the hidden dim."""
 
     gate_i: AffineParams
@@ -580,13 +590,9 @@ class LSTMParams:
     def hidden_dim(self) -> int:
         return self.gate_i.b.shape[0]
 
-    def named(self, prefix: str):
-        for name in ("gate_i", "gate_f", "gate_o", "gate_g"):
-            yield from getattr(self, name).named(f"{prefix}.{name}")
-
 
 @dataclass
-class MHAParams:
+class MHAParams(Params):
     """Projection matrices [d x d] for multi-head attention; no biases."""
 
     w_q: Tensor
@@ -594,10 +600,6 @@ class MHAParams:
     w_v: Tensor
     w_o: Tensor
     heads: int
-
-    def named(self, prefix: str):
-        for name in ("w_q", "w_k", "w_v", "w_o"):
-            yield f"{prefix}.{name}", getattr(self, name)
 
 
 def init_affine(rng: np.random.Generator, fan_in: int, fan_out: int) -> AffineParams:
@@ -768,12 +770,12 @@ def lstm_sequence(x: Tensor, p: LSTMParams) -> Tensor:
         dw[hd:] = xt.T @ flat
         dw[:hd] = hs[:-1].reshape(-1, hd).T @ flat[n_b:]
         db = flat.sum(axis=0)
-        for k, q in enumerate(gates):
+        for k, q in enumerate(gates):  # blocks of dw and db, which nothing else holds
             cols = slice(k * hd, (k + 1) * hd)
             if q.w.tracked:
-                _accum(q.w, dw[:, cols])
+                _accum(q.w, dw[:, cols], fresh=True)
             if q.b.tracked:
-                _accum(q.b, db[cols])
+                _accum(q.b, db[cols], fresh=True)
         if x.tracked:
             dx = (flat @ w_x.T).reshape(n_s, n_b, d_in)
             _accum(x, dx.transpose(1, 0, 2), fresh=True)
@@ -829,21 +831,26 @@ def backward(loss: Tensor, tape: Tape) -> None:
                 t.grad = np.zeros_like(t.data)
 
 
+# A probe whose one-sided slopes disagree by more than this fraction of
+# their size has a kink (a relu at 0) within eps, so no derivative to check.
+KINK_TOL = 1e-4
+
+
 def grad_check(
     f: Callable[[], Tensor],
     params: dict[str, Tensor],
     eps: float = 1e-5,
     max_coords: int = 64,
     rng: np.random.Generator | None = None,
-    exclude: Callable[[str, int], bool] | None = None,
 ) -> float:
     """Max relative error of tape gradients vs central finite differences.
 
     `f` rebuilds the scalar loss from the tensors in `params` and must be
     deterministic for fixed parameter values. At most `max_coords` flat
-    coordinates are probed per tensor; `exclude(name, flat_index)` can
-    veto coordinates sitting on non-differentiable points (relu kinks).
-    Relative error is |a - n| / max(1e-8, |a| + |n|).
+    coordinates are probed per tensor. A probe is skipped when its
+    forward and backward one-sided slopes disagree by more than
+    `KINK_TOL` of their size: a non-differentiable point (a relu kink)
+    lies within eps. Relative error is |a - n| / max(1e-8, |a| + |n|).
     """
     if max_coords < 1:
         raise ConfigError(f"max_coords must be >= 1, got {max_coords}")
@@ -863,11 +870,12 @@ def grad_check(
         t.zero_grad()
     if rng is None:
         rng = np.random.default_rng(0)
+    f0 = float(loss.data)
     # One loss evaluation carries rounding noise of about an ulp, so the
     # central difference cannot resolve gradients much below ulp/(2*eps).
     # Coordinates where analytic and numeric both sit under that floor
     # are unmeasurable by this method rather than wrong; skip them.
-    resolution = np.spacing(max(abs(float(loss.data)), 0.5)) / (2.0 * eps)
+    resolution = np.spacing(max(abs(f0), 0.5)) / (2.0 * eps)
     min_signal = 1e5 * resolution
     worst = 0.0
     for name, t in params.items():
@@ -879,8 +887,6 @@ def grad_check(
             coords = rng.choice(n, size=max_coords, replace=False)
         for idx in coords:
             idx = int(idx)
-            if exclude is not None and exclude(name, idx):
-                continue
             orig = flat[idx]
             flat[idx] = orig + eps
             loss_plus = float(f().data)
@@ -890,6 +896,9 @@ def grad_check(
             numeric = (loss_plus - loss_minus) / (2.0 * eps)
             a = float(analytic[name][idx])
             if abs(a) < min_signal and abs(numeric) < min_signal:
+                continue
+            up, down = (loss_plus - f0) / eps, (f0 - loss_minus) / eps
+            if abs(up - down) > KINK_TOL * max(1e-8, abs(up) + abs(down)):
                 continue
             err = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
             worst = max(worst, err)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .msrrn import ReasonerParams, run_msrrn, run_rrn
 from .numerics import (
     AffineParams,
     LSTMParams,
+    Params,
     Tensor,
     _accum,
     _emit,
@@ -45,20 +46,12 @@ Array = np.ndarray
 
 
 @dataclass
-class StreamParams:
+class StreamParams(Params):
     query_proj: AffineParams  # d_f -> d_a
     key_proj: AffineParams  # view dim -> d_a
     value_proj: AffineParams  # view dim -> d_a
     out_proj: AffineParams  # d_a -> d_f
     sent_rnn: LSTMParams | None = None  # sentence stream only
-
-    def named(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        yield from self.query_proj.named(f"{prefix}.query_proj")
-        yield from self.key_proj.named(f"{prefix}.key_proj")
-        yield from self.value_proj.named(f"{prefix}.value_proj")
-        yield from self.out_proj.named(f"{prefix}.out_proj")
-        if self.sent_rnn is not None:
-            yield from self.sent_rnn.named(f"{prefix}.sent_rnn")
 
 
 def init_stream(

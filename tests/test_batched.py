@@ -3,13 +3,17 @@
 One ragged batch holds a zero-entity doc, a one-sentence doc and a doc
 cut by `max_word_tokens`, so every stream pads and masks. Logits and
 every parameter gradient must match the per-document pass within 1e-12.
+A derandomized property draws the model and such batches as well.
 """
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import perdoc_oracle
+from mulcom.config import STREAM_NAMES
 from mulcom.errors import EmptyDocumentError, ValidationError
 from mulcom.graph import EntityMentions, FeatureDoc, label_matrix
 from mulcom.model import ModelConfig, bce_loss, build_model, forward_logits
@@ -94,6 +98,69 @@ def test_logits_and_gradients_match_per_doc_oracle(streams, reasoner, caplog):
         npt.assert_allclose(g, want_grads[name], rtol=0, atol=TOL, err_msg=name)
     if "relation" in streams:
         assert "no entities" in caplog.text
+
+
+@st.composite
+def models_and_batches(draw):
+    """A small model and a ragged batch for it.
+
+    Docs may have no entities (or entities without mentions), one
+    sentence, or more tokens than `max_word_tokens` keeps.
+    """
+    heads = draw(st.integers(1, 2))
+    cfg = ModelConfig(
+        num_tropes=draw(st.integers(1, 4)),
+        d_w=draw(st.integers(1, 4)),
+        d_s=draw(st.integers(1, 4)),
+        d_f=draw(st.integers(1, 6)),
+        d_a=draw(st.integers(1, 6)),
+        d_h=heads * draw(st.integers(1, 3)),
+        reasoner_steps=draw(st.integers(1, 3)),
+        reasoner_heads=heads,
+        relation_reasoner=draw(st.sampled_from(("msrrn", "rrn"))),
+        streams=tuple(draw(st.lists(st.sampled_from(STREAM_NAMES), min_size=1,
+                                    max_size=3, unique=True))),
+        max_word_tokens=draw(st.integers(1, 5)),
+    )
+    docs = []
+    for i in range(draw(st.integers(1, 5))):
+        n_sents = draw(st.integers(1, 4))
+        mentions = draw(st.lists(st.lists(st.integers(0, n_sents - 1), max_size=3),
+                                 max_size=4))
+        rng = rng_from_seed(draw(st.integers(0, 2**32)), stream=91)
+        docs.append(FeatureDoc(
+            doc_id=f"doc{i}",
+            word_feats=rng.standard_normal((draw(st.integers(1, 8)), cfg.d_w)),
+            sent_feats=rng.standard_normal((n_sents, cfg.d_s)),
+            entities=[EntityMentions(f"e{j}", tuple(s)) for j, s in enumerate(mentions)],
+            labels=tuple(draw(st.sets(st.integers(0, cfg.num_tropes - 1)))),
+        ))
+    order = draw(st.permutations(range(len(docs))))
+    mates = draw(st.lists(st.sampled_from(range(len(docs))), min_size=1, unique=True))
+    return build_model(cfg, seed=draw(st.integers(0, 99))), docs, order, mates
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(models_and_batches())
+def test_drawn_models_and_batches_match_the_oracle(case):
+    model, docs, order, mates = case
+    got, got_grads = logits_and_grads(model, docs, lambda: forward_logits(model, docs))
+    want, want_grads = logits_and_grads(
+        model, docs,
+        lambda: stack([perdoc_oracle.forward_logits(model, d) for d in docs], axis=0))
+    assert np.isfinite(got).all()
+    npt.assert_allclose(got, want, rtol=0, atol=TOL)
+    assert got_grads.keys() == want_grads.keys()
+    for name, g in got_grads.items():  # None on both sides when nothing reaches it
+        assert (g is None) == (want_grads[name] is None), name
+        if g is not None:
+            assert np.isfinite(g).all(), name
+            npt.assert_allclose(g, want_grads[name], rtol=0, atol=TOL, err_msg=name)
+    # permuting the batch permutes the logits, and other batch mates change none
+    for pick in (order, mates):
+        npt.assert_allclose(forward_logits(model, [docs[i] for i in pick]).data,
+                            got[pick], rtol=0, atol=TOL)
 
 
 @pytest.mark.parametrize("streams", STREAM_SETS[3:], ids=",".join)

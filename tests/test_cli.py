@@ -148,6 +148,30 @@ class TestEval:
         ])
         assert rc == 1
 
+    @pytest.mark.parametrize("streams, dims, bad", [
+        (("word",), {"d_w": 7}, "d_w"),
+        (("sentence",), {"d_s": 3}, "d_s"),
+        (("relation",), {"d_s": 3}, "d_s"),
+        (("word",), {"d_s": 3}, None),  # no enabled stream reads d_s
+    ], ids=["word-d_w", "sentence-d_s", "relation-d_s", "word-ignores-d_s"])
+    def test_feature_dims_are_checked_against_the_checkpoint(
+            self, streams, dims, bad, tiny_manifest, tmp_path, caplog):
+        cfg = ModelConfig(**{"d_w": 6, "d_s": 5, **dims}, num_tropes=8, d_f=8, d_a=8,
+                          d_h=8, reasoner_steps=1, reasoner_heads=1, streams=streams)
+        ckpt = tmp_path / "ckpt.json"
+        save_checkpoint(build_model(cfg, seed=0), str(ckpt))
+        rc = main([
+            "eval", "--data", tiny_manifest, "--checkpoint", str(ckpt),
+            "--out", str(tmp_path),
+        ])
+        if bad is None:
+            assert rc == 0
+            return
+        assert rc == 1
+        want = {"d_w": 6, "d_s": 5}[bad]
+        assert f"checkpoint has {bad}={dims[bad]}, dataset has {bad}={want}" in caplog.text
+        assert "Traceback" not in caplog.text
+
     @pytest.mark.parametrize("corrupt", [
         lambda p: [p],
         lambda p: {k: v for k, v in p.items() if k != "config"},

@@ -192,6 +192,18 @@ class TestLoadErrors:
                            match=rf"doc d1: record has no {what}.*train.jsonl:2"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("field", ["word_feats", "sent_feats"])
+    def test_zero_width_features_are_named(self, tmp_path, field):
+        ok = {"doc_id": "d0", "word_feats": [[0.0]], "sent_feats": [[0.0]],
+              "entities": [], "labels": []}
+        empty_rows = {**ok, "doc_id": "d1", field: [[], []]}
+        (tmp_path / "train.jsonl").write_text(
+            json.dumps(ok) + "\n" + json.dumps(empty_rows) + "\n")
+        path = self.write_manifest(tmp_path, {"train": ["train.jsonl"]})
+        with pytest.raises(DataFormatError,
+                           match=rf"doc d1: {field} rows have no features.*train.jsonl:2"):
+            load_dataset(path)
+
     @pytest.mark.parametrize("manifest", [
         ["train.jsonl"],
         {"splits": ["train.jsonl"]},

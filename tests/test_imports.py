@@ -4,10 +4,12 @@ and the package imports no module that it does not declare.
 An import counts as used when a name it binds appears in the module's
 code, or as a string literal in an `__all__` assignment (the package
 builds its list with `sorted(...)`). A line marked `# noqa: F401` keeps
-its imports on purpose: a re-export, or a name the benchmark's tracer
-looks up on the module. A module of the package may import the standard
-library, `mulcom` and what `[project].dependencies` in pyproject.toml
-names.
+its imports on purpose, and must say which purpose: it is marked
+`(re-exported)`, or the benchmark's tracer names it in `LAYER_SPANS` or
+`LAYER_COUNTS` of `perfbench/layer_trace.py`, which times layers by
+wrapping module attributes. A module of the package may import the
+standard library, `mulcom` and what `[project].dependencies` in
+pyproject.toml names.
 """
 
 import ast
@@ -22,6 +24,7 @@ TESTS = os.path.dirname(os.path.abspath(__file__))
 PACKAGE = sorted(glob.glob(os.path.join(TESTS, os.pardir, "src", "mulcom", "*.py")))
 FILES = PACKAGE + sorted(glob.glob(os.path.join(TESTS, "*oracle*.py")))
 PYPROJECT = os.path.join(TESTS, os.pardir, "pyproject.toml")
+LAYER_TRACE = os.path.join(TESTS, os.pardir, "perfbench", "layer_trace.py")
 
 
 def unused_imports(source):
@@ -63,6 +66,68 @@ def test_the_rule_sees_unused_and_exempt_imports():
         "print(e)\n"
     )
     assert unused_imports(source) == [(1, "os"), (3, "pi")]
+
+
+def tracer_lookups(source):
+    """(module, name) of each `(mulcom.<module>, "<name>", ...)` entry of the
+    `LAYER_SPANS` and `LAYER_COUNTS` tables in `source`, read without running it."""
+    found = set()
+    for node in ast.parse(source).body:
+        if not (isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id in ("LAYER_SPANS", "LAYER_COUNTS")
+                for t in node.targets)):
+            continue
+        for entry in node.value.elts:
+            owner, name = entry.elts[:2]
+            if (isinstance(owner, ast.Attribute) and isinstance(owner.value, ast.Name)
+                    and owner.value.id == "mulcom" and isinstance(name, ast.Constant)):
+                found.add((owner.attr, name.value))
+    return found
+
+
+def unearned_exemptions(source, module, lookups):
+    """(line, name) of every `# noqa: F401` import in `source`, the package's
+    `module`, that is neither marked `(re-exported)` nor in `lookups`."""
+    lines = source.splitlines()
+    unearned = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for alias in node.names:
+            text = lines[alias.lineno - 1]
+            name = alias.asname or alias.name.split(".")[0]
+            if ("# noqa: F401" in text and "(re-exported)" not in text
+                    and (module, name) not in lookups):
+                unearned.append((alias.lineno, name))
+    return unearned
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=os.path.basename)
+def test_every_exempt_import_earns_it(path):
+    with open(LAYER_TRACE, encoding="utf-8") as fh:
+        lookups = tracer_lookups(fh.read())
+    module = os.path.splitext(os.path.basename(path))[0]
+    with open(path, encoding="utf-8") as fh:
+        assert unearned_exemptions(fh.read(), module, lookups) == []
+
+
+def test_the_rule_sees_unearned_exemptions():
+    tracer = (
+        "import mulcom.msrrn\n"
+        "LAYER_SPANS = ((mulcom.msrrn, 'gather_rows', 'msrrn.gather'),\n"
+        "               (mulcom.graph.GraphBatch, 'select', 'graph.select'))\n"
+        "LAYER_COUNTS = ((mulcom.streams, 'lstm_cell', 'streams.cell'),)\n"
+        "OTHER = ((mulcom.msrrn, 'tanh', 'msrrn.tanh'),)\n"
+    )
+    lookups = tracer_lookups(tracer)
+    assert lookups == {("msrrn", "gather_rows"), ("streams", "lstm_cell")}
+    source = (
+        "from .config import ModelConfig  # noqa: F401 (re-exported)\n"
+        "from .numerics import (\n    gather_rows,  # noqa: F401\n"
+        "    lstm_cell,  # noqa: F401\n    tanh,  # noqa: F401\n)\n"
+    )
+    assert unearned_exemptions(source, "msrrn", lookups) == [(4, "lstm_cell"), (5, "tanh")]
+    assert unearned_exemptions(source, "streams", lookups) == [(3, "gather_rows"), (5, "tanh")]
 
 
 def undeclared_imports(source, declared):

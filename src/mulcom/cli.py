@@ -218,7 +218,7 @@ def cmd_eval(cfg: dict) -> int:
     from .data import load_dataset
     from .graph import label_matrix
     from .metrics import evaluate
-    from .model import load_checkpoint, score_dataset
+    from .model import load_checkpoint, score_dataset, stream_attention
 
     ds = load_dataset(manifest)
     docs = ds.split(cfg["split"])
@@ -251,6 +251,11 @@ def cmd_eval(cfg: dict) -> int:
         "config": cfg,
         "model_config": model.cfg.to_dict(),
         "report": rep.to_dict(),
+        # each trope's softmax weight on each stream, as the model mixes them
+        "stream_mix": {
+            trope: dict(zip(model.cfg.streams, row.tolist()))
+            for trope, row in zip(ds.trope_names, stream_attention(model))
+        },
     }
     _write_report(out_dir, "eval_report.json", report)
     return EXIT_OK

@@ -3,7 +3,10 @@
 A learned trope embedding queries each enabled comprehension stream,
 a per-trope softmax over streams mixes the pooled results, and a
 shared two-layer predictor maps concat(mixed, embedding) to one logit
-per trope. Training minimizes positively-reweighted binary cross
+per trope. The head is one tape record with a hand-derived backward
+pass, like the streams' pooling: the stream mix and the predictor's
+embedding half depend only on the parameters, so it computes them once
+per batch. Training minimizes positively-reweighted binary cross
 entropy with Adam.
 """
 
@@ -27,22 +30,20 @@ from .ioutil import atomic_write_text, canonical_json, read_json
 from .metrics import f1 as f1_metric
 from .msrrn import ReasonerParams, init_reasoner
 from .numerics import (
+    AffineParams,
     MLPParams,
     Tensor,
+    _accum,
+    _emit,
     add,
     backward,
-    concat,
     init_mlp,
-    mlp_apply,
     mul,
     neg,
     param,
     reduce_mean,
-    reshape,
     retain_heap,
     rng_from_seed,
-    slice_last,
-    softmax,
     softplus,
     Tape,
 )
@@ -106,34 +107,122 @@ def build_model(cfg: ModelConfig, seed: int = 0) -> MulComModel:
     return MulComModel(cfg, E, streams, reasoner, attn_mlp, predictor)
 
 
-def stream_attention(model: MulComModel) -> Tensor:
-    """Per-trope softmax over enabled streams, [num_tropes, n_streams]."""
-    return softmax(mlp_apply(model.E, model.stream_attn_mlp), axis=-1)
+def _layers(x: Array, layers: Sequence[AffineParams]) -> list[Array]:
+    """Each layer's input, then the output, of the affine `layers` on `x`.
+
+    A relu follows every layer but the last, as in `mlp_apply`, whose
+    values these are bit for bit.
+    """
+    acts = [x]
+    last = len(layers) - 1
+    for i, layer in enumerate(layers):
+        z = acts[-1] @ layer.w.data
+        z += layer.b.data
+        acts.append(z if i == last else np.maximum(z, 0.0, out=z))
+    return acts
 
 
-def organize(
-    outputs: dict[str, Tensor], attn: Tensor, order: Sequence[str]
-) -> Tensor:
-    """Mix per-stream pooled rows with per-trope attention weights."""
-    missing = [s for s in order if s not in outputs]
-    if missing:
-        raise MulComError(f"organize: missing stream outputs {missing}")
-    mixed = None
-    for s_idx, name in enumerate(order):
-        weighted = mul(slice_last(attn, s_idx, s_idx + 1), outputs[name])
-        mixed = weighted if mixed is None else add(mixed, weighted)
+def _layers_backward(
+    acts: list[Array], layers: Sequence[AffineParams], g: Array, grads: dict
+) -> Array:
+    """Back through `_layers` from `g`, the gradient of its output rows.
+
+    Puts each layer's weight and bias gradient in `grads`, keyed by the
+    id of the parameter, and returns the gradient of the input rows.
+    """
+    for i in range(len(layers) - 1, -1, -1):
+        w = layers[i].w.data
+        x = acts[i].reshape(-1, w.shape[0])
+        grads[id(layers[i].w)] = x.T @ g
+        grads[id(layers[i].b)] = g.sum(axis=0)
+        g = g @ w.T
+        if i > 0:
+            g *= x > 0  # the relu after layer i - 1
+    return g
+
+
+def stream_attention(model: MulComModel) -> Array:
+    """Per-trope softmax over enabled streams, [num_tropes, n_streams]; untracked."""
+    w = _layers(model.E.data, model.stream_attn_mlp.layers)[-1]
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    return w
+
+
+def organize(parts: Sequence[Array], attn: Array) -> Array:
+    """Mix per-stream pooled rows [..., num_tropes, d_f] with weights `attn`.
+
+    `parts` follows the column order of `attn` [num_tropes, n_streams].
+    """
+    mixed = attn[:, 0, None] * parts[0]
+    for s in range(1, len(parts)):
+        mixed += attn[:, s, None] * parts[s]
     return mixed
 
 
-def predict_logits(model: MulComModel, mixed: Tensor) -> Tensor:
-    """One raw logit per trope from concat(mixed row, embedding row).
+def predict_logits(model: MulComModel, outs: dict[str, Tensor]) -> Tensor:
+    """One raw logit per trope from the streams' pooled rows.
 
-    `mixed` is [num_tropes, d_f] or a batch [B, num_tropes, d_f]; the
-    logits drop the last axis.
+    `outs` maps every enabled stream to its [num_tropes, d_f] rows, or a
+    batch [B, num_tropes, d_f]; the logits drop the last axis. The rows
+    are mixed by `stream_attention`'s weights (`organize`), and the
+    predictor reads concat(mixed row, embedding row). Its first layer
+    is split as mixed @ W[:d_f] + (E @ W[d_f:] + b), so the bracket is
+    computed once per batch, not once per doc.
+
+    One tape record. Its backward pass folds the batch axis into the
+    rows of one GEMM per weight. The embedding takes the gradients of
+    both of its paths, the predictor's and the stream mix's, and a
+    stream output takes one only if it is tracked.
     """
-    e = add(Tensor(np.zeros(mixed.shape)), model.E)  # E broadcast over the batch
-    z = concat([mixed, e], axis=-1)
-    return reshape(mlp_apply(z, model.predictor), mixed.shape[:-1])
+    missing = [s for s in model.cfg.streams if s not in outs]
+    if missing:
+        raise MulComError(f"predict_logits: missing stream outputs {missing}")
+    e = model.E
+    parts = tuple(outs[s] for s in model.cfg.streams)
+    attn = stream_attention(model)
+    mixed = organize([p.data for p in parts], attn)
+    first, *rest = model.predictor.layers  # build_model gives it two layers
+    n_t, d_f = e.shape
+    w_mix, w_emb = first.w.data[:d_f], first.w.data[d_f:]
+    pre = mixed @ w_mix
+    pre += e.data @ w_emb + first.b.data
+    acts = _layers(np.maximum(pre, 0.0, out=pre), rest)
+    out = Tensor(acts[-1].reshape(mixed.shape[:-1]))
+
+    def backward_fn(gout: Array) -> None:
+        grads: dict[int, Array] = {}
+        g = _layers_backward(acts, rest, gout.reshape(-1, 1), grads)
+        g *= acts[0].reshape(g.shape) > 0
+        g_emb = g.reshape(-1, n_t, g.shape[-1]).sum(axis=0)  # E's half, summed over the batch
+        grads[id(first.w)] = np.concatenate(
+            [mixed.reshape(-1, d_f).T @ g, e.data.T @ g_emb])
+        grads[id(first.b)] = g_emb.sum(axis=0)
+        d_mixed = (g @ w_mix.T).reshape(mixed.shape)
+        d_attn = np.stack(
+            [(d_mixed * p.data).reshape(-1, n_t, d_f).sum(axis=(0, 2)) for p in parts],
+            axis=1,
+        )
+        d_z = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
+        # stream_attention keeps only its softmax, so its MLP runs again here
+        mix = model.stream_attn_mlp.layers
+        d_e = _layers_backward(_layers(e.data, mix), mix, d_z, grads)
+        d_e += g_emb @ w_emb.T
+        for leaf in inputs[1 + len(parts):]:
+            if leaf.tracked:
+                _accum(leaf, grads[id(leaf)], fresh=True)
+        if e.tracked:
+            _accum(e, d_e, fresh=True)
+        for s, p in enumerate(parts):
+            if p.tracked:
+                _accum(p, attn[:, s, None] * d_mixed, fresh=True)
+
+    inputs = (e, *parts) + tuple(
+        t for layer in (*model.stream_attn_mlp.layers, *model.predictor.layers)
+        for t in (layer.w, layer.b)
+    )
+    return _emit(inputs, out, backward_fn)
 
 
 def bce_loss(logits: Tensor, targets: Array, pos_weight: float = 1.0) -> Tensor:
@@ -145,8 +234,8 @@ def bce_loss(logits: Tensor, targets: Array, pos_weight: float = 1.0) -> Tensor:
     targets = np.asarray(targets)
     if not np.isin(targets, (0, 1)).all():
         raise ValidationError("bce_loss targets must be binary")
-    if pos_weight <= 0:
-        raise ValidationError(f"pos_weight must be positive, got {pos_weight}")
+    if not (math.isfinite(pos_weight) and pos_weight > 0):
+        raise ValidationError(f"pos_weight must be finite and positive, got {pos_weight}")
     y = targets.astype(np.float64)
     if logits.shape != y.shape:
         raise ValidationError(
@@ -189,8 +278,7 @@ def forward_logits(
                 graphs if graphs is not None else graph_batch(docs),
                 model.E, model.reasoner, model.streams[name], kind=cfg.relation_reasoner,
             )
-    mixed = organize(outs, stream_attention(model), cfg.streams)
-    return predict_logits(model, mixed)
+    return predict_logits(model, outs)
 
 
 def forward(

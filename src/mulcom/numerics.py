@@ -2,10 +2,11 @@
 
 Every differentiable computation in the package is composed from the
 primitives here, `lstm_cell` and `multi_head_attention` included, except
-three fused single records with hand-derived backward passes: the LSTM
+four fused single records with hand-derived backward passes: the LSTM
 sequence here, the reasoner in `mulcom.msrrn`, which shares its gate
-update `lstm_update` and `lstm_update_backward`, and the trope-query
-pooling `mulcom.streams.attend`. Gradient checks against central finite
+update `lstm_update` and `lstm_update_backward`, the trope-query
+pooling `mulcom.streams.attend`, and the per-trope head
+`mulcom.model.predict_logits`. Gradient checks against central finite
 differences are the primary correctness instrument, so all arithmetic
 stays in float64.
 

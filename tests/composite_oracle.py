@@ -1,15 +1,17 @@
-"""The LSTM sequence, the reasoner and stream pooling as compositions of primitives.
+"""The LSTM sequence, the reasoner, stream pooling and the head as compositions of primitives.
 
 These are the blocks as they were before fusion: one `lstm_cell` call
 per time step, a reasoner step loop of `message_pass` (gathers,
 message MLP, scatter-add) and `lstm_cell`, followed by per-head step
-attention, and trope-query pooling as a chain of affine, product,
-scale, mask, softmax and affine records. `lstm_cell` and
-`multi_head_attention` are the library's own composite definitions,
-one tape record per gate affine, activation, product and head.
-`tests/test_fused.py` requires the fused primitives in
-`mulcom.numerics`, `mulcom.msrrn` and `mulcom.streams` to match these
-in values and in every input and parameter gradient.
+attention, trope-query pooling as a chain of affine, product, scale,
+mask, softmax and affine records, and the head as a stream-mix
+softmax, one slice, product and sum per stream, and the predictor MLP
+on concat(mixed, embedding). `lstm_cell` and `multi_head_attention`
+are the library's own composite definitions, one tape record per gate
+affine, activation, product and head. `tests/test_fused.py` requires
+the fused primitives in `mulcom.numerics`, `mulcom.msrrn`,
+`mulcom.streams` and `mulcom.model` to match these in values and in
+every input and parameter gradient.
 """
 
 import math
@@ -26,10 +28,12 @@ from mulcom.numerics import (
     matmul,
     mlp_apply,
     multi_head_attention,
+    mul,
     reduce_sum,
     reshape,
     scale,
     scatter_add_rows,
+    slice_last,
     softmax,
     stack,
     transpose,
@@ -95,3 +99,15 @@ def attend(e, feats, p, mask=None, return_weights=False):
     if return_weights:
         return out, weights
     return out
+
+
+def head_logits(model, outs):
+    """Logits [..., num_tropes] from the streams' pooled rows, one record per op."""
+    attn = softmax(mlp_apply(model.E, model.stream_attn_mlp), axis=-1)
+    mixed = None
+    for s_idx, name in enumerate(model.cfg.streams):
+        weighted = mul(slice_last(attn, s_idx, s_idx + 1), outs[name])
+        mixed = weighted if mixed is None else add(mixed, weighted)
+    e = add(Tensor(np.zeros(mixed.shape)), model.E)  # E broadcast over the batch
+    z = concat([mixed, e], axis=-1)
+    return reshape(mlp_apply(z, model.predictor), mixed.shape[:-1])

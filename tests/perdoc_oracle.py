@@ -2,8 +2,10 @@
 
 This is the model's forward pass as it ran before batching: one tape
 segment per document, no padding and no masks, each graph reasoned over
-on its own. `tests/test_batched.py` requires the batched path to match
-it in logits and in every parameter gradient.
+on its own, and the head is `composite_oracle.head_logits`, the
+composition of primitives the fused head replaced.
+`tests/test_batched.py` requires the batched path to match it in
+logits and in every parameter gradient.
 
 `build_graph` and `batch_graphs` are the entity-graph construction as it
 ran before `mulcom.graph.graph_batch`: a dict-and-loop pass per document
@@ -17,9 +19,9 @@ from itertools import combinations
 
 import numpy as np
 
+from composite_oracle import head_logits
 from mulcom.errors import EmptyDocumentError
 from mulcom.graph import GraphBatch
-from mulcom.model import organize, stream_attention
 from mulcom.msrrn import run_msrrn, run_rrn
 from mulcom.numerics import (
     Tensor,
@@ -27,8 +29,6 @@ from mulcom.numerics import (
     concat,
     lstm_cell,
     matmul,
-    mlp_apply,
-    reshape,
     scale,
     softmax,
     transpose,
@@ -148,6 +148,4 @@ def forward_logits(model, doc, graph=None):
             g = graph if graph is not None else build_graph(doc)
             outs[name] = relation_stream(g, model.E, model.reasoner, p,
                                          cfg.relation_reasoner)
-    mixed = organize(outs, stream_attention(model), cfg.streams)
-    z = concat([mixed, model.E], axis=-1)
-    return reshape(mlp_apply(z, model.predictor), (cfg.num_tropes,))
+    return head_logits(model, outs)

@@ -137,6 +137,27 @@ class TestEval:
         assert report["config"]["split"] == "test"
         assert report["model_config"]["streams"] == ["word"]
 
+    def test_report_holds_each_tropes_stream_mix(self, tiny_manifest, tmp_path):
+        ckpt = tmp_path / "train" / "checkpoint.json"
+        rc = main([
+            "train", "--data", tiny_manifest, "--out", str(ckpt.parent),
+            "--epochs", "1", "--seed", "3", "--streams", "word,relation", *TINY_TRAIN,
+        ])
+        assert rc == 0
+        texts = []
+        for _ in range(2):
+            rc = main(["eval", "--data", tiny_manifest, "--checkpoint", str(ckpt),
+                       "--out", str(tmp_path)])
+            assert rc == 0
+            texts.append((tmp_path / "eval_report.json").read_bytes())
+        assert texts[0] == texts[1]
+        mix = json.loads(texts[0])["stream_mix"]
+        assert set(mix) == set(load_dataset(tiny_manifest).trope_names)
+        for trope, weights in mix.items():
+            assert set(weights) == {"word", "relation"}, trope
+            assert all(0.0 < w < 1.0 for w in weights.values()), trope
+            assert sum(weights.values()) == pytest.approx(1.0, abs=1e-12), trope
+
     def test_trope_count_mismatch_is_runtime_error(self, tiny_manifest, tmp_path):
         cfg = ModelConfig(num_tropes=3, d_w=6, d_s=5, d_f=8, d_a=8, d_h=8,
                           reasoner_steps=1, reasoner_heads=1, streams=("word",))

@@ -1,13 +1,14 @@
-"""The fused LSTM sequence, reasoner and stream pooling against compositions of primitives.
+"""The fused LSTM sequence, reasoner, stream pooling and head against compositions of primitives.
 
 `composite_oracle.py` holds the blocks as chains of primitives: one
 `lstm_cell` call per time step, a reasoner step loop of `message_pass`
 and `lstm_cell` followed by `multi_head_attention`, the library's
-composite cell and attention, and trope-query pooling as affine,
-product, scale, mask and softmax records. The fused primitives must give
-the same values and the same gradient for every input and parameter,
-and must stay few records, so per-gate, per-step, per-head or per-op
-records cannot return unnoticed.
+composite cell and attention, trope-query pooling as affine, product,
+scale, mask and softmax records, and the head as a stream-mix softmax,
+per-stream products and the predictor MLP on concat(mixed, embedding).
+The fused primitives must give the same values and the same gradient
+for every input and parameter, and must stay few records, so per-gate,
+per-step, per-head or per-op records cannot return unnoticed.
 """
 
 import numpy as np
@@ -20,10 +21,17 @@ from mulcom import msrrn
 from mulcom import numerics as nm
 from mulcom.data import SynthSpec, synth_generate
 from mulcom.errors import ShapeMismatchError
-from mulcom.graph import FeatureDoc, build_graph, graph_batch
-from mulcom.model import ModelConfig, build_model, forward_logits
+from mulcom.graph import EntityMentions, FeatureDoc, build_graph, graph_batch
+from mulcom.model import ModelConfig, build_model, forward_logits, predict_logits
 from mulcom.numerics import Tape, Tensor
-from mulcom.streams import _layout, attend, init_stream, sentence_stream
+from mulcom.streams import (
+    _layout,
+    attend,
+    init_stream,
+    relation_stream,
+    sentence_stream,
+    word_stream,
+)
 
 from test_graph import make_doc
 
@@ -299,16 +307,102 @@ class TestReasoner:
             np.testing.assert_array_equal(run(graph, p).data, recorded, err_msg=kind)
 
 
+HEAD_STREAMS = (
+    ("word",), ("sentence",), ("relation",), ("word", "sentence"),
+    ("word", "relation"), ("sentence", "relation"), ("word", "sentence", "relation"),
+)
+
+
+def _head_docs(case):
+    """Docs for a head case; a doc without entities gives a zero relation row."""
+    rng = np.random.default_rng(17)
+    # tokens, sentences, entity mentions
+    shapes = {
+        "one-doc": [(4, 3, {"A": (0, 1), "B": (1,), "C": (2,)})],
+        "no-entities": [(3, 2, {})],
+        "ragged-5": [
+            (5, 4, {"A": (0, 1), "B": (1, 2), "C": (3,)}),
+            (2, 1, {"A": (0,)}),
+            (7, 3, {}),
+            (3, 2, {"A": (0, 1), "B": (1,)}),
+            (9, 5, {"A": (0, 4), "B": (2,), "C": (2, 3), "D": (4,)}),
+        ],
+    }[case]
+    return [
+        FeatureDoc(f"{case}-{i}", rng.standard_normal((n_words, 4)),
+                   rng.standard_normal((n_sents, 5)),
+                   [EntityMentions(k, v) for k, v in ents.items()], ())
+        for i, (n_words, n_sents, ents) in enumerate(shapes)
+    ]
+
+
+def _head_setup(streams, case):
+    """A model with nonzero head biases, and its streams' pooled rows as leaves.
+
+    A row block is tracked exactly when the stream's forward tracks it,
+    so a batch without entities gives an untracked zero relation block.
+    """
+    cfg = ModelConfig(num_tropes=3, d_w=4, d_s=5, d_f=6, d_a=6, d_h=4,
+                      reasoner_steps=2, reasoner_heads=2, streams=streams)
+    model = build_model(cfg, seed=len(streams))
+    rng = np.random.default_rng([len(streams), len(case)])
+    head = {k: t for k, t in model.named_parameters().items()
+            if k.startswith(("stream_attn.", "predictor."))}
+    for t in head.values():  # nonzero biases exercise their gradients
+        t.data[...] = rng.uniform(-0.8, 0.8, size=t.shape)
+    docs = _head_docs(case)
+    runs = {
+        "word": lambda p: word_stream(docs, model.E, p, cfg.max_word_tokens),
+        "sentence": lambda p: sentence_stream(docs, model.E, p),
+        "relation": lambda p: relation_stream(graph_batch(docs), model.E,
+                                              model.reasoner, p),
+    }
+    outs = {}
+    with Tape():
+        for name in streams:
+            out = runs[name](model.streams[name])
+            outs[name] = (nm.param if out.tracked else Tensor)(out.data)
+    leaves = dict(head, E=model.E)
+    leaves.update({f"out.{k}": t for k, t in outs.items() if t.tracked})
+    w = rng.standard_normal((len(docs), cfg.num_tropes))
+    return model, outs, leaves, w
+
+
+class TestHead:
+    @pytest.mark.parametrize("case", ["one-doc", "no-entities", "ragged-5"])
+    @pytest.mark.parametrize("streams", HEAD_STREAMS, ids=",".join)
+    def test_matches_composite(self, streams, case):
+        model, outs, leaves, w = _head_setup(streams, case)
+        fused = _run(lambda: predict_logits(model, outs), leaves, w)
+        composite = _run(lambda: oracle.head_logits(model, outs), leaves, w)
+        _assert_same(fused, composite)
+        # E, 8 head weights and biases, and every stream block but an
+        # all-zero relation block, which is untracked and gets no gradient
+        zero_block = case == "no-entities" and "relation" in streams
+        assert len(fused[1]) == 9 + len(streams) - zero_block
+        if zero_block:
+            assert not outs["relation"].tracked and outs["relation"].grad is None
+
+    @pytest.mark.parametrize("streams", HEAD_STREAMS, ids=",".join)
+    def test_one_record(self, streams):
+        model, outs, _, _ = _head_setup(streams, "ragged-5")
+        with Tape() as tape:
+            predict_logits(model, outs)
+        assert len(tape) == 1
+
+
 # Records of one 16-doc forward on the planted corpus below (at most 10
 # sentences a doc, 2 reasoner steps). The bounds are the counts with the
-# one-record sentence LSTM, reasoner and pooling; per-gate and per-head
-# records gave 144, 341 and 227, one fused cell per sentence 91, 129 and
-# 68, the reasoner as a composite 91, 109 and 48, and pooling as a
-# composite 48, 66 and 48.
+# one-record sentence LSTM, reasoner, pooling and head: one record per
+# stream's pooling, the sentence LSTM, the reasoner and its scatter, and
+# the head. Per-gate and per-head records gave 144, 341 and 227, one
+# fused cell per sentence 91, 129 and 68, the reasoner as a composite
+# 91, 109 and 48, pooling as a composite 48, 66 and 48, and the head as
+# a composite (19, 22 and 19 of them) 23, 28 and 22.
 FORWARD_RECORD_BOUNDS = {
-    ("word", "relation"): 23,
-    ("word", "sentence", "relation"): 28,
-    ("word", "sentence"): 22,
+    ("word", "relation"): 5,
+    ("word", "sentence", "relation"): 7,
+    ("word", "sentence"): 4,
 }
 
 

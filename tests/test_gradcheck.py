@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from mulcom import gradcheck, msrrn
+from mulcom import gradcheck, model as model_module, msrrn
 from mulcom import numerics as nx
 from mulcom.gradcheck import CHECKS, run_gradcheck
 
@@ -39,21 +39,41 @@ def test_component_checks_cover_every_parameter(monkeypatch):
     assert full == every
 
 
+def _run_doubling(monkeypatch, module, name):
+    """Run the audit with the gradient of parameter `name` doubled in `module`'s records."""
+    model = gradcheck._tiny_model(seed=9)
+    target = model.named_parameters()[name]
+    accum = module._accum
+
+    def doubled(leaf, grad, **kwargs):
+        accum(leaf, 2.0 * grad if leaf is target else grad, **kwargs)
+
+    monkeypatch.setattr(module, "_accum", doubled)
+    monkeypatch.setattr(gradcheck, "_tiny_model", lambda seed: model)
+    return {r.name: r for r in run_gradcheck()}
+
+
 def test_a_wrong_fused_gradient_fails_under_its_component(monkeypatch):
     # Double the step attention's output-projection gradient inside the
     # fused reasoner record; only the checks that probe it may fail.
-    model = gradcheck._tiny_model(seed=9)
-    w_o = model.named_parameters()["reasoner.step_attention.w_o"]
-    accum = msrrn._accum
-
-    def doubled(leaf, grad, **kwargs):
-        accum(leaf, 2.0 * grad if leaf is w_o else grad, **kwargs)
-
-    monkeypatch.setattr(msrrn, "_accum", doubled)
-    monkeypatch.setattr(gradcheck, "_tiny_model", lambda seed: model)
-    results = {r.name: r for r in run_gradcheck()}
+    results = _run_doubling(monkeypatch, msrrn, "reasoner.step_attention.w_o")
     assert not results["multi_head_attention"].ok()
     assert not results["full_model"].ok()
+    assert results["word_stream"].ok()
+
+
+def test_a_wrong_head_gradient_fails_under_its_component(monkeypatch):
+    # The head is one record, so a wrong stream-mix gradient must still
+    # fail the checks that probe the stream mix, and no stream's check.
+    results = _run_doubling(monkeypatch, model_module, "stream_attn.layer1.w")
+    assert not results["stream_attention"].ok()
+    assert not results["full_model"].ok()
+    assert results["word_stream"].ok()
+
+
+def test_a_wrong_predictor_gradient_fails_the_predictor_check(monkeypatch):
+    results = _run_doubling(monkeypatch, model_module, "predictor.layer0.w")
+    assert not results["predictor"].ok()
     assert results["word_stream"].ok()
 
 

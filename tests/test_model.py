@@ -116,18 +116,18 @@ class TestStreamAttention:
     def test_single_stream_is_all_ones(self):
         model = build_model(tiny_cfg(streams=("word",)), seed=1)
         a = stream_attention(model)
-        npt.assert_allclose(a.data, np.ones((3, 1)), rtol=0, atol=0)
+        npt.assert_allclose(a, np.ones((3, 1)), rtol=0, atol=0)
 
     def test_zero_mlp_gives_uniform_rows(self):
         model = build_model(tiny_cfg(), seed=2)
         for _, t in model.stream_attn_mlp.named("m"):
             t.data[...] = 0.0
         a = stream_attention(model)
-        npt.assert_allclose(a.data, np.full((3, 3), 1.0 / 3.0), atol=1e-15)
+        npt.assert_allclose(a, np.full((3, 3), 1.0 / 3.0), atol=1e-15)
 
     def test_matches_formula_oracle_and_rows_sum_to_one(self):
         model = build_model(tiny_cfg(), seed=3)
-        a = stream_attention(model).data
+        a = stream_attention(model)
         expected = np_softmax_rows(mlp_oracle(model.E.data, model.stream_attn_mlp))
         npt.assert_allclose(a, expected, rtol=1e-12, atol=1e-15)
         npt.assert_allclose(a.sum(axis=1), np.ones(3), rtol=0, atol=1e-12)
@@ -136,35 +136,33 @@ class TestStreamAttention:
 class TestOrganize:
     def test_single_stream_passthrough(self):
         rng = rng_from_seed(70)
-        r = Tensor(rng.standard_normal((3, 8)))
-        a = Tensor(np.ones((3, 1)))
-        npt.assert_array_equal(organize({"word": r}, a, ("word",)).data, r.data)
+        r = rng.standard_normal((3, 8))
+        npt.assert_array_equal(organize([r], np.ones((3, 1))), r)
 
     def test_one_hot_selects_stream_exactly(self):
         rng = rng_from_seed(71)
-        r1 = Tensor(rng.standard_normal((3, 8)))
-        r2 = Tensor(rng.standard_normal((3, 8)))
-        a = Tensor(np.tile([0.0, 1.0], (3, 1)))
-        out = organize({"word": r1, "sentence": r2}, a, ("word", "sentence"))
-        npt.assert_array_equal(out.data, r2.data)
+        r1 = rng.standard_normal((3, 8))
+        r2 = rng.standard_normal((3, 8))
+        out = organize([r1, r2], np.tile([0.0, 1.0], (3, 1)))
+        npt.assert_array_equal(out, r2)
 
     def test_two_streams_match_weighted_sum_oracle(self):
         rng = rng_from_seed(72)
         r1 = rng.standard_normal((4, 8))
         r2 = rng.standard_normal((4, 8))
         a = np_softmax_rows(rng.standard_normal((4, 2)))
-        out = organize(
-            {"word": Tensor(r1), "relation": Tensor(r2)},
-            Tensor(a),
-            ("word", "relation"),
-        )
+        out = organize([r1, r2], a)
         expected = a[:, :1] * r1 + a[:, 1:] * r2
-        npt.assert_allclose(out.data, expected, rtol=1e-14, atol=1e-15)
+        npt.assert_allclose(out, expected, rtol=1e-14, atol=1e-15)
 
-    def test_missing_stream_is_internal_error(self):
-        with pytest.raises(MulComError, match="missing stream"):
-            organize({"word": Tensor(np.zeros((2, 4)))},
-                     Tensor(np.ones((2, 2))), ("word", "sentence"))
+    def test_batch_rows_share_the_weights(self):
+        rng = rng_from_seed(76)
+        r1 = rng.standard_normal((2, 4, 8))
+        r2 = rng.standard_normal((2, 4, 8))
+        a = np_softmax_rows(rng.standard_normal((4, 2)))
+        out = organize([r1, r2], a)
+        for b in range(2):
+            npt.assert_array_equal(out[b], organize([r1[b], r2[b]], a))
 
 
 class TestPredictLogits:
@@ -178,15 +176,33 @@ class TestPredictLogits:
         npt.assert_allclose(forward(model, [doc]), np.full((1, 3), 0.5), rtol=0, atol=0)
 
     def test_matches_mlp_oracle(self):
+        # one stream has weight 1, so its rows are the mixed rows
         rng = rng_from_seed(73)
-        model = build_model(tiny_cfg(), seed=5)
+        model = build_model(tiny_cfg(streams=("word",)), seed=5)
         mixed = rng.standard_normal((3, 8))
-        out = predict_logits(model, Tensor(mixed))
+        out = predict_logits(model, {"word": Tensor(mixed)})
         z = np.concatenate([mixed, model.E.data], axis=-1)
         npt.assert_allclose(
             out.data, mlp_oracle(z, model.predictor).reshape(-1),
             rtol=1e-12, atol=1e-14,
         )
+
+    def test_mixes_streams_by_their_attention(self):
+        rng = rng_from_seed(77)
+        model = build_model(tiny_cfg(), seed=6)
+        rows = {s: rng.standard_normal((2, 3, 8)) for s in model.cfg.streams}
+        a = stream_attention(model)
+        mixed = sum(a[:, i, None] * rows[s] for i, s in enumerate(model.cfg.streams))
+        z = np.concatenate([mixed, np.broadcast_to(model.E.data, mixed.shape)], axis=-1)
+        out = predict_logits(model, {s: Tensor(r) for s, r in rows.items()})
+        npt.assert_allclose(
+            out.data, mlp_oracle(z, model.predictor)[..., 0], rtol=1e-12, atol=1e-14,
+        )
+
+    def test_missing_stream_is_internal_error(self):
+        model = build_model(tiny_cfg(streams=("word", "sentence")), seed=7)
+        with pytest.raises(MulComError, match="missing stream outputs \\['sentence'\\]"):
+            predict_logits(model, {"word": Tensor(np.zeros((3, 8)))})
 
     def test_scores_monotone_in_logits(self):
         x = np.array([-2.0, 0.0, 3.0])
@@ -243,6 +259,11 @@ class TestBceLoss:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             bce_loss(Tensor(np.zeros((1, 2))), np.array([[1]]))
+
+    @pytest.mark.parametrize("pos_weight", [0.0, -1.0, float("nan"), float("inf")])
+    def test_pos_weight_must_be_finite_and_positive(self, pos_weight):
+        with pytest.raises(ValidationError, match="pos_weight"):
+            bce_loss(Tensor(np.zeros((1, 1))), np.array([[1]]), pos_weight)
 
 
 class TestForward:

@@ -26,6 +26,14 @@ def _check_binary(a: Array, name: str) -> Array:
     return a.astype(np.int64)
 
 
+def _check_finite(scores: Array, tropes: list[str]) -> None:
+    """Raise on the first NaN or infinite score of [N, T] `scores`, naming its trope."""
+    bad = np.argwhere(~np.isfinite(scores))
+    if bad.size:
+        doc, t = bad[0]
+        raise ValidationError(f"{tropes[t]}: score {scores[doc, t]} of doc {doc} is not finite")
+
+
 def _f1_from_counts(tp: int, fp: int, fn: int) -> float:
     denom = 2 * tp + fp + fn
     return 0.0 if denom == 0 else 2.0 * tp / denom
@@ -61,12 +69,16 @@ def f1(preds: Array, labels: Array, mode: str = "micro") -> float:
     raise ValidationError(f"unknown f1 mode {mode!r}")
 
 
-def average_precision(scores: Array, labels: Array) -> float:
-    """AP as a fraction; ties rank in original doc order (stable)."""
+def average_precision(scores: Array, labels: Array, trope: str = "trope") -> float:
+    """AP as a fraction; ties rank in original doc order (stable).
+
+    `trope` names the scores' trope in the error a non-finite score raises.
+    """
     labels = _check_binary(labels, "labels")
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ValidationError("average_precision expects matching 1-d arrays")
+    _check_finite(scores[:, None], [trope])
     npos = int(labels.sum())
     if npos == 0:
         raise ValidationError("average_precision: no positive labels")
@@ -79,11 +91,15 @@ def average_precision(scores: Array, labels: Array) -> float:
 
 
 def map_score(scores: Array, labels: Array) -> float:
-    """Mean AP (percentage) over tropes with at least one positive."""
+    """Mean AP (percentage) over tropes with at least one positive.
+
+    Trope t is `trope_t` in the error a non-finite score raises.
+    """
     labels = _check_binary(labels, "labels")
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape != labels.shape:
+    if scores.shape != labels.shape or scores.ndim != 2:
         raise ValidationError("map_score expects matching [N, T] arrays")
+    _check_finite(scores, [f"trope_{t}" for t in range(scores.shape[1])])
     aps = [
         average_precision(scores[:, t], labels[:, t])
         for t in range(labels.shape[1])
@@ -145,15 +161,21 @@ def evaluate(
     threshold: float = 0.5,
     trope_names: list[str] | None = None,
 ) -> EvalReport:
-    """Binarize at `threshold` and assemble the full report."""
+    """Binarize at `threshold` and assemble the full report.
+
+    A NaN or infinite score raises a ValidationError naming its trope.
+    """
     labels = _check_binary(labels, "labels")
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape != labels.shape:
+    if scores.shape != labels.shape or scores.ndim != 2:
         raise ValidationError("evaluate expects matching [N, T] arrays")
     check_threshold(threshold)
     n_tropes = labels.shape[1]
     if trope_names is None:
         trope_names = [f"trope_{t}" for t in range(n_tropes)]
+    if len(trope_names) != n_tropes:
+        raise ValidationError(f"evaluate: {len(trope_names)} trope names for {n_tropes} tropes")
+    _check_finite(scores, trope_names)
     preds = (scores >= threshold).astype(np.int64)
     per_trope: dict[str, dict] = {}
     notes: list[str] = []

@@ -314,9 +314,12 @@ def score_dataset(
 class Adam:
     """Standard Adam with bias correction over a named parameter dict.
 
-    The parameters' values move into one contiguous buffer, each
-    parameter's `data` becoming a view of its segment, so a step is one
-    vectorized update over every parameter that has a gradient.
+    The values move into one contiguous buffer, one segment per storage
+    array: a tensor's own, or the array it is a `join`ed block of. Each
+    tensor becomes the same view of its segment, so the fused records
+    read what a step writes. A step gathers each gradient with one copy
+    and is one vectorized update over the buffer; a parameter without a
+    gradient gets its data, m and v back after it.
     """
 
     beta1 = 0.9
@@ -327,50 +330,54 @@ class Adam:
         self.params = dict(params)
         self.lr = lr
         self.t = 0
-        tensors = self.params.values()
-        self.flat = np.concatenate([np.zeros(0)] + [t.data.reshape(-1) for t in tensors])
-        self.spans: list[tuple[int, int]] = []
-        lo = 0
-        for t in tensors:
-            self.spans.append((lo, lo + t.size))
-            t.data = self.flat[lo : lo + t.size].reshape(t.shape)
-            lo += t.size
+        arrays = {id(t.base or t): t.base or t for t in self.params.values()}
+        if sum(t.size for t in self.params.values()) != sum(s.size for s in arrays.values()):
+            raise ConfigError("Adam: the parameters must hold each block of their arrays once")
+        self.flat = np.concatenate([np.zeros(0)] + [s.data.reshape(-1) for s in arrays.values()])
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
-        self._g = np.empty_like(self.flat)  # the gathered gradient
+        self._g = np.zeros_like(self.flat)  # the gathered gradient; finite where none is
         self._a = np.empty_like(self.flat)  # a work buffer
+        bufs, segments, lo = (self._g, self.m, self.v, self.flat), {}, 0
+        for key, s in arrays.items():  # each array's segment of every buffer
+            segments[key] = [b[lo : lo + s.size].reshape(s.shape) for b in bufs]
+            s.data = segments[key][-1]
+            lo += s.size
+        self.places = []  # each tensor and its views of _g, m, v and flat
+        for t in self.params.values():
+            at = [b[t.index] for b in segments[id(t.base or t)]]
+            t.data = at[-1]
+            self.places.append((t, at))
 
     def step(self) -> None:
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        runs: list[list[int]] = []  # maximal runs of parameters with a gradient
-        for t, (lo, hi) in zip(self.params.values(), self.spans):
+        kept = []  # the m, v and data of each parameter without a gradient
+        for t, (g, *state) in self.places:
             if t.grad is None:
-                continue  # its data, m and v stay as they are
-            self._g[lo:hi] = t.grad.reshape(-1)
-            if runs and runs[-1][1] == lo:
-                runs[-1][1] = hi
+                kept += [(s, s.copy()) for s in state]
             else:
-                runs.append([lo, hi])
-        for lo, hi in runs:
-            m, v, g, a = self.m[lo:hi], self.v[lo:hi], self._g[lo:hi], self._a[lo:hi]
-            # m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*g*g, evaluated in place
-            m *= self.beta1
-            np.multiply(g, 1.0 - self.beta1, out=a)
-            m += a
-            v *= self.beta2
-            np.multiply(g, 1.0 - self.beta2, out=a)
-            a *= g
-            v += a
-            # data -= lr * (m/b1c) / (sqrt(v/b2c) + eps), reusing g as a work buffer
-            np.divide(m, b1c, out=a)
-            a *= self.lr
-            np.divide(v, b2c, out=g)
-            np.sqrt(g, out=g)
-            g += self.eps
-            a /= g
-            self.flat[lo:hi] -= a
+                g[...] = t.grad
+        m, v, g, a = self.m, self.v, self._g, self._a
+        # m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*g*g, evaluated in place
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=a)
+        m += a
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=a)
+        a *= g
+        v += a
+        # data -= lr * (m/b1c) / (sqrt(v/b2c) + eps), reusing g as a work buffer
+        np.divide(m, b1c, out=a)
+        a *= self.lr
+        np.divide(v, b2c, out=g)
+        np.sqrt(g, out=g)
+        g += self.eps
+        a /= g
+        self.flat -= a
+        for s, saved in kept:
+            s[...] = saved
 
     def zero_grad(self) -> None:
         for p in self.params.values():

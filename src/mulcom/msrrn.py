@@ -20,13 +20,16 @@ MLP's second layer, sums the messages per receiver over pairs sorted
 by receiver, and updates the cell. The step attention projects every
 step's states with one [N*T, h] @ [h, 3h] product and sums over steps
 before the output projection, since the sum of ctx_t @ W_o over t is
-(sum of ctx_t) @ W_o. The weights are read as row and column blocks
-of the parameters, whose names and shapes stay those of the composite
-blocks.
+(sum of ctx_t) @ W_o. The cell's gates and the attention's q, k and v
+projections are stored joined ([3h, 4h] and [h, 3h]), so the record
+reads them as they are; only the step weight, which takes rows of the
+message MLP and of the cell, is joined per call. The parameters' names
+and shapes stay those of the composite blocks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -77,6 +80,10 @@ class ReasonerParams(Params):
     step_attention: MHAParams
     steps: int
 
+    def __post_init__(self) -> None:
+        # `_reason`'s tape inputs in `named` order, the step attention's four last
+        self.inputs = tuple(t for _, t in self.named())
+
     @property
     def hidden_dim(self) -> int:
         return self.cell.hidden_dim
@@ -106,6 +113,14 @@ def init_reasoner(
     )
 
 
+@functools.cache
+def _head_sum(heads: int, d_head: int) -> Array:
+    """[heads * d_head, heads] 0/1 matrix summing each head's columns; read-only."""
+    out = np.repeat(np.eye(heads), d_head, axis=0)
+    out.flags.writeable = False
+    return out
+
+
 def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
     """The reasoner's [N, h] node output as one tape record.
 
@@ -121,15 +136,12 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
     x = np.asarray(graph.x, dtype=np.float64)
     n, hd, n_t = x.shape[0], p.hidden_dim, p.steps
     (l1, l2), mha = p.message_mlp.layers, p.step_attention
-    gates = (p.cell.gate_i, p.cell.gate_f, p.cell.gate_o, p.cell.gate_g)
-    inputs = tuple(t for q in (p.node_in, p.edge_in, l1, l2, *gates) for t in (q.w, q.b))
-    if attend:
-        inputs += (mha.w_q, mha.w_k, mha.w_v, mha.w_o)
+    inputs = p.inputs if attend else p.inputs[:-4]
     keep = active_tape() is not None and any(t.tracked for t in inputs)
     segs = Segments(recv, n)
 
     w1, w2, b2 = l1.w.data, l2.w.data, l2.b.data
-    w_cell = np.concatenate([q.w.data for q in gates], axis=1)  # rows: h, x_proj, m
+    w_cell = p.cell.w.data  # rows: h, x_proj, m
     w_msg = w_cell[2 * hd :]
     # what a step multiplies h by: the receiver, sender and recurrent blocks
     w_step = np.concatenate([w1[hd : 2 * hd], w1[2 * hd :], w_cell[:hd]], axis=1)
@@ -138,7 +150,7 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
     e_proj = efeat @ p.edge_in.w.data + p.edge_in.b.data
     pre_e = e_proj @ w1[:hd] + l1.b.data  # the edge block of message layer 1
     act_x = x_proj @ w_cell[hd : 2 * hd]
-    act_x += np.concatenate([q.b.data for q in gates])
+    act_x += p.cell.b.data
 
     # Without a tape every step reuses one slot; only h is kept for attention.
     slot = list(range(n_t)) if keep else [0] * n_t
@@ -173,8 +185,8 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
         heads = mha.heads
         d_head = hd // heads
         scale = 1.0 / math.sqrt(d_head)
-        head_sum = np.repeat(np.eye(heads), d_head, axis=0)  # [h, heads]: sums each head's columns
-        w_qkv = np.concatenate([mha.w_q.data, mha.w_k.data, mha.w_v.data], axis=1)
+        head_sum = _head_sum(heads, d_head)
+        w_qkv = mha.w_qkv.data
         h_flat = hs.reshape(n_t * n, hd)
         qkv = (h_flat @ w_qkv).reshape(n_t, n, 3, heads, d_head)
         q, k, v = qkv[:, :, 0], qkv[:, :, 1], qkv[:, :, 2]  # [T, N, heads, d_head]
@@ -213,9 +225,7 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
                     np.multiply(d_j, k[j], out=dq)
                 np.sum(d_j * q, axis=0, out=dk[j])
             d_flat = d_qkv.reshape(n_t * n, 3 * hd)
-            dw_qkv = h_flat.T @ d_flat
-            for j, w in enumerate((mha.w_q, mha.w_k, mha.w_v)):
-                grads[id(w)] = dw_qkv[:, j * hd : (j + 1) * hd]
+            grads[id(mha.w_qkv)] = h_flat.T @ d_flat
             gh = (d_flat @ w_qkv.T).reshape(n_t, n, hd)
         else:
             gh = np.zeros((n_t, n, hd))
@@ -254,11 +264,8 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
             dw_cell[:hd] = 0.0
         d_pre_e = d_pre.sum(axis=0)
         dw1[:hd] = e_proj.T @ d_pre_e
-        db_cell = d_act_x.sum(axis=0)
-        for j, gate in enumerate(gates):
-            cols = slice(j * hd, (j + 1) * hd)
-            grads[id(gate.w)] = dw_cell[:, cols]
-            grads[id(gate.b)] = db_cell[cols]
+        grads[id(p.cell.w)] = dw_cell
+        grads[id(p.cell.b)] = d_act_x.sum(axis=0)
         grads[id(l1.w)] = dw1
         grads[id(l1.b)] = d_pre_e.sum(axis=0)
         grads[id(l2.w)] = relu.reshape(-1, hd).T @ d_pair.reshape(-1, hd)
@@ -270,10 +277,12 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
         grads[id(p.node_in.w)] = x.T @ d_x_proj
         grads[id(p.node_in.b)] = d_x_proj.sum(axis=0)
         # every gradient is computed here, or is a block of such an array
-        # that no other block overlaps, so it is adopted without a copy
+        # that no other block overlaps, so it is adopted without a copy;
+        # a `join`ed leaf takes its block of its base's gradient
         for leaf in inputs:
             if leaf.tracked:
-                _accum(leaf, grads[id(leaf)], fresh=True)
+                g = grads[id(leaf)] if leaf.base is None else grads[id(leaf.base)][leaf.index]
+                _accum(leaf, g, fresh=True)
 
     return _emit(inputs, out, backward_fn)
 

@@ -6,9 +6,11 @@ four fused single records with hand-derived backward passes: the LSTM
 sequence here, the reasoner in `mulcom.msrrn`, which shares its gate
 update `lstm_update` and `lstm_update_backward`, the trope-query
 pooling `mulcom.streams.attend`, and the per-trope head
-`mulcom.model.predict_logits`. Gradient checks against central finite
-differences are the primary correctness instrument, so all arithmetic
-stays in float64.
+`mulcom.model.predict_logits`. The LSTM gates and the attention's q, k
+and v projections are stored as the fused records read them, each
+block a view of one joined array (`join`). Gradient checks against
+central finite differences are the primary correctness instrument, so
+all arithmetic stays in float64.
 
 A forward pass records primitives on the innermost active :class:`Tape`;
 ``backward`` replays the records in exact reverse order. Tapes are
@@ -72,14 +74,20 @@ def rng_from_seed(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 class Tensor:
-    """Dense float64 value with an optional same-shape gradient buffer."""
+    """Dense float64 value with an optional same-shape gradient buffer.
 
-    __slots__ = ("data", "grad", "tracked")
+    A block that `join` made of a larger array has that array's tensor as
+    `base`, and its data is `base.data[index]`.
+    """
+
+    __slots__ = ("data", "grad", "tracked", "base", "index")
 
     def __init__(self, data, tracked: bool = False):
         self.data: Array = np.asarray(data, dtype=np.float64)
         self.grad: Array | None = None
         self.tracked = bool(tracked)
+        self.base: Tensor | None = None
+        self.index = ...
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -106,6 +114,20 @@ class Tensor:
 def param(data) -> Tensor:
     """A tracked leaf tensor (trainable parameter)."""
     return Tensor(data, tracked=True)
+
+
+def join(parts: Sequence[Tensor]) -> Tensor:
+    """An untracked tensor of `parts` joined along their last axis, in order.
+
+    Each part keeps its value and becomes the view of its block.
+    """
+    base = Tensor(np.concatenate([p.data for p in parts], axis=-1))
+    lo = 0
+    for p in parts:
+        p.base, p.index = base, (..., slice(lo, lo + p.shape[-1]))
+        p.data = base.data[p.index]
+        lo += p.shape[-1]
+    return base
 
 
 class Tape:
@@ -580,12 +602,22 @@ class MLPParams(Params):
 
 @dataclass
 class LSTMParams(Params):
-    """Four gate blocks, each mapping concat(h, input) to the hidden dim."""
+    """Four gate blocks, each mapping concat(h, input) to the hidden dim.
+
+    Stored as the fused records read them: the gates' weights and biases
+    are the column blocks, in order i, f, o, g, of `w` [fan_in, 4h] and `b`.
+    """
 
     gate_i: AffineParams
     gate_f: AffineParams
     gate_o: AffineParams
     gate_g: AffineParams
+
+    def __post_init__(self) -> None:
+        gates = (self.gate_i, self.gate_f, self.gate_o, self.gate_g)
+        self.w = join([q.w for q in gates])
+        self.b = join([q.b for q in gates])
+        self.inputs = tuple(t for q in gates for t in (q.w, q.b))  # in `named` order
 
     @property
     def hidden_dim(self) -> int:
@@ -594,13 +626,19 @@ class LSTMParams(Params):
 
 @dataclass
 class MHAParams(Params):
-    """Projection matrices [d x d] for multi-head attention; no biases."""
+    """Projection matrices [d x d] for multi-head attention; no biases.
+
+    `w_q`, `w_k` and `w_v` are the column blocks of `w_qkv` [d, 3d].
+    """
 
     w_q: Tensor
     w_k: Tensor
     w_v: Tensor
     w_o: Tensor
     heads: int
+
+    def __post_init__(self) -> None:
+        self.w_qkv = join([self.w_q, self.w_k, self.w_v])
 
 
 def init_affine(rng: np.random.Generator, fan_in: int, fan_out: int) -> AffineParams:
@@ -730,27 +768,25 @@ def lstm_sequence(x: Tensor, p: LSTMParams) -> Tensor:
     """Hidden states [B, S, h] of an LSTM run over `x` [B, S, d_in] from zero state.
 
     The recurrence of `lstm_cell` stepped over axis 1, as one tape record.
-    The four gate blocks are joined once per call into [fan_in, 4h] (order
+    It reads the gates' stored joined weight [fan_in, 4h] and bias (order
     i, f, o, g), and every step's input pre-activation is one GEMM over
     the time-major [S*B, d_in] rows, so only the [B, h] @ [h, 4h]
     recurrent product and `lstm_update` run per step. Its one tanh for
     all four gates makes states agree with `lstm_cell` to rounding, not
     bit for bit. The backward pass is `lstm_update_backward`, whose step
     adds one recurrent product; the weight, bias and input gradients are
-    one product or sum each.
+    one product or sum each, and each gate takes its column block of them.
     """
-    if x.ndim != 3 or x.shape[-1] + p.hidden_dim != p.gate_i.w.shape[0]:
+    w, hd = p.w.data, p.hidden_dim
+    if x.ndim != 3 or x.shape[-1] + hd != w.shape[0]:
         raise ShapeMismatchError(
-            f"lstm_sequence: input {x.shape} does not fit gate fan-in {p.gate_i.w.shape[0]}"
+            f"lstm_sequence: input {x.shape} does not fit gate fan-in {w.shape[0]}"
         )
-    gates = (p.gate_i, p.gate_f, p.gate_o, p.gate_g)
-    hd = p.hidden_dim
     n_b, n_s, d_in = x.shape
-    w = np.concatenate([q.w.data for q in gates], axis=1)  # [fan_in, 4h]
     w_h, w_x = w[:hd], w[hd:]
     xt = x.data.transpose(1, 0, 2).reshape(n_s * n_b, d_in)  # time-major rows
     act = xt @ w_x
-    act += np.concatenate([q.b.data for q in gates])
+    act += p.b.data
     act = act.reshape(n_s, n_b, 4 * hd)  # pre-activations, then activations in place
     c = np.empty((n_s, n_b, hd))
     tc = np.empty((n_s, n_b, hd))  # tanh(c)
@@ -770,19 +806,15 @@ def lstm_sequence(x: Tensor, p: LSTMParams) -> Tensor:
         dw = np.empty_like(w)
         dw[hd:] = xt.T @ flat
         dw[:hd] = hs[:-1].reshape(-1, hd).T @ flat[n_b:]
-        db = flat.sum(axis=0)
-        for k, q in enumerate(gates):  # blocks of dw and db, which nothing else holds
-            cols = slice(k * hd, (k + 1) * hd)
-            if q.w.tracked:
-                _accum(q.w, dw[:, cols], fresh=True)
-            if q.b.tracked:
-                _accum(q.b, db[cols], fresh=True)
+        grads = {id(p.w): dw, id(p.b): flat.sum(axis=0)}
+        for t in p.inputs:  # blocks of dw and db, which nothing else holds
+            if t.tracked:
+                _accum(t, grads[id(t.base)][t.index], fresh=True)
         if x.tracked:
             dx = (flat @ w_x.T).reshape(n_s, n_b, d_in)
             _accum(x, dx.transpose(1, 0, 2), fresh=True)
 
-    inputs = (x,) + tuple(t for q in gates for t in (q.w, q.b))
-    return _emit(inputs, out, backward_fn)
+    return _emit((x, *p.inputs), out, backward_fn)
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, p: MHAParams) -> Tensor:
@@ -880,20 +912,21 @@ def grad_check(
     min_signal = 1e5 * resolution
     worst = 0.0
     for name, t in params.items():
-        flat = t.data.reshape(-1)
-        n = flat.size
+        n = t.size
         if n <= max_coords:
             coords = range(n)
         else:
             coords = rng.choice(n, size=max_coords, replace=False)
         for idx in coords:
             idx = int(idx)
-            orig = flat[idx]
-            flat[idx] = orig + eps
+            # in place, so a view (a `join`ed block) perturbs what it views
+            at = np.unravel_index(idx, t.shape)
+            orig = t.data[at]
+            t.data[at] = orig + eps
             loss_plus = float(f().data)
-            flat[idx] = orig - eps
+            t.data[at] = orig - eps
             loss_minus = float(f().data)
-            flat[idx] = orig
+            t.data[at] = orig
             numeric = (loss_plus - loss_minus) / (2.0 * eps)
             a = float(analytic[name][idx])
             if abs(a) < min_signal and abs(numeric) < min_signal:

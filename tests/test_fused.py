@@ -22,7 +22,9 @@ from mulcom import numerics as nm
 from mulcom.data import SynthSpec, synth_generate
 from mulcom.errors import ShapeMismatchError
 from mulcom.graph import EntityMentions, FeatureDoc, build_graph, graph_batch
-from mulcom.model import ModelConfig, build_model, forward_logits, predict_logits
+from mulcom.model import (
+    ModelConfig, TrainConfig, build_model, forward_logits, predict_logits, train,
+)
 from mulcom.numerics import Tape, Tensor
 from mulcom.streams import (
     _layout,
@@ -305,6 +307,40 @@ class TestReasoner:
             with Tape():
                 recorded = run(graph, p).data
             np.testing.assert_array_equal(run(graph, p).data, recorded, err_msg=kind)
+
+
+def test_trained_parameters_keep_the_layouts_the_fused_records_read():
+    # Adam moves every parameter into its own buffer; the gate and q/k/v
+    # tensors must still be blocks of the joined arrays the records read,
+    # or those records would keep computing with the initial weights.
+    ds = synth_generate(3, SynthSpec(docs=16, val_frac=0.0, d_w=6, d_s=D_S, vocab=24))
+    docs = ds.split("train")[:8]
+    cfg = ModelConfig(num_tropes=ds.num_tropes, d_w=6, d_s=D_S, d_f=6, d_a=6, d_h=D_H,
+                      reasoner_steps=2, reasoner_heads=2)
+    assert cfg.streams == ("word", "sentence", "relation") and cfg.relation_reasoner == "msrrn"
+    model = build_model(cfg, seed=5)
+    train(model, docs, TrainConfig(epochs=1, batch_size=4, seed=5))  # two Adam steps
+    untrained = build_model(cfg, seed=5)
+    p, rnn = model.reasoner, model.streams["sentence"].sent_rnn
+    blocks = [(q, lstm.w, lstm.b) for lstm in (p.cell, rnn)
+              for q in (lstm.gate_i, lstm.gate_f, lstm.gate_o, lstm.gate_g)]
+    mha = p.step_attention
+    views = [(q.w, w) for q, w, _ in blocks] + [(q.b, b) for q, _, b in blocks]
+    views += [(t, mha.w_qkv) for t in (mha.w_q, mha.w_k, mha.w_v)]
+    for t, joined in views:
+        assert t.base is joined and np.shares_memory(t.data, joined.data)
+        np.testing.assert_array_equal(t.data, joined.data[t.index])
+    assert not np.array_equal(p.cell.w.data, untrained.reasoner.cell.w.data)
+
+    rng = np.random.default_rng(6)
+    graph = graph_batch(docs)
+    for kind in RUNS:
+        _assert_reasoner_matches(kind, graph, p, rng)
+    x = nm.param(rng.standard_normal((3, 5, D_S)))
+    leaves = dict(rnn.named("lstm"), x=x)
+    weights = rng.standard_normal((3, 5, cfg.d_a))
+    _assert_same(_run(lambda: nm.lstm_sequence(x, rnn), leaves, weights),
+                 _run(lambda: oracle.lstm_sequence(x, rnn), leaves, weights))
 
 
 HEAD_STREAMS = (

@@ -244,3 +244,49 @@ class TestEvaluate:
             assert 0.0 <= v <= 100.0
         d = rep.to_dict()
         assert d["threshold"] == 0.5
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestScoreValidation:
+    # Before the check, the NaN case below reported trope_1 AP 100.0 and mAP 100.0.
+    LABELS = np.array([[1, 0], [0, 1], [1, 1]])
+
+    def _scores(self, bad):
+        return np.array([[0.9, bad], [0.1, 0.8], [0.7, 0.2]])
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_average_precision_names_the_trope(self, bad):
+        with pytest.raises(ValidationError, match="trope_1.*doc 0"):
+            average_precision(self._scores(bad)[:, 1], self.LABELS[:, 1], trope="trope_1")
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_map_score_names_the_trope(self, bad):
+        with pytest.raises(ValidationError, match="trope_1.*doc 0"):
+            map_score(self._scores(bad), self.LABELS)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_evaluate_names_the_trope(self, bad):
+        with pytest.raises(ValidationError, match="trope_1.*doc 0"):
+            evaluate(self._scores(bad), self.LABELS)
+        with pytest.raises(ValidationError, match="villain.*doc 0"):
+            evaluate(self._scores(bad), self.LABELS, trope_names=["hero", "villain"])
+
+    def test_a_trope_without_positives_is_checked_too(self):
+        scores = self._scores(0.5)
+        scores[2, 0] = float("nan")
+        labels = np.array([[0, 0], [0, 1], [0, 1]])  # trope_0 is left out of mAP
+        with pytest.raises(ValidationError, match="trope_0.*doc 2"):
+            evaluate(scores, labels)
+
+    @pytest.mark.parametrize("names", [["hero"], ["hero", "villain", "mentor"]])
+    def test_evaluate_needs_one_name_per_trope(self, names):
+        # a short list used to end in a bare IndexError
+        with pytest.raises(ValidationError, match=f"{len(names)} trope names for 2 tropes"):
+            evaluate(self._scores(0.5), self.LABELS, trope_names=names)
+
+    def test_finite_scores_still_score(self):
+        # trope_0 ranks both positives first; trope_1 ranks them 1st and 3rd
+        assert map_score(self._scores(0.5), self.LABELS) == pytest.approx(
+            100.0 * (1.0 + (1.0 + 2.0 / 3.0) / 2.0) / 2.0)

@@ -382,6 +382,52 @@ class TestAdam:
                 npt.assert_array_equal(p.data, ref[k])
         npt.assert_array_equal(params["unused"].data, init["unused"])
 
+    def test_joined_blocks_stay_views_and_match_per_tensor_loop(self):
+        rng = np.random.default_rng(4)
+        shapes = {"a": (3, 2), "b": (3, 4), "c": (3, 1), "d": (5,), "e": (2, 3), "f": (2, 2)}
+        init = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        t = {k: param(a.copy()) for k, a in init.items()}
+        bases = {"abc": numerics.join([t["a"], t["b"], t["c"]]),
+                 "ef": numerics.join([t["e"], t["f"]])}
+        with pytest.raises(ConfigError, match="each block of their arrays once"):
+            Adam({k: t[k] for k in "abcde"}, lr=0.01)  # f would be left behind
+        params = {k: t[k] for k in ("b", "d", "f", "a", "e", "c")}
+        opt = Adam(params, lr=0.01)
+
+        def assert_views():
+            for names, base in bases.items():
+                for k in names:
+                    assert t[k].base is base
+                    assert t[k].data.base is not None and np.shares_memory(t[k].data, base.data)
+                    npt.assert_array_equal(t[k].data, base.data[t[k].index])
+                assert np.shares_memory(base.data, opt.flat)
+
+        assert_views()
+        ref = {k: init[k].copy() for k in params}
+        m = {k: np.zeros_like(a) for k, a in ref.items()}
+        v = {k: np.zeros_like(a) for k, a in ref.items()}
+        for step in range(1, 7):
+            grads = {k: rng.standard_normal(shapes[k]) for k in params}
+            if step == 3:
+                grads["b"] = None  # one block of a joined array skips a step
+            if step == 4:
+                grads.update(a=None, b=None, c=None)  # the whole array skips one
+            if step == 5:
+                grads["d"] = grads["e"] = None
+            for k, p in params.items():
+                p.grad = None if grads[k] is None else grads[k].copy()
+            opt.step()
+            assert_views()
+            b1c, b2c = 1.0 - 0.9**step, 1.0 - 0.999**step
+            for k, g in grads.items():
+                if g is None:
+                    continue
+                m[k] = 0.9 * m[k] + (1.0 - 0.9) * g
+                v[k] = 0.999 * v[k] + (1.0 - 0.999) * g * g
+                ref[k] -= 0.01 * (m[k] / b1c) / (np.sqrt(v[k] / b2c) + 1e-8)
+            for k, p in params.items():
+                npt.assert_array_equal(p.data, ref[k])
+
 
 class TestTrain:
     def test_zero_learning_rate_leaves_parameters_unchanged(self):

@@ -407,6 +407,33 @@ class TestGradCheck:
 
         assert nm.grad_check(f, dict(mlp.named("mlp")), eps=1e-5) < 1e-4
 
+    @pytest.mark.parametrize("doubled", [False, True])
+    def test_column_view_parameter(self, doubled):
+        # A column view is not contiguous, so perturbing a flattened copy of
+        # it moved nothing: the correct gradient read error 1.0.
+        rng = np.random.default_rng(14)
+        joined = rng.standard_normal((4, 7))
+        w = nm.param(joined[:, 2:5])
+        assert np.shares_memory(w.data, joined) and not w.data.flags.c_contiguous
+        x = Tensor(rng.standard_normal((3, 4)))
+        before = joined.copy()
+
+        def f():
+            loss = nm.reduce_mean(nm.matmul(x, w))
+            if not doubled:
+                return loss
+            # the same value, but the tape sees only the first term: twice the slope
+            twice = nm.reduce_mean(nm.matmul(nm.scale(x, 2.0), w))
+            return nm.add(twice, nm.neg(nm.reduce_mean(nm.matmul(x, Tensor(w.data.copy())))))
+
+        err = nm.grad_check(f, {"w": w}, eps=1e-5)
+        if doubled:
+            assert err > 0.3
+        else:
+            assert err < 1e-8
+        assert np.shares_memory(w.data, joined)
+        npt.assert_array_equal(joined, before)  # every probe is undone in place
+
     @pytest.mark.parametrize("kw, key", [
         ({"max_coords": 0}, "max_coords"),
         ({"max_coords": -1}, "max_coords"),

@@ -61,6 +61,25 @@ def _doc_to_record(doc: FeatureDoc) -> dict:
     }
 
 
+def _ordinals(values, what: str) -> tuple[int, ...]:
+    """`values` as ints; a TypeError unless each is an int or an integral float.
+
+    A bool or a string is no ordinal. A float is allowed because the
+    reader loads an integer literal wider than 64 bits as one.
+    """
+    out = tuple(values)
+    for v in out:
+        if type(v) is not int and not (type(v) is float and v.is_integer()):
+            raise TypeError(f"{what} must be an integer, got {v!r}")
+    return tuple(map(int, out))
+
+
+def _entity(e: dict) -> EntityMentions:
+    if not isinstance(e["id"], str):
+        raise TypeError(f"entity id must be a string, got {e['id']!r}")
+    return EntityMentions(entity_id=e["id"], sents=_ordinals(e["sents"], "sentence ordinal"))
+
+
 def _record_to_doc(rec: dict, path: str, line: int) -> FeatureDoc:
     if not isinstance(rec, dict):
         raise DataFormatError(
@@ -74,11 +93,8 @@ def _record_to_doc(rec: dict, path: str, line: int) -> FeatureDoc:
     try:
         word_feats = np.asarray(rec["word_feats"], dtype=np.float64)
         sent_feats = np.asarray(rec["sent_feats"], dtype=np.float64)
-        entities = [
-            EntityMentions(entity_id=e["id"], sents=tuple(int(s) for s in e["sents"]))
-            for e in rec["entities"]
-        ]
-        labels = tuple(int(t) for t in rec["labels"])
+        entities = [_entity(e) for e in rec["entities"]]
+        labels = _ordinals(rec["labels"], "label")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(
             f"doc {doc_id}: bad document record: {exc!r}", path=path, line=line

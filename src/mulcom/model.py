@@ -33,18 +33,13 @@ from .numerics import (
     AffineParams,
     MLPParams,
     Tensor,
-    _accum,
-    _emit,
-    add,
     backward,
+    expit,
     init_mlp,
-    mul,
-    neg,
     param,
-    reduce_mean,
+    record,
     retain_heap,
     rng_from_seed,
-    softplus,
     Tape,
 )
 from .streams import (
@@ -128,13 +123,13 @@ def _layers_backward(
     """Back through `_layers` from `g`, the gradient of its output rows.
 
     Puts each layer's weight and bias gradient in `grads`, keyed by the
-    id of the parameter, and returns the gradient of the input rows.
+    parameter, and returns the gradient of the input rows.
     """
     for i in range(len(layers) - 1, -1, -1):
         w = layers[i].w.data
         x = acts[i].reshape(-1, w.shape[0])
-        grads[id(layers[i].w)] = x.T @ g
-        grads[id(layers[i].b)] = g.sum(axis=0)
+        grads[layers[i].w] = x.T @ g
+        grads[layers[i].b] = g.sum(axis=0)
         g = g @ w.T
         if i > 0:
             g *= x > 0  # the relu after layer i - 1
@@ -191,14 +186,14 @@ def predict_logits(model: MulComModel, outs: dict[str, Tensor]) -> Tensor:
     acts = _layers(np.maximum(pre, 0.0, out=pre), rest)
     out = Tensor(acts[-1].reshape(mixed.shape[:-1]))
 
-    def backward_fn(gout: Array) -> None:
-        grads: dict[int, Array] = {}
+    def grads_fn(gout: Array) -> dict[Tensor, Array]:
+        grads: dict[Tensor, Array] = {}
         g = _layers_backward(acts, rest, gout.reshape(-1, 1), grads)
         g *= acts[0].reshape(g.shape) > 0
         g_emb = g.reshape(-1, n_t, g.shape[-1]).sum(axis=0)  # E's half, summed over the batch
-        grads[id(first.w)] = np.concatenate(
+        grads[first.w] = np.concatenate(
             [mixed.reshape(-1, d_f).T @ g, e.data.T @ g_emb])
-        grads[id(first.b)] = g_emb.sum(axis=0)
+        grads[first.b] = g_emb.sum(axis=0)
         d_mixed = (g @ w_mix.T).reshape(mixed.shape)
         d_attn = np.stack(
             [(d_mixed * p.data).reshape(-1, n_t, d_f).sum(axis=(0, 2)) for p in parts],
@@ -209,27 +204,26 @@ def predict_logits(model: MulComModel, outs: dict[str, Tensor]) -> Tensor:
         mix = model.stream_attn_mlp.layers
         d_e = _layers_backward(_layers(e.data, mix), mix, d_z, grads)
         d_e += g_emb @ w_emb.T
-        for leaf in inputs[1 + len(parts):]:
-            if leaf.tracked:
-                _accum(leaf, grads[id(leaf)], fresh=True)
-        if e.tracked:
-            _accum(e, d_e, fresh=True)
+        grads[e] = d_e
         for s, p in enumerate(parts):
             if p.tracked:
-                _accum(p, attn[:, s, None] * d_mixed, fresh=True)
+                grads[p] = attn[:, s, None] * d_mixed
+        return grads
 
     inputs = (e, *parts) + tuple(
         t for layer in (*model.stream_attn_mlp.layers, *model.predictor.layers)
         for t in (layer.w, layer.b)
     )
-    return _emit(inputs, out, backward_fn)
+    return record(inputs, out, grads_fn)
 
 
 def bce_loss(logits: Tensor, targets: Array, pos_weight: float = 1.0) -> Tensor:
-    """Mean over all cells of p*y*log-loss(+) + (1-y)*log-loss(-).
+    """Mean over all cells of p*y*log-loss(+) + (1-y)*log-loss(-), as one tape record.
 
     Uses softplus identities -log sigmoid(x) = softplus(-x) and
     -log(1 - sigmoid(x)) = softplus(x), so large logits cannot overflow.
+    The value and the logits gradient repeat, op for op, the composite
+    of neg, softplus, products, sum and mean, so they are its bit for bit.
     """
     targets = np.asarray(targets)
     if not np.isin(targets, (0, 1)).all():
@@ -241,9 +235,14 @@ def bce_loss(logits: Tensor, targets: Array, pos_weight: float = 1.0) -> Tensor:
         raise ValidationError(
             f"bce_loss shapes differ: logits {logits.shape}, targets {y.shape}"
         )
-    pos = mul(Tensor(pos_weight * y), softplus(neg(logits)))
-    neg_term = mul(Tensor(1.0 - y), softplus(logits))
-    return reduce_mean(add(pos, neg_term))
+    x, pos, off, c = logits.data, pos_weight * y, 1.0 - y, 1.0 / y.size
+    out = Tensor((pos * np.logaddexp(0.0, -x) + off * np.logaddexp(0.0, x)).sum() * c)
+
+    def grads_fn(gout: Array) -> dict[Tensor, Array]:
+        gc = gout * c
+        return {logits: (gc * off) * expit(x) - (gc * pos) * expit(-x)}
+
+    return record((logits,), out, grads_fn)
 
 
 def forward_logits(
@@ -408,9 +407,13 @@ def train(
     cfg: TrainConfig,
     val_docs: Sequence[FeatureDoc] | None = None,
 ) -> TrainResult:
-    """Mini-batch Adam on weighted BCE; optional early stop on val F1."""
+    """Mini-batch Adam on weighted BCE; optional early stop on val F1.
+
+    An empty `val_docs` is no validation split, as None is.
+    """
     if not docs:
         raise ValidationError("train: empty training split")
+    val_docs = val_docs or None
     retain_heap()  # before Adam's buffers and the graphs, which live the whole run
     num_tropes = model.cfg.num_tropes
     y = label_matrix(docs, num_tropes)

@@ -46,15 +46,14 @@ from .numerics import (
     Params,
     Segments,
     Tensor,
-    _accum,
-    _emit,
-    active_tape,
     init_affine,
     init_lstm,
     init_mha,
     init_mlp,
     lstm_update,
     lstm_update_backward,
+    record,
+    recording,
     retain_heap,
     # Not called since the reasoner became one record. perfbench/layer_trace.py
     # wraps these names on this module to time the reasoner's parts, and
@@ -137,7 +136,7 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
     n, hd, n_t = x.shape[0], p.hidden_dim, p.steps
     (l1, l2), mha = p.message_mlp.layers, p.step_attention
     inputs = p.inputs if attend else p.inputs[:-4]
-    keep = active_tape() is not None and any(t.tracked for t in inputs)
+    keep = recording(inputs)
     segs = Segments(recv, n)
 
     w1, w2, b2 = l1.w.data, l2.w.data, l2.b.data
@@ -206,10 +205,10 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
     if not keep:
         return out
 
-    def backward_fn(gout: Array) -> None:
-        grads: dict[int, Array] = {}
+    def grads_fn(gout: Array) -> dict[Tensor, Array]:
+        grads: dict[Tensor, Array] = {}
         if attend:
-            grads[id(mha.w_o)] = ctx.T @ gout
+            grads[mha.w_o] = ctx.T @ gout
             d_ctx = (gout @ mha.w_o.data.T).reshape(n, heads, d_head)
             d_qkv = np.empty_like(qkv)
             dq, dk, dv = d_qkv[:, :, 0], d_qkv[:, :, 1], d_qkv[:, :, 2]
@@ -225,7 +224,7 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
                     np.multiply(d_j, k[j], out=dq)
                 np.sum(d_j * q, axis=0, out=dk[j])
             d_flat = d_qkv.reshape(n_t * n, 3 * hd)
-            grads[id(mha.w_qkv)] = h_flat.T @ d_flat
+            grads[mha.w_qkv] = h_flat.T @ d_flat
             gh = (d_flat @ w_qkv.T).reshape(n_t, n, hd)
         else:
             gh = np.zeros((n_t, n, hd))
@@ -264,27 +263,21 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
             dw_cell[:hd] = 0.0
         d_pre_e = d_pre.sum(axis=0)
         dw1[:hd] = e_proj.T @ d_pre_e
-        grads[id(p.cell.w)] = dw_cell
-        grads[id(p.cell.b)] = d_act_x.sum(axis=0)
-        grads[id(l1.w)] = dw1
-        grads[id(l1.b)] = d_pre_e.sum(axis=0)
-        grads[id(l2.w)] = relu.reshape(-1, hd).T @ d_pair.reshape(-1, hd)
-        grads[id(l2.b)] = d_pair.sum(axis=(0, 1))
+        grads[p.cell.w] = dw_cell
+        grads[p.cell.b] = d_act_x.sum(axis=0)
+        grads[l1.w] = dw1
+        grads[l1.b] = d_pre_e.sum(axis=0)
+        grads[l2.w] = relu.reshape(-1, hd).T @ d_pair.reshape(-1, hd)
+        grads[l2.b] = d_pair.sum(axis=(0, 1))
         d_e_proj = d_pre_e @ w1[:hd].T
-        grads[id(p.edge_in.w)] = efeat.T @ d_e_proj
-        grads[id(p.edge_in.b)] = d_e_proj.sum(axis=0)
+        grads[p.edge_in.w] = efeat.T @ d_e_proj
+        grads[p.edge_in.b] = d_e_proj.sum(axis=0)
         d_x_proj = d_act_x @ w_cell[hd : 2 * hd].T
-        grads[id(p.node_in.w)] = x.T @ d_x_proj
-        grads[id(p.node_in.b)] = d_x_proj.sum(axis=0)
-        # every gradient is computed here, or is a block of such an array
-        # that no other block overlaps, so it is adopted without a copy;
-        # a `join`ed leaf takes its block of its base's gradient
-        for leaf in inputs:
-            if leaf.tracked:
-                g = grads[id(leaf)] if leaf.base is None else grads[id(leaf.base)][leaf.index]
-                _accum(leaf, g, fresh=True)
+        grads[p.node_in.w] = x.T @ d_x_proj
+        grads[p.node_in.b] = d_x_proj.sum(axis=0)
+        return grads
 
-    return _emit(inputs, out, backward_fn)
+    return record(inputs, out, grads_fn)
 
 
 def run_msrrn(graph: GraphBatch, p: ReasonerParams) -> Tensor:

@@ -1,16 +1,25 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-Every differentiable computation in the package is composed from the
-primitives here, `lstm_cell` and `multi_head_attention` included, except
-four fused single records with hand-derived backward passes: the LSTM
-sequence here, the reasoner in `mulcom.msrrn`, which shares its gate
-update `lstm_update` and `lstm_update_backward`, the trope-query
-pooling `mulcom.streams.attend`, and the per-trope head
-`mulcom.model.predict_logits`. The LSTM gates and the attention's q, k
-and v projections are stored as the fused records read them, each
-block a view of one joined array (`join`). Gradient checks against
-central finite differences are the primary correctness instrument, so
-all arithmetic stays in float64.
+The model runs five fused records with hand-derived backward passes:
+the LSTM sequence here, the reasoner in `mulcom.msrrn`, which shares
+its gate update `lstm_update` and `lstm_update_backward`, the
+trope-query pooling `mulcom.streams.attend`, the per-trope head
+`mulcom.model.predict_logits` and the loss `mulcom.model.bce_loss`.
+`record` is the one way to write such a record: the op returns one
+gradient per input, and `record` alone checks which inputs are
+tracked, delivers the gradients (a `join`ed block takes its part of
+its array's) and appends to the tape. The LSTM gates and the
+attention's q, k and v projections are stored as the fused records
+read them, each block a view of one joined array (`join`).
+
+The primitives below, each with its own backward pass, remain for the
+composites `lstm_cell`, `multi_head_attention`, `mlp_apply`,
+`gather_rows` and `scatter_add_rows`, which the model no longer calls:
+the benchmark's tracer looks them up on the modules that import them,
+and the tests' composite oracles build the unfused blocks from them.
+`scatter_rows` is the one primitive the model itself records. Gradient
+checks against central finite differences are the primary correctness
+instrument, so all arithmetic stays in float64.
 
 A forward pass records primitives on the innermost active :class:`Tape`;
 ``backward`` replays the records in exact reverse order. Tapes are
@@ -166,11 +175,42 @@ def active_tape() -> Tape | None:
     return _STATE.stack[-1] if _STATE.stack else None
 
 
+def recording(inputs: Sequence[Tensor]) -> bool:
+    """Whether an op on `inputs` goes on the tape: one is active and an input is tracked."""
+    return bool(_STATE.stack) and any(t.tracked for t in inputs)
+
+
 def _emit(inputs: tuple[Tensor, ...], out: Tensor, backward_fn: Callable[[Array], None]) -> Tensor:
-    tape = active_tape()
-    if tape is not None and any(t.tracked for t in inputs):
+    if recording(inputs):
         out.tracked = True
-        tape.records.append((inputs, out, backward_fn))
+        active_tape().records.append((inputs, out, backward_fn))
+    return out
+
+
+def record(
+    inputs: tuple[Tensor, ...], out: Tensor, grads_fn: Callable[[Array], dict[Tensor, Array]]
+) -> Tensor:
+    """Put `out` on the active tape as one record over `inputs`, if `recording(inputs)`.
+
+    `grads_fn(gout)` maps each tracked input to its gradient, given the
+    gradient `gout` of `out`; a `join`ed block may instead be covered by
+    its base, and then takes its block of the base's gradient. Every
+    array it returns must be computed for this call, so that nothing
+    else refers to it (a block counts when no other block overlaps it):
+    each is adopted as a first gradient without a copy. An input listed
+    twice still takes its gradient once.
+    """
+    if not recording(inputs):
+        return out
+
+    def backward_fn(gout: Array) -> None:
+        grads = grads_fn(gout)
+        for t in dict.fromkeys(inputs):
+            if t.tracked:
+                _accum(t, grads[t] if t.base is None else grads[t.base][t.index], fresh=True)
+
+    out.tracked = True
+    active_tape().records.append((inputs, out, backward_fn))
     return out
 
 
@@ -240,16 +280,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _emit((a, b), out, backward_fn)
 
 
-def neg(x: Tensor) -> Tensor:
-    out = Tensor(-x.data)
-
-    def backward_fn(g: Array) -> None:
-        if x.tracked:
-            _accum(x, -g, fresh=True)
-
-    return _emit((x,), out, backward_fn)
-
-
 def scale(x: Tensor, c: float) -> Tensor:
     """Multiply by a python float constant."""
     c = float(c)
@@ -306,7 +336,7 @@ def tanh(x: Tensor) -> Tensor:
 
 def sigmoid(x: Tensor) -> Tensor:
     """Elementwise 1/(1+exp(-x)); saturates without overflow."""
-    s = _sigmoid_raw(x.data)
+    s = expit(x.data)
     out = Tensor(s)
 
     def backward_fn(g: Array) -> None:
@@ -316,21 +346,11 @@ def sigmoid(x: Tensor) -> Tensor:
     return _emit((x,), out, backward_fn)
 
 
-def _sigmoid_raw(x: Array) -> Array:
+def expit(x: Array) -> Array:
+    """Elementwise 1/(1+exp(-x)) of an array; saturates without overflow."""
     # exp only ever sees non-positive arguments: 1/(1+z) for x >= 0, z/(1+z) below
     z = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, z) / (1.0 + z)
-
-
-def softplus(x: Tensor) -> Tensor:
-    """log(1 + exp(x)) in the overflow-safe log-sum-exp form."""
-    out = Tensor(np.logaddexp(0.0, x.data))
-
-    def backward_fn(g: Array) -> None:
-        if x.tracked:
-            _accum(x, g * _sigmoid_raw(x.data), fresh=True)
-
-    return _emit((x,), out, backward_fn)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -376,38 +396,6 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
             lo = hi
 
     return _emit(parts, out, backward_fn)
-
-
-def stack(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack same-shape tensors along a new axis."""
-    if not parts:
-        raise ShapeMismatchError("stack: need at least one part")
-    for p in parts[1:]:
-        if p.shape != parts[0].shape:
-            raise ShapeMismatchError(
-                f"stack: shapes differ: {parts[0].shape} and {p.shape}"
-            )
-    out = Tensor(np.stack([p.data for p in parts], axis=axis))
-    parts = tuple(parts)
-
-    def backward_fn(g: Array) -> None:
-        slices = np.moveaxis(g, axis, 0)
-        for p, gs in zip(parts, slices):
-            if p.tracked:
-                _accum(p, gs)
-
-    return _emit(parts, out, backward_fn)
-
-
-def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(int(n) for n in shape)
-    out = Tensor(x.data.reshape(shape))
-
-    def backward_fn(g: Array) -> None:
-        if x.tracked:
-            _accum(x, g.reshape(x.shape))
-
-    return _emit((x,), out, backward_fn)
 
 
 def transpose(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
@@ -530,30 +518,6 @@ def scatter_rows(x: Tensor, index, shape: Sequence[int]) -> Tensor:
             _accum(x, g[index], fresh=True)
 
     return _emit((x,), out, backward_fn)
-
-
-def reduce_sum(x: Tensor, axis: int | None = None) -> Tensor:
-    if axis is None:
-        out = Tensor(x.data.sum())
-
-        def backward_fn(g: Array) -> None:
-            if x.tracked:
-                _accum(x, np.broadcast_to(g, x.shape))
-
-    else:
-        axis = _norm_axis(axis, x.ndim, "reduce_sum")
-        out = Tensor(x.data.sum(axis=axis))
-
-        def backward_fn(g: Array) -> None:
-            if x.tracked:
-                _accum(x, np.broadcast_to(np.expand_dims(g, axis), x.shape))
-
-    return _emit((x,), out, backward_fn)
-
-
-def reduce_mean(x: Tensor) -> Tensor:
-    """Mean over every element."""
-    return scale(reduce_sum(x), 1.0 / x.size)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -798,7 +762,7 @@ def lstm_sequence(x: Tensor, p: LSTMParams) -> Tensor:
         lstm_update(a, c[t - 1] if t else None, c[t], tc[t], hs[t])
     out = Tensor(np.ascontiguousarray(hs.transpose(1, 0, 2)))
 
-    def backward_fn(gout: Array) -> None:
+    def grads_fn(gout: Array) -> dict[Tensor, Array]:
         d_act = lstm_update_backward(
             act, c, tc, gout.transpose(1, 0, 2), lambda t, d: d @ w_h.T if t else None
         )
@@ -806,15 +770,12 @@ def lstm_sequence(x: Tensor, p: LSTMParams) -> Tensor:
         dw = np.empty_like(w)
         dw[hd:] = xt.T @ flat
         dw[:hd] = hs[:-1].reshape(-1, hd).T @ flat[n_b:]
-        grads = {id(p.w): dw, id(p.b): flat.sum(axis=0)}
-        for t in p.inputs:  # blocks of dw and db, which nothing else holds
-            if t.tracked:
-                _accum(t, grads[id(t.base)][t.index], fresh=True)
+        grads = {p.w: dw, p.b: flat.sum(axis=0)}  # the gates take their blocks
         if x.tracked:
-            dx = (flat @ w_x.T).reshape(n_s, n_b, d_in)
-            _accum(x, dx.transpose(1, 0, 2), fresh=True)
+            grads[x] = (flat @ w_x.T).reshape(n_s, n_b, d_in).transpose(1, 0, 2)
+        return grads
 
-    return _emit((x, *p.inputs), out, backward_fn)
+    return record((x, *p.inputs), out, grads_fn)
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, p: MHAParams) -> Tensor:

@@ -29,14 +29,13 @@ from .numerics import (
     LSTMParams,
     Params,
     Tensor,
-    _accum,
-    _emit,
     init_affine,
     init_lstm,
     # Not called here. perfbench/layer_trace.py looks this name up to count
     # sentence-LSTM calls, which read 0 now that the LSTM is one record.
     lstm_cell,  # noqa: F401
     lstm_sequence,
+    record,
     scatter_rows,
 )
 
@@ -109,7 +108,7 @@ def attend(
     ctx = w @ v
     out = Tensor(ctx @ op.w.data + op.b.data)
 
-    def backward_fn(gout: Array) -> None:
+    def grads_fn(gout: Array) -> dict[Tensor, Array]:
         n_t, n_l, d_f = e.shape[0], feats.shape[-2], out.shape[-1]
         n_b = feats.size // (n_l * feats.shape[-1])
         g = gout.reshape(n_b * n_t, d_f)
@@ -124,27 +123,25 @@ def attend(
         rows = feats.data.reshape(n_b * n_l, -1)
         ones = np.ones(n_b * n_l)  # a GEMV sums the rows several times faster than .sum
         grads = {
-            id(op.w): ctx.reshape(n_b * n_t, d_a).T @ g,
-            id(op.b): g.sum(axis=0),
-            id(qp.w): e.data.T @ dq,
-            id(qp.b): dq.sum(axis=0),
-            id(kp.w): rows.T @ dk,
-            id(kp.b): ones @ dk,
-            id(vp.w): rows.T @ dv,
-            id(vp.b): ones @ dv,
+            op.w: ctx.reshape(n_b * n_t, d_a).T @ g,
+            op.b: g.sum(axis=0),
+            qp.w: e.data.T @ dq,
+            qp.b: dq.sum(axis=0),
+            kp.w: rows.T @ dk,
+            kp.b: ones @ dk,
+            vp.w: rows.T @ dv,
+            vp.b: ones @ dv,
         }
-        for leaf in inputs[2:]:
-            if leaf.tracked:
-                _accum(leaf, grads[id(leaf)], fresh=True)
         if e.tracked:
-            _accum(e, dq @ qp.w.data.T, fresh=True)
+            grads[e] = dq @ qp.w.data.T
         if feats.tracked:
             d_feats = dk @ kp.w.data.T
             d_feats += dv @ vp.w.data.T
-            _accum(feats, d_feats.reshape(feats.shape), fresh=True)
+            grads[feats] = d_feats.reshape(feats.shape)
+        return grads
 
     inputs = (e, feats, qp.w, qp.b, kp.w, kp.b, vp.w, vp.b, op.w, op.b)
-    out = _emit(inputs, out, backward_fn)
+    out = record(inputs, out, grads_fn)
     if return_weights:
         return out, Tensor(w)
     return out

@@ -12,32 +12,92 @@ affine, activation, product and head. `tests/test_fused.py` requires
 the fused primitives in `mulcom.numerics`, `mulcom.msrrn`,
 `mulcom.streams` and `mulcom.model` to match these in values and in
 every input and parameter gradient.
+
+`neg`, `softplus`, `reduce_sum`, `reduce_mean`, `stack` and `reshape`
+are primitives that only these compositions and the tests use, written
+on `numerics.record`, and `bce_loss` is the loss as the composite of
+them that `mulcom.model.bce_loss` repeats in one record.
 """
 
 import math
 
 import numpy as np
 
+from mulcom.errors import ShapeMismatchError
 from mulcom.numerics import (
     Tensor,
     add,
     affine,
     concat,
+    expit,
     gather_rows,
     lstm_cell,
     matmul,
     mlp_apply,
     multi_head_attention,
     mul,
-    reduce_sum,
-    reshape,
+    record,
     scale,
     scatter_add_rows,
     slice_last,
     softmax,
-    stack,
     transpose,
 )
+
+
+def neg(x):
+    return record((x,), Tensor(-x.data), lambda g: {x: -g})
+
+
+def softplus(x):
+    """log(1 + exp(x)) in the overflow-safe log-sum-exp form."""
+    return record((x,), Tensor(np.logaddexp(0.0, x.data)), lambda g: {x: g * expit(x.data)})
+
+
+def reduce_sum(x, axis=None):
+    """Sum over every element, or over `axis`."""
+
+    def grads_fn(g):
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        return {x: np.broadcast_to(g, x.shape).copy()}
+
+    return record((x,), Tensor(x.data.sum(axis=axis)), grads_fn)
+
+
+def reduce_mean(x):
+    """Mean over every element."""
+    return scale(reduce_sum(x), 1.0 / x.size)
+
+
+def stack(parts, axis=0):
+    """Stack same-shape tensors along a new axis."""
+    if not parts:
+        raise ShapeMismatchError("stack: need at least one part")
+    for p in parts[1:]:
+        if p.shape != parts[0].shape:
+            raise ShapeMismatchError(f"stack: shapes differ: {parts[0].shape} and {p.shape}")
+    parts = tuple(parts)
+
+    def grads_fn(g):
+        grads = {}
+        for p, gp in zip(parts, np.moveaxis(g, axis, 0)):
+            grads[p] = grads[p] + gp if p in grads else gp.copy()
+        return grads
+
+    return record(parts, Tensor(np.stack([p.data for p in parts], axis=axis)), grads_fn)
+
+
+def reshape(x, shape):
+    return record((x,), Tensor(x.data.reshape(shape)), lambda g: {x: g.reshape(x.shape).copy()})
+
+
+def bce_loss(logits, targets, pos_weight=1.0):
+    """Mean positively-weighted binary cross entropy, one record per op."""
+    y = np.asarray(targets, dtype=np.float64)
+    pos = mul(Tensor(pos_weight * y), softplus(neg(logits)))
+    off = mul(Tensor(1.0 - y), softplus(logits))
+    return reduce_mean(add(pos, off))
 
 
 def lstm_sequence(x, p):

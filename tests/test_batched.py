@@ -13,11 +13,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import perdoc_oracle
+from composite_oracle import stack
 from mulcom.config import STREAM_NAMES
 from mulcom.errors import EmptyDocumentError, ValidationError
 from mulcom.graph import EntityMentions, FeatureDoc, label_matrix
 from mulcom.model import ModelConfig, bce_loss, build_model, forward_logits
-from mulcom.numerics import Tape, backward, rng_from_seed, stack
+from mulcom.numerics import Tape, backward, rng_from_seed
 
 TOL = 1e-12
 MAX_TOKENS = 6

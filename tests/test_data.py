@@ -124,6 +124,37 @@ class TestLoadErrors:
         with pytest.raises(ValidationError, match="d0"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("labels", [1.9]),
+        ("labels", [True]),
+        ("labels", ["1"]),
+        ("sents", [0.7]),
+        ("sents", [False]),
+        ("sents", ["0"]),
+        ("id", 5),
+    ])
+    def test_non_integer_label_ordinal_or_entity_id_names_the_record(
+            self, tmp_path, field, value):
+        good = {"doc_id": "d0", "word_feats": [[0.0]], "sent_feats": [[0.0]],
+                "entities": [{"id": "e", "sents": [0]}], "labels": [1]}
+        bad = dict(good, doc_id="d1")
+        if field == "labels":
+            bad["labels"] = value
+        else:
+            bad["entities"] = [dict(good["entities"][0], **{field: value})]
+        (tmp_path / "train.jsonl").write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        path = self.write_manifest(tmp_path, {"train": ["train.jsonl"]})
+        with pytest.raises(DataFormatError, match=r"doc d1: .*train\.jsonl:2\)"):
+            load_dataset(path)
+
+    def test_integral_float_label_and_ordinal_load_as_ints(self, tmp_path):
+        rec = {"doc_id": "d0", "word_feats": [[0.0]], "sent_feats": [[0.0]],
+               "entities": [{"id": "e", "sents": [0.0]}], "labels": [1.0]}
+        (tmp_path / "train.jsonl").write_text(json.dumps(rec) + "\n")
+        doc, = load_dataset(self.write_manifest(tmp_path, {"train": ["train.jsonl"]})).split("train")
+        assert doc.labels == (1,) and type(doc.labels[0]) is int
+        assert doc.entities[0].sents == (0,) and type(doc.entities[0].sents[0]) is int
+
     def test_label_wider_than_64_bits_names_the_doc(self, tmp_path):
         # the reader loads it as the nearest float, which is out of range too
         rec = {"doc_id": "d0", "word_feats": [[0.0]], "sent_feats": [[0.0]],

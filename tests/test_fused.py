@@ -50,7 +50,7 @@ def _run(fn, leaves, w):
         t.zero_grad()
     with Tape() as tape:
         out = fn()
-        loss = nm.reduce_sum(nm.mul(out, Tensor(w)))
+        loss = oracle.reduce_sum(nm.mul(out, Tensor(w)))
     nm.backward(loss, tape)
     return out.data.copy(), {name: t.grad.copy() for name, t in leaves.items()}
 
@@ -246,7 +246,7 @@ def _reasoner_grads(run, graph, p, w):
         t.zero_grad()
     with Tape() as tape:
         out = run(graph, p)
-        loss = nm.reduce_sum(nm.mul(out, Tensor(w)))
+        loss = oracle.reduce_sum(nm.mul(out, Tensor(w)))
     nm.backward(loss, tape)
     return out.data.copy(), {k: None if t.grad is None else t.grad.copy()
                              for k, t in leaves.items()}

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from mulcom import gradcheck, model as model_module, msrrn
+import composite_oracle as oracle
+from mulcom import gradcheck
 from mulcom import numerics as nx
 from mulcom.gradcheck import CHECKS, run_gradcheck
 
@@ -39,16 +40,30 @@ def test_component_checks_cover_every_parameter(monkeypatch):
     assert full == every
 
 
-def _run_doubling(monkeypatch, module, name):
-    """Run the audit with the gradient of parameter `name` doubled in `module`'s records."""
+def _run_doubling(monkeypatch, name=None):
+    """Run the audit with one gradient doubled where `numerics._accum` delivers it.
+
+    That is parameter `name`'s gradient, or with no name the gradient the
+    loss record gives the logits of the latest `forward_logits` call.
+    """
     model = gradcheck._tiny_model(seed=9)
-    target = model.named_parameters()[name]
-    accum = module._accum
+    if name is not None:
+        targets = [model.named_parameters()[name]]
+    else:
+        targets = []
+        forward_logits = gradcheck.forward_logits
+
+        def latest_logits(*args):
+            targets[:] = [forward_logits(*args)]
+            return targets[0]
+
+        monkeypatch.setattr(gradcheck, "forward_logits", latest_logits)
+    accum = nx._accum
 
     def doubled(leaf, grad, **kwargs):
-        accum(leaf, 2.0 * grad if leaf is target else grad, **kwargs)
+        accum(leaf, 2.0 * grad if leaf in targets else grad, **kwargs)
 
-    monkeypatch.setattr(module, "_accum", doubled)
+    monkeypatch.setattr(nx, "_accum", doubled)
     monkeypatch.setattr(gradcheck, "_tiny_model", lambda seed: model)
     return {r.name: r for r in run_gradcheck()}
 
@@ -56,7 +71,7 @@ def _run_doubling(monkeypatch, module, name):
 def test_a_wrong_fused_gradient_fails_under_its_component(monkeypatch):
     # Double the step attention's output-projection gradient inside the
     # fused reasoner record; only the checks that probe it may fail.
-    results = _run_doubling(monkeypatch, msrrn, "reasoner.step_attention.w_o")
+    results = _run_doubling(monkeypatch, "reasoner.step_attention.w_o")
     assert not results["multi_head_attention"].ok()
     assert not results["full_model"].ok()
     assert results["word_stream"].ok()
@@ -65,16 +80,23 @@ def test_a_wrong_fused_gradient_fails_under_its_component(monkeypatch):
 def test_a_wrong_head_gradient_fails_under_its_component(monkeypatch):
     # The head is one record, so a wrong stream-mix gradient must still
     # fail the checks that probe the stream mix, and no stream's check.
-    results = _run_doubling(monkeypatch, model_module, "stream_attn.layer1.w")
+    results = _run_doubling(monkeypatch, "stream_attn.layer1.w")
     assert not results["stream_attention"].ok()
     assert not results["full_model"].ok()
     assert results["word_stream"].ok()
 
 
 def test_a_wrong_predictor_gradient_fails_the_predictor_check(monkeypatch):
-    results = _run_doubling(monkeypatch, model_module, "predictor.layer0.w")
+    results = _run_doubling(monkeypatch, "predictor.layer0.w")
     assert not results["predictor"].ok()
     assert results["word_stream"].ok()
+
+
+def test_a_wrong_loss_gradient_fails_every_check(monkeypatch):
+    # Every parameter's gradient flows through the loss record's logits
+    # gradient, so doubling it must fail every check.
+    results = _run_doubling(monkeypatch)
+    assert [name for name, r in results.items() if r.ok()] == []
 
 
 def test_errors_deterministic_in_seed():
@@ -90,7 +112,7 @@ def test_checker_flags_a_wrong_gradient():
     x = nx.param(rng.standard_normal(5) + 1.0)
 
     def f():
-        return nx.reduce_sum(nx.mul(x, nx.Tensor(x.data.copy())))
+        return oracle.reduce_sum(nx.mul(x, nx.Tensor(x.data.copy())))
 
     err = nx.grad_check(f, {"x": x}, max_coords=5)
     assert err > 0.3

@@ -9,7 +9,10 @@ its imports on purpose, and must say which purpose: it is marked
 `LAYER_COUNTS` of `perfbench/layer_trace.py`, which times layers by
 wrapping module attributes. A module of the package may import the
 standard library, `mulcom` and what `[project].dependencies` in
-pyproject.toml names.
+pyproject.toml names, and takes no underscore-prefixed name from another
+module of the package: what a module keeps private, such as the
+gradient delivery that `numerics.record` does for every fused record,
+stays in that module.
 """
 
 import ast
@@ -173,3 +176,42 @@ def test_the_rule_sees_undeclared_imports():
     )
     assert undeclared_imports(source, {"numpy"}) == [(3, "orjson")]
     assert undeclared_imports(source, {"numpy", "orjson"}) == []
+
+
+def private_imports(source):
+    """(line, name) of every underscore-prefixed name, dunders aside, that
+    `source` imports from a module of the package."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or node.module.split(".")[0] == "mulcom"):
+            names = [(alias.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [(alias.lineno, part) for alias in node.names
+                     if alias.name.split(".")[0] == "mulcom"
+                     for part in alias.name.split(".")[1:]]
+        else:
+            continue
+        found += [(line, name) for line, name in names
+                  if name.startswith("_") and not name.endswith("__")]
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=os.path.basename)
+def test_no_private_name_crosses_modules(path):
+    with open(path, encoding="utf-8") as fh:
+        assert private_imports(fh.read()) == []
+
+
+def test_the_rule_sees_private_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "from os import _exit\n"
+        "from . import __version__\n"
+        "from .numerics import (\n    Tensor,\n    _accum,\n)\n"
+        "from mulcom.numerics import _emit as emit\n"
+        "from .streams import _layout\n"
+        "import mulcom._hidden.part\n"
+    )
+    assert private_imports(source) == [
+        (6, "_accum"), (8, "_emit"), (9, "_layout"), (10, "_hidden")]

@@ -36,6 +36,7 @@ from mulcom.model import (
     stream_attention,
     train,
 )
+import composite_oracle as oracle
 from mulcom import numerics
 from mulcom.numerics import (
     Tape,
@@ -251,6 +252,34 @@ class TestBceLoss:
         x = Tensor(np.array([[800.0, -800.0]]))
         y = np.array([[0, 1]])
         assert np.isfinite(bce_loss(x, y, 5.0).data)
+
+    @pytest.mark.parametrize("pos_weight", [1.0, 2.5])
+    @pytest.mark.parametrize("targets", ["random", "all-zero", "all-one"])
+    def test_matches_the_composite_bit_for_bit(self, targets, pos_weight):
+        rng = rng_from_seed(76)
+        x = rng.standard_normal((5, 4)) * 3
+        x.flat[[0, 5, 10, 15]] = (800.0, -800.0, -800.0, 800.0)  # saturated cells
+        y = {"random": rng.integers(0, 2, size=x.shape),
+             "all-zero": np.zeros(x.shape, dtype=np.int64),
+             "all-one": np.ones(x.shape, dtype=np.int64)}[targets]
+        runs = []
+        for loss_fn in (bce_loss, oracle.bce_loss):
+            logits = param(x.copy())
+            with Tape() as tape:
+                loss = loss_fn(logits, y, pos_weight)
+            backward(loss, tape)
+            runs.append((loss.data, logits.grad))
+        (value, grad), (value_c, grad_c) = runs
+        assert value == value_c
+        assert np.array_equal(grad, grad_c)
+
+    def test_one_record_and_none_for_untracked_logits(self):
+        y = np.array([[0, 1, 1]])
+        with Tape() as tape:
+            tracked = bce_loss(param(np.zeros((1, 3))), y)
+            assert len(tape) == 1 and tracked.tracked
+            untracked = bce_loss(Tensor(np.zeros((1, 3))), y)
+        assert len(tape) == 1 and not untracked.tracked
 
     def test_non_binary_targets_rejected(self):
         with pytest.raises(ValidationError):
@@ -493,6 +522,19 @@ class TestTrain:
         assert result.epochs_run < 300
         assert result.val_micro_f1[-1] == 100.0
 
+
+    @pytest.mark.parametrize("streams", [("word",), ("word", "relation")], ids=",".join)
+    def test_empty_validation_split_is_no_split(self, streams):
+        docs = [tiny_doc(seed=33, labels=(0,)), tiny_doc(seed=34, labels=(1, 2))]
+        cfg = TrainConfig(epochs=2, batch_size=2, early_stop_f1=0.0)
+        runs = []
+        for val_docs in ([], None):
+            model = build_model(tiny_cfg(streams=streams), seed=35)
+            runs.append(train(model, docs, cfg, val_docs=val_docs))
+        empty, none = runs
+        assert empty == none
+        assert empty.epochs_run == 2 and not empty.stopped_early
+        assert empty.val_micro_f1 == []
 
 # Trains a long-synopsis-like model (about 200 tokens and 19 sentences a
 # doc, word and sentence streams at d = 32) for three epochs in a fresh

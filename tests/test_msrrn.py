@@ -21,11 +21,10 @@ from mulcom.numerics import (
     grad_check,
     lstm_cell,
     param,
-    reduce_sum,
     rng_from_seed,
 )
 
-from composite_oracle import message_pass
+from composite_oracle import message_pass, reduce_sum
 from test_graph import make_doc
 
 

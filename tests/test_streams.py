@@ -6,11 +6,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from composite_oracle import reduce_sum
 from mulcom.errors import EmptyDocumentError
 from mulcom.graph import FeatureDoc, build_graph
 from mulcom.model import ModelConfig
 from mulcom.msrrn import init_reasoner
-from mulcom.numerics import Tensor, grad_check, reduce_sum, rng_from_seed
+from mulcom.numerics import Tensor, grad_check, rng_from_seed
 from mulcom.streams import (
     attend,
     init_stream,

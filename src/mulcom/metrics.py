@@ -51,6 +51,8 @@ def f1(preds: Array, labels: Array, mode: str = "micro") -> float:
         raise ValidationError(
             f"preds shape {preds.shape} != labels shape {labels.shape}"
         )
+    if preds.ndim != 2:
+        raise ValidationError(f"f1 expects [N, T] arrays, got shape {preds.shape}")
     if mode == "micro":
         tp = int(((preds == 1) & (labels == 1)).sum())
         fp = int(((preds == 1) & (labels == 0)).sum())

@@ -17,10 +17,16 @@ block of the message MLP's first layer. A step then runs one product
 of the states with the receiver, sender and recurrent weight blocks,
 gathers its receiver and sender rows per pair, applies the message
 MLP's second layer, sums the messages per receiver over pairs sorted
-by receiver, and updates the cell. The step attention projects every
-step's states with one [N*T, h] @ [h, 3h] product and sums over steps
-before the output projection, since the sum of ctx_t @ W_o over t is
-(sum of ctx_t) @ W_o. The cell's gates and the attention's q, k and v
+by receiver, and updates the cell. The cell keeps its gate activations
+gate-major ([T, 4, N, h]), so its elementwise passes, forward and
+backward, run on contiguous [N, h] blocks. Each step halves the sigmoid
+gates' columns of its [N, 4h] pre-activations, as `lstm_update` takes
+them: with two or three steps over a few nodes, one pass per step costs
+less than the per-call halved weight copies that `lstm_sequence` makes
+for its many steps. The step attention projects every step's states
+with one [N*T, h] @ [h, 3h] product and sums over steps before the
+output projection, since the sum of ctx_t @ W_o over t is (sum of
+ctx_t) @ W_o. The cell's gates and the attention's q, k and v
 projections are stored joined ([3h, 4h] and [h, 3h]), so the record
 reads them as they are; only the step weight, which takes rows of the
 message MLP and of the cell, is joined per call. The parameters' names
@@ -155,16 +161,17 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
     slot = list(range(n_t)) if keep else [0] * n_t
     depth = n_t if keep else 1
     n_p = recv.shape[0]
-    act = np.empty((depth, n, 4 * hd))  # gate activations
+    act = np.empty((depth, 4, n, hd))  # gate activations, gate-major
     c = np.empty((depth, n, hd))
     tc = np.empty((depth, n, hd))  # tanh(c)
     relu = np.empty((depth, n_p, hd))  # message layer 1 after relu
     msg = np.empty((depth, n, hd))  # summed messages
     hs = np.empty((n_t, n, hd))
     y = np.empty((n, 6 * hd))
+    a = np.empty((n, 4 * hd))  # the step's gate pre-activations
+    a4 = a.reshape(n, 4, hd).transpose(1, 0, 2)  # gate-major view, what `lstm_update` reads
     for t in range(n_t):
         s = slot[t]
-        a = act[s]
         if t:
             np.matmul(hs[t - 1], w_step, out=y)
             pre = pre_e + y[recv, :hd]
@@ -178,7 +185,8 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
         per_pair += b2
         msg[s] = segs.sum(per_pair)
         a += msg[s] @ w_msg
-        lstm_update(a, c[slot[t - 1]] if t else None, c[s], tc[s], hs[t])
+        a[:, : 3 * hd] *= 0.5  # the sigmoid gates', halved as `lstm_update` takes them
+        lstm_update(a4, act[s], c[slot[t - 1]] if t else None, c[s], tc[s], hs[t])
 
     if attend:
         heads = mha.heads

@@ -12,6 +12,18 @@ its array's) and appends to the tape. The LSTM gates and the
 attention's q, k and v projections are stored as the fused records
 read them, each block a view of one joined array (`join`).
 
+The two LSTM recurrences keep their gate activations gate-major,
+[4, n, h] per step in order i, f, o, g, so the elementwise passes of
+`lstm_update` and `lstm_update_backward` run on contiguous [n, h]
+blocks rather than on strided column slices of a row-major [n, 4h]
+buffer, which numpy runs 2-3x slower. The pre-activations stay
+row-major, as the GEMMs produce and read them: the update's one tanh
+reads them through a [4, n, h] view and writes the gate-major block,
+and the backward pass writes each step's [n, 4h] gradient once. The
+sigmoid gates take their tanh at half the pre-activation, which the
+caller has already halved; halving by a power of two is exact, so
+folding it into weights or sums changes no bit.
+
 The primitives below, each with its own backward pass, remain for the
 composites `lstm_cell`, `multi_head_attention`, `mlp_apply`,
 `gather_rows` and `scatter_add_rows`, which the model no longer calls:
@@ -665,28 +677,32 @@ def lstm_cell(h: Tensor, c: Tensor, x: Tensor, p: LSTMParams) -> tuple[Tensor, T
     return mul(o, tanh(c_next)), c_next
 
 
-def lstm_update(a: Array, c_prev: Array | None, c: Array, tc: Array, h: Array) -> None:
+def lstm_update(
+    z: Array, act: Array, c_prev: Array | None, c: Array, tc: Array, h: Array
+) -> None:
     """One LSTM state update of the fused recurrences, written in place.
 
-    `a` [n, 4h] holds the pre-activations of gates i, f, o and g, and
-    becomes the gate activations: all four take one tanh, the sigmoid
-    ones as sigmoid(z) = (1 + tanh(z/2)) / 2. Then c = f*c_prev + i*g
-    (`c_prev` None is the zero state), tc = tanh(c) and h = o*tc. `c` may
-    be the `c_prev` buffer, since f*c_prev is formed before i*g is added.
+    `z` [4, n, h] is the gate-major view of a row-major [n, 4h] buffer
+    holding the pre-activations of gates i, f, o and g, where the caller
+    has already halved those of the sigmoid gates i, f and o (exactly:
+    see `lstm_sequence`). One tanh reads `z` and writes the activations
+    gate-major into the contiguous `act` [4, n, h], and the sigmoid gates
+    then become sigmoid(z) = (1 + tanh(z/2)) / 2. Then c = f*c_prev + i*g
+    (`c_prev` None is the zero state), tc = tanh(c) and h = o*tc, all on
+    contiguous [n, h] blocks. `c` may be the `c_prev` buffer, since
+    f*c_prev is formed before i*g is added.
     """
-    hd = a.shape[-1] // 4
-    sig = a[:, : 3 * hd]
-    sig *= 0.5
-    np.tanh(a, out=a)
+    np.tanh(z, out=act)
+    sig = act[:3]
     sig *= 0.5
     sig += 0.5
     if c_prev is None:
-        np.multiply(a[:, :hd], a[:, 3 * hd :], out=c)
+        np.multiply(act[0], act[3], out=c)
     else:
-        np.multiply(a[:, hd : 2 * hd], c_prev, out=c)
-        c += a[:, :hd] * a[:, 3 * hd :]
+        np.multiply(act[1], c_prev, out=c)
+        c += act[0] * act[3]
     np.tanh(c, out=tc)
-    np.multiply(a[:, 2 * hd : 3 * hd], tc, out=h)
+    np.multiply(act[2], tc, out=h)
 
 
 def lstm_update_backward(
@@ -694,38 +710,49 @@ def lstm_update_backward(
 ) -> Array:
     """Pre-activation gradients [T, n, 4h] of `lstm_update` run T steps from zero state.
 
-    `act`, `c` and `tc` are every step's gate activations, c and tanh(c);
-    `gh` [T, n, h] is the gradient reaching each step's h from outside the
-    recurrence. Walking back from the last step, `step(t, d_t)` gets step
-    t's finished pre-activation gradient [n, 4h] and returns the gradient
-    reaching h_{t-1} through step t's pre-activations (ignored at t = 0).
+    `act` [T, 4, n, h] holds every step's gate activations gate-major,
+    `c` and `tc` [T, n, h] every step's c and tanh(c); `gh` [T, n, h] is
+    the gradient reaching each step's h from outside the recurrence. The
+    gradients are of the unhalved pre-activations, the ones the weights
+    produce. The gate derivatives are formed for all steps at once on
+    contiguous [T, 4, n, h] blocks, and the loop scales step t's by the
+    gradients reaching c_t and h_t, still gate-major, then writes them
+    once into the row-major [n, 4h] gradient that the step callback and
+    the weight GEMMs read. Walking back from the last step, `step(t, d_t)`
+    gets that gradient and returns the gradient reaching h_{t-1} through
+    step t's pre-activations (ignored at t = 0).
     """
-    n_t, hd = act.shape[0], c.shape[-1]
-    i, f, o, g = (act[..., k * hd : (k + 1) * hd] for k in range(4))
+    n_t, _, n, hd = act.shape
+    i, f, o, g = act.transpose(1, 0, 2, 3)  # each [T, n, h]
     # d act_k / d pre-activation_k, times what multiplies act_k in
     # c_t = f * c_{t-1} + i * g, or in h_t = o * tanh(c_t) for the o gate;
     # the loop scales step t's by the gradient reaching c_t or h_t
-    d_act = act * (1.0 - act)  # the sigmoid derivative; the g block is redone
-    d_act[..., :hd] *= g
-    d_act[0, :, hd : 2 * hd] = 0.0  # c_{-1} = 0
-    d_act[1:, :, hd : 2 * hd] *= c[:-1]
-    d_act[..., 2 * hd : 3 * hd] *= tc
-    np.multiply(i, 1.0 - g * g, out=d_act[..., 3 * hd :])
+    d_act = np.empty_like(act)
+    sig = act[:, :3]
+    np.multiply(sig, 1.0 - sig, out=d_act[:, :3])  # the sigmoid derivative
+    d_act[:, 0] *= g
+    d_act[0, 1] = 0.0  # c_{-1} = 0
+    d_act[1:, 1] *= c[:-1]
+    d_act[:, 2] *= tc
+    np.multiply(i, 1.0 - g * g, out=d_act[:, 3])
     dc_dh = o * (1.0 - tc * tc)  # d c_t / d h_t through tanh(c_t), times o
-    d4 = d_act.reshape(act.shape[:2] + (4, hd))
+    d_pre = np.empty((n_t, n, 4 * hd))
+    d_pre4 = d_pre.reshape(n_t, n, 4, hd).transpose(0, 2, 1, 3)  # gate-major view
     dh = dc = None  # gradients reaching h_t and c_t through step t+1
     for t in range(n_t - 1, -1, -1):
         dht = gh[t] if dh is None else gh[t] + dh
         dct = dht * dc_dh[t]
         if dc is not None:
             dct += dc
-        d4[t, :, :2] *= dct[:, None]
-        d4[t, :, 2] *= dht  # o feeds h, not c
-        d4[t, :, 3] *= dct
-        dh = step(t, d_act[t])
+        d_t = d_act[t]
+        d_t[:2] *= dct
+        d_t[2] *= dht  # o feeds h, not c
+        d_t[3] *= dct
+        d_pre4[t] = d_t
+        dh = step(t, d_pre[t])
         if t:
             dc = dct * f[t]
-    return d_act
+    return d_pre
 
 
 def lstm_sequence(x: Tensor, p: LSTMParams) -> Tensor:
@@ -735,11 +762,23 @@ def lstm_sequence(x: Tensor, p: LSTMParams) -> Tensor:
     It reads the gates' stored joined weight [fan_in, 4h] and bias (order
     i, f, o, g), and every step's input pre-activation is one GEMM over
     the time-major [S*B, d_in] rows, so only the [B, h] @ [h, 4h]
-    recurrent product and `lstm_update` run per step. Its one tanh for
-    all four gates makes states agree with `lstm_cell` to rounding, not
-    bit for bit. The backward pass is `lstm_update_backward`, whose step
-    adds one recurrent product; the weight, bias and input gradients are
-    one product or sum each, and each gate takes its column block of them.
+    recurrent product and `lstm_update` run per step.
+
+    `lstm_update` takes the sigmoid gates' pre-activations halved. The
+    all-steps projection and the recurrent product read a per-call copy
+    of the weight and bias with those gates' columns halved, so no step
+    scales by 0.5. This is exact: halving only lowers the exponent, so
+    every product and partial sum of x @ (W/2) + b/2 is exactly half of
+    the one of x @ W + b, and rounds to exactly half of its rounding
+    (barring subnormals). The states are therefore, bit for bit, those
+    of halving each step's pre-activations. The gate activations are kept
+    gate-major ([S, 4, B, h]). Their one tanh for all four gates makes
+    states agree with `lstm_cell` to rounding, not bit for bit.
+
+    The backward pass is `lstm_update_backward`, whose step adds one
+    recurrent product with the unhalved weight; the weight, bias and
+    input gradients are one product or sum each, and each gate takes its
+    column block of them.
     """
     w, hd = p.w.data, p.hidden_dim
     if x.ndim != 3 or x.shape[-1] + hd != w.shape[0]:
@@ -748,18 +787,26 @@ def lstm_sequence(x: Tensor, p: LSTMParams) -> Tensor:
         )
     n_b, n_s, d_in = x.shape
     w_h, w_x = w[:hd], w[hd:]
+    # the sigmoid gates' columns halved: all halved, then g's put back, is
+    # faster than halving the strided sigmoid columns alone
+    w_half, b_half = w * 0.5, p.b.data * 0.5
+    w_half[:, 3 * hd :] = w[:, 3 * hd :]
+    b_half[3 * hd :] = p.b.data[3 * hd :]
     xt = x.data.transpose(1, 0, 2).reshape(n_s * n_b, d_in)  # time-major rows
-    act = xt @ w_x
-    act += p.b.data
-    act = act.reshape(n_s, n_b, 4 * hd)  # pre-activations, then activations in place
+    pre = xt @ w_half[hd:]
+    pre += b_half
+    pre = pre.reshape(n_s, n_b, 4 * hd)  # pre-activations, the recurrent part added per step
+    pre4 = pre.reshape(n_s, n_b, 4, hd).transpose(0, 2, 1, 3)  # gate-major view
+    w_h_half = w_half[:hd]
+    act = np.empty((n_s, 4, n_b, hd))  # gate activations, gate-major
     c = np.empty((n_s, n_b, hd))
     tc = np.empty((n_s, n_b, hd))  # tanh(c)
     hs = np.empty((n_s, n_b, hd))
     for t in range(n_s):
-        a = act[t]
         if t:
-            a += hs[t - 1] @ w_h
-        lstm_update(a, c[t - 1] if t else None, c[t], tc[t], hs[t])
+            a = pre[t]
+            a += hs[t - 1] @ w_h_half
+        lstm_update(pre4[t], act[t], c[t - 1] if t else None, c[t], tc[t], hs[t])
     out = Tensor(np.ascontiguousarray(hs.transpose(1, 0, 2)))
 
     def grads_fn(gout: Array) -> dict[Tensor, Array]:

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyDocumentError
+from .errors import ConfigError, EmptyDocumentError
 from .graph import FeatureDoc, GraphBatch
 from .msrrn import ReasonerParams, run_msrrn, run_rrn
 from .numerics import (
@@ -88,8 +88,13 @@ def attend(
 
     One tape record. The forward pass is the composition of affine,
     scaled product, mask, softmax and affine primitives, op for op, so
-    its values are theirs bit for bit. The backward pass folds the batch
-    axis into the rows of one GEMM per weight, and of one for the query.
+    its values are theirs bit for bit. Its softmax runs in place in the
+    one [..., num_tropes, L] buffer the score product returns: scale,
+    mask add, max subtraction, exp and normalization, each the
+    primitive's operation on the same operands. The backward pass forms
+    the score gradient in place as (dw - sum(dw * w)) * w, where dw is the
+    weights' gradient, and folds the batch axis into the rows of one GEMM
+    per weight, and of one for the query.
     """
     if feats.shape[-2] == 0:
         raise EmptyDocumentError("attend: no positions to attend over")
@@ -99,12 +104,13 @@ def attend(
     q = e.data @ qp.w.data + qp.b.data
     k = feats.data @ kp.w.data + kp.b.data
     v = feats.data @ vp.w.data + vp.b.data
-    scores = (q @ np.swapaxes(k, -1, -2)) * c
+    w = q @ np.swapaxes(k, -1, -2)  # the scores, then the softmax weights in place
+    w *= c
     if mask is not None:
-        scores = scores + mask
-    z = scores - scores.max(axis=-1, keepdims=True)
-    w = np.exp(z)
-    w = w / w.sum(axis=-1, keepdims=True)  # [..., num_tropes, L]
+        w += mask
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)  # [..., num_tropes, L]
     ctx = w @ v
     out = Tensor(ctx @ op.w.data + op.b.data)
 
@@ -114,8 +120,9 @@ def attend(
         g = gout.reshape(n_b * n_t, d_f)
         d_ctx = (g @ op.w.data.T).reshape(n_b, n_t, d_a)
         w3 = w.reshape(n_b, n_t, n_l)
-        dw = d_ctx @ np.swapaxes(v.reshape(n_b, n_l, d_a), -1, -2)
-        ds = w3 * (dw - (dw * w3).sum(axis=-1, keepdims=True))
+        ds = d_ctx @ np.swapaxes(v.reshape(n_b, n_l, d_a), -1, -2)  # d loss / d w
+        ds -= (ds * w3).sum(axis=-1, keepdims=True)
+        ds *= w3
         ds *= c  # d loss / d scores before scaling; the mask takes none
         dq = ds.transpose(1, 0, 2).reshape(n_t, n_b * n_l) @ k.reshape(n_b * n_l, d_a)
         dk = (np.swapaxes(ds, -1, -2) @ q).reshape(n_b * n_l, d_a)
@@ -195,7 +202,7 @@ def sentence_stream(docs: Sequence[FeatureDoc], e: Tensor, p: StreamParams) -> T
         if doc.n_sents == 0:
             raise EmptyDocumentError(f"doc {doc.doc_id}: no sentences")
     if p.sent_rnn is None:
-        raise ValueError("sentence stream params lack an RNN")
+        raise ConfigError("sentence stream: its params have no sentence LSTM (sent_rnn)")
     feats, mask = _pad([doc.sent_feats for doc in docs])
     return attend(e, lstm_sequence(Tensor(feats), p.sent_rnn), p, mask)
 

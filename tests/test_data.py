@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -68,10 +69,10 @@ class TestRoundTrip:
         ds = synth_generate(12, small_spec())
         p1 = save_dataset(ds, str(tmp_path / "a"))
         p2 = save_dataset(ds, str(tmp_path / "b"))
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
         assert (
-            open(str(tmp_path / "a" / "train.jsonl"), "rb").read()
-            == open(str(tmp_path / "b" / "train.jsonl"), "rb").read()
+            (tmp_path / "a" / "train.jsonl").read_bytes()
+            == (tmp_path / "b" / "train.jsonl").read_bytes()
         )
 
 
@@ -245,7 +246,7 @@ class TestLoadErrors:
     def test_malformed_manifest_is_data_format_error(self, tmp_path, manifest):
         path = self.write_manifest(tmp_path, {"train": ["train.jsonl"]})
         if isinstance(manifest, dict):
-            manifest = {**json.loads(open(path).read()), **manifest}
+            manifest = {**json.loads(Path(path).read_text()), **manifest}
         with open(path, "w") as fh:
             json.dump(manifest, fh)
         with pytest.raises(DataFormatError, match="manifest.json"):
@@ -259,7 +260,7 @@ class TestLoadErrors:
     @pytest.mark.parametrize("version", [2, "drop", True, 1.5])
     def test_unsupported_manifest_version(self, tmp_path, version):
         path = self.write_manifest(tmp_path, {})
-        manifest = json.loads(open(path).read())
+        manifest = json.loads(Path(path).read_text())
         if version == "drop":
             del manifest["version"]
         else:

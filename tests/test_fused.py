@@ -8,7 +8,9 @@ scale, mask and softmax records, and the head as a stream-mix softmax,
 per-stream products and the predictor MLP on concat(mixed, embedding).
 The fused primitives must give the same values and the same gradient
 for every input and parameter, and must stay few records, so per-gate,
-per-step, per-head or per-op records cannot return unnoticed.
+per-step, per-head or per-op records cannot return unnoticed. The LSTM
+sequence, its gate update pair and the pooling must also equal, bit for
+bit, the row-major, out-of-place records frozen in `composite_oracle.py`.
 """
 
 import numpy as np
@@ -73,10 +75,18 @@ SEQUENCES = {
 }
 
 
+def _assert_identical(new, ref):
+    """Values and every gradient equal bit for bit."""
+    (val_n, grads_n), (val_r, grads_r) = new, ref
+    assert np.array_equal(val_n, val_r)
+    assert grads_n.keys() == grads_r.keys()
+    for name in grads_n:
+        assert np.array_equal(grads_n[name], grads_r[name]), name
+
+
 class TestLSTMSequence:
-    def _setup(self, n_b, n_s, lengths=None, tracked_input=True):
+    def _setup(self, n_b, n_s, lengths=None, tracked_input=True, input_dim=3, hidden=4):
         rng = np.random.default_rng([n_b, n_s, 7])
-        input_dim, hidden = 3, 4
         p = nm.init_lstm(rng, input_dim, hidden)
         for _, t in p.named("lstm"):  # nonzero biases exercise their gradients
             t.data[...] = rng.uniform(-0.8, 0.8, size=t.shape)
@@ -123,6 +133,65 @@ class TestLSTMSequence:
         p, _, _, _ = self._setup(2, 3)
         with pytest.raises(ShapeMismatchError):
             nm.lstm_sequence(nm.param(np.zeros((2, 3, 5))), p)
+
+    @pytest.mark.parametrize("n_b,n_s,lengths", [
+        (1, 1, None), (1, 19, None), (16, 1, None), (16, 19, None),
+        (16, 19, (19, 1, 7, 12, 19, 3, 18, 5, 2, 19, 9, 14, 1, 16, 11, 6)),
+    ], ids=["1x1", "1x19", "16x1", "16x19", "16x19-ragged"])
+    def test_matches_the_row_major_record_bit_for_bit(self, n_b, n_s, lengths):
+        p, x, leaves, weights = self._setup(n_b, n_s, lengths, input_dim=24, hidden=32)
+        new = _run(lambda: nm.lstm_sequence(x, p), leaves, weights)
+        ref = _run(lambda: oracle.rowmajor_lstm_sequence(x, p), leaves, weights)
+        _assert_identical(new, ref)
+        assert set(new[1]) == {"x"} | {name for name, _ in p.named("lstm")}
+
+
+@pytest.mark.parametrize("n_t", [1, 3])
+def test_gate_update_pair_matches_the_row_major_pair_bit_for_bit(n_t):
+    """`lstm_update` on halved pre-activations, gate-major, and its backward pass.
+
+    Every step's state and gate activations, the pre-activation gradient
+    the step callback receives at every step, and the returned gradients
+    must equal those of the frozen row-major pair.
+    """
+    rng = np.random.default_rng([n_t, 31])
+    n, hd = 16, 8
+    z = 2.0 * rng.standard_normal((n_t, n, 4 * hd))  # pre-activations
+    gh = rng.standard_normal((n_t, n, hd))
+    w_back = rng.standard_normal((4 * hd, hd))  # what step t's gradient reaches h_{t-1} by
+
+    def run(gate_major):
+        c, tc, h = (np.empty((n_t, n, hd)) for _ in range(3))
+        if gate_major:
+            act = np.empty((n_t, 4, n, hd))
+            a = z.copy()
+            a[..., : 3 * hd] *= 0.5
+            for t in range(n_t):
+                z4 = a[t].reshape(n, 4, hd).transpose(1, 0, 2)
+                nm.lstm_update(z4, act[t], c[t - 1] if t else None, c[t], tc[t], h[t])
+            backward = nm.lstm_update_backward
+            gates = act.transpose(0, 2, 1, 3).reshape(n_t, n, 4 * hd)
+        else:
+            act = z.copy()
+            for t in range(n_t):
+                oracle.rowmajor_lstm_update(act[t], c[t - 1] if t else None, c[t], tc[t], h[t])
+            backward = oracle.rowmajor_lstm_update_backward
+            gates = act
+        seen = {}
+
+        def step(t, d):
+            seen[t] = d.copy()
+            return d @ w_back if t else None
+
+        d_pre = backward(act, c, tc, gh, step)
+        return (gates, c, tc, h, d_pre), seen
+
+    (new, new_seen), (ref, ref_seen) = run(True), run(False)
+    for name, a, b in zip(("act", "c", "tanh(c)", "h", "d_pre"), new, ref):
+        assert np.array_equal(a, b), name
+    assert list(new_seen) == list(ref_seen) == list(range(n_t - 1, -1, -1))
+    for t in ref_seen:
+        assert np.array_equal(new_seen[t], ref_seen[t]), t
 
 
 def test_sentence_stream_emits_one_lstm_record():
@@ -201,6 +270,16 @@ class TestAttend:
         with Tape() as tape:
             attend(e, feats, p, mask)
         assert len(tape) == 1
+
+    @pytest.mark.parametrize("case", list(POOLS))
+    def test_matches_the_out_of_place_record_bit_for_bit(self, case):
+        p, e, feats, mask, leaves, w = self._setup(case)
+        new = _run(lambda: attend(e, feats, p, mask), leaves, w)
+        ref = _run(lambda: oracle.rowmajor_attend(e, feats, p, mask), leaves, w)
+        _assert_identical(new, ref)
+        _, weights = attend(e, feats, p, mask, return_weights=True)
+        _, want = oracle.rowmajor_attend(e, feats, p, mask, return_weights=True)
+        assert np.array_equal(weights.data, want.data)
 
 
 D_S, D_H = 5, 8

@@ -87,6 +87,13 @@ class TestF1:
         with pytest.raises(ValidationError):
             f1(np.array([[2]]), np.array([[1]]))
 
+    @pytest.mark.parametrize("mode", ["micro", "macro"])
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2), ()])
+    def test_arrays_other_than_n_by_t_rejected(self, mode, shape):
+        a = np.ones(shape, dtype=int)
+        with pytest.raises(ValidationError, match=r"\[N, T\]"):
+            f1(a, a, mode)
+
     @pytest.mark.parametrize("trial", range(20))
     def test_small_instances_match_oracle_exactly(self, trial):
         rng = rng_from_seed(500 + trial)

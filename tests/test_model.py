@@ -6,6 +6,7 @@ import platform
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -670,7 +671,7 @@ class TestCheckpoint:
         p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         save_checkpoint(model, p1)
         save_checkpoint(model, p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_rejects_garbage_file(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from composite_oracle import reduce_sum
-from mulcom.errors import EmptyDocumentError
+from mulcom.errors import ConfigError, EmptyDocumentError
 from mulcom.graph import FeatureDoc, build_graph
 from mulcom.model import ModelConfig
 from mulcom.msrrn import init_reasoner
@@ -186,6 +186,13 @@ class TestSentenceStream:
         )
         out2 = sentence_stream([swapped], e, p).data
         assert np.abs(out1 - out2).max() > 1e-8
+
+    def test_params_without_an_lstm_are_a_config_error(self):
+        rng = rng_from_seed(49)
+        p = init_stream(rng, view_dim=5, d_f=4, d_a=5)  # a word stream's params
+        doc = make_doc({"A": [0]}, n_sents=2, d_s=3, seed=50)
+        with pytest.raises(ConfigError, match="sentence stream"):
+            sentence_stream([doc], Tensor(rng.standard_normal((2, 4))), p)
 
 
 class TestRelationStream:

@@ -21,7 +21,8 @@ by receiver, and updates the cell. The cell keeps its gate activations
 gate-major ([T, 4, N, h]), so its elementwise passes, forward and
 backward, run on contiguous [N, h] blocks. Each step halves the sigmoid
 gates' columns of its [N, 4h] pre-activations, as `lstm_update` takes
-them: with two or three steps over a few nodes, one pass per step costs
+them, with one contiguous multiply by a cached [4h] vector of 0.5s and
+1s: with two or three steps over a few nodes, one pass per step costs
 less than the per-call halved weight copies that `lstm_sequence` makes
 for its many steps. The step attention projects every step's states
 with one [N*T, h] @ [h, 3h] product and sums over steps before the
@@ -119,6 +120,20 @@ def init_reasoner(
 
 
 @functools.cache
+def _gate_scale(hd: int) -> Array:
+    """[4h] column factors of the gate pre-activations: 0.5 for i, f and o, 1 for g; read-only.
+
+    `lstm_update` takes the sigmoid gates' pre-activations halved. One
+    contiguous multiply by this vector costs less than a strided pass
+    over the [N, 3h] sigmoid block, and scaling by 0.5 or 1 is exact.
+    """
+    out = np.full(4 * hd, 0.5)
+    out[3 * hd :] = 1.0
+    out.flags.writeable = False
+    return out
+
+
+@functools.cache
 def _head_sum(heads: int, d_head: int) -> Array:
     """[heads * d_head, heads] 0/1 matrix summing each head's columns; read-only."""
     out = np.repeat(np.eye(heads), d_head, axis=0)
@@ -170,6 +185,7 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
     y = np.empty((n, 6 * hd))
     a = np.empty((n, 4 * hd))  # the step's gate pre-activations
     a4 = a.reshape(n, 4, hd).transpose(1, 0, 2)  # gate-major view, what `lstm_update` reads
+    gate_scale = _gate_scale(hd)
     for t in range(n_t):
         s = slot[t]
         if t:
@@ -185,7 +201,7 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
         per_pair += b2
         msg[s] = segs.sum(per_pair)
         a += msg[s] @ w_msg
-        a[:, : 3 * hd] *= 0.5  # the sigmoid gates', halved as `lstm_update` takes them
+        a *= gate_scale  # the sigmoid gates' halved, as `lstm_update` takes them
         lstm_update(a4, act[s], c[slot[t - 1]] if t else None, c[s], tc[s], hs[t])
 
     if attend:

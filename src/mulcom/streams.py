@@ -9,7 +9,12 @@ x d_f] regardless of the views' lengths. Views of different lengths
 are zero-padded to the longest and the padding is masked out of the
 attention, so a document's result does not depend on its batch mates.
 The pooling, `attend`, is one tape record with a hand-derived backward
-pass, like the sentence LSTM and the reasoner it reads from.
+pass, like the sentence LSTM and the reasoner it reads from. It never
+forms the keys: the key projection is folded into the queries, which
+depend only on the tropes, and the scores read the view rows directly.
+The key bias adds the same term to every score of a trope, which the
+softmax cancels, so it stays a parameter (checkpoints keep it) with a
+gradient of exactly zero.
 """
 
 from __future__ import annotations
@@ -86,15 +91,23 @@ def attend(
     `return_weights` also returns the softmax weights [..., num_tropes, L]
     as an untracked tensor.
 
-    One tape record. The forward pass is the composition of affine,
-    scaled product, mask, softmax and affine primitives, op for op, so
-    its values are theirs bit for bit. Its softmax runs in place in the
-    one [..., num_tropes, L] buffer the score product returns: scale,
-    mask add, max subtraction, exp and normalization, each the
-    primitive's operation on the same operands. The backward pass forms
-    the score gradient in place as (dw - sum(dw * w)) * w, where dw is the
-    weights' gradient, and folds the batch axis into the rows of one GEMM
-    per weight, and of one for the query.
+    One tape record. The scores q (F W_k + b_k)^T / sqrt(d_a) are
+    computed as (q W_k^T) F^T / sqrt(d_a): the [num_tropes, d] product
+    q W_k^T is formed once per call, and q . b_k, constant along the
+    positions, is dropped, as the softmax cancels it. Per position this
+    costs num_tropes * d multiply-adds where the keys and their scores
+    cost d * d_a + num_tropes * d_a, so it saves work whenever
+    num_tropes * d < d * d_a + num_tropes * d_a, which holds for every
+    view with d <= d_a. The values agree with the composite of affine,
+    scaled product, mask, softmax and affine primitives to rounding,
+    not bit for bit. The softmax runs in place in the one
+    [..., num_tropes, L] buffer the score product returns: scale, mask
+    add, max subtraction, exp and normalization. The backward pass forms
+    the score gradient ds in place as (dw - sum(dw * w)) * w, where dw
+    is the weights' gradient, folds the batch axis into the rows of one
+    GEMM per weight, and forms d(q W_k^T) = ds F once, from which the
+    query and key-weight gradients follow; the view's gradient is
+    ds^T (q W_k^T) plus the value path's, and the key bias's is zero.
     """
     if feats.shape[-2] == 0:
         raise EmptyDocumentError("attend: no positions to attend over")
@@ -102,9 +115,9 @@ def attend(
     d_a = qp.w.shape[1]
     c = 1.0 / math.sqrt(d_a)
     q = e.data @ qp.w.data + qp.b.data
-    k = feats.data @ kp.w.data + kp.b.data
+    qk = q @ kp.w.data.T  # [num_tropes, d]: the key projection, folded into the queries
     v = feats.data @ vp.w.data + vp.b.data
-    w = q @ np.swapaxes(k, -1, -2)  # the scores, then the softmax weights in place
+    w = qk @ np.swapaxes(feats.data, -1, -2)  # the scores, then the softmax weights in place
     w *= c
     if mask is not None:
         w += mask
@@ -124,26 +137,26 @@ def attend(
         ds -= (ds * w3).sum(axis=-1, keepdims=True)
         ds *= w3
         ds *= c  # d loss / d scores before scaling; the mask takes none
-        dq = ds.transpose(1, 0, 2).reshape(n_t, n_b * n_l) @ k.reshape(n_b * n_l, d_a)
-        dk = (np.swapaxes(ds, -1, -2) @ q).reshape(n_b * n_l, d_a)
-        dv = (np.swapaxes(w3, -1, -2) @ d_ctx).reshape(n_b * n_l, d_a)
         rows = feats.data.reshape(n_b * n_l, -1)
+        d_qk = ds.transpose(1, 0, 2).reshape(n_t, n_b * n_l) @ rows
+        dq = d_qk @ kp.w.data
+        dv = (np.swapaxes(w3, -1, -2) @ d_ctx).reshape(n_b * n_l, d_a)
         ones = np.ones(n_b * n_l)  # a GEMV sums the rows several times faster than .sum
         grads = {
             op.w: ctx.reshape(n_b * n_t, d_a).T @ g,
             op.b: g.sum(axis=0),
             qp.w: e.data.T @ dq,
             qp.b: dq.sum(axis=0),
-            kp.w: rows.T @ dk,
-            kp.b: ones @ dk,
+            kp.w: d_qk.T @ q,
+            kp.b: np.zeros_like(kp.b.data),  # the softmax cancels q . b_k
             vp.w: rows.T @ dv,
             vp.b: ones @ dv,
         }
         if e.tracked:
             grads[e] = dq @ qp.w.data.T
         if feats.tracked:
-            d_feats = dk @ kp.w.data.T
-            d_feats += dv @ vp.w.data.T
+            d_feats = np.swapaxes(ds, -1, -2) @ qk  # [B, L, d]
+            d_feats += (dv @ vp.w.data.T).reshape(d_feats.shape)
             grads[feats] = d_feats.reshape(feats.shape)
         return grads
 

@@ -191,8 +191,10 @@ def head_logits(model, outs):
 # gate activations row-major [n, 4h], each step halving its own sigmoid
 # columns, and the pooling softmax in fresh temporaries. Frozen verbatim
 # (only renamed) as the bit-for-bit reference of `numerics.lstm_update`,
-# `numerics.lstm_update_backward`, `numerics.lstm_sequence` and
-# `streams.attend`, which compute the same operations in the same order.
+# `numerics.lstm_update_backward` and `numerics.lstm_sequence`, which
+# compute the same operations in the same order, and as the 1e-12
+# reference of `streams.attend`, which folds the key projection into the
+# queries.
 # ---------------------------------------------------------------------------
 
 def rowmajor_lstm_update(a: Array, c_prev: Array | None, c: Array, tc: Array, h: Array) -> None:

@@ -17,7 +17,9 @@ from composite_oracle import stack
 from mulcom.config import STREAM_NAMES
 from mulcom.errors import EmptyDocumentError, ValidationError
 from mulcom.graph import EntityMentions, FeatureDoc, label_matrix
-from mulcom.model import ModelConfig, bce_loss, build_model, forward_logits
+from mulcom.model import (
+    ModelConfig, bce_loss, build_model, forward_logits, score_dataset,
+)
 from mulcom.numerics import Tape, backward, rng_from_seed
 
 TOL = 1e-12
@@ -177,6 +179,23 @@ def test_doc_logits_ignore_batch_mates_and_order(streams):
     npt.assert_allclose(shuffled, whole[order], rtol=0, atol=TOL)
     npt.assert_allclose(forward_logits(model, docs[1:3]).data, whole[1:3],
                         rtol=0, atol=TOL)
+
+
+def test_long_word_views_score_as_each_doc_alone():
+    """A ragged chunk of 180-210 token word views, padded together, scores as each doc does."""
+    cfg = ModelConfig(num_tropes=5, d_w=16, d_s=D_S, d_f=32, d_a=32,
+                      streams=("word", "sentence"))
+    model = build_model(cfg, seed=7)
+    rng = rng_from_seed(8, stream=92)
+    docs = [
+        FeatureDoc(f"long{i}", rng.standard_normal((n, cfg.d_w)),
+                   rng.standard_normal((n // 11, D_S)), [], ())
+        for i, n in enumerate(rng.integers(180, 211, size=12))
+    ]
+    assert len({d.n_tokens for d in docs}) > 1  # ragged, so the chunk is masked
+    whole = score_dataset(model, docs)
+    for i, d in enumerate(docs):
+        npt.assert_allclose(score_dataset(model, [d])[0], whole[i], rtol=0, atol=TOL)
 
 
 def test_zero_token_doc_is_named():

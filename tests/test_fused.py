@@ -9,8 +9,10 @@ per-stream products and the predictor MLP on concat(mixed, embedding).
 The fused primitives must give the same values and the same gradient
 for every input and parameter, and must stay few records, so per-gate,
 per-step, per-head or per-op records cannot return unnoticed. The LSTM
-sequence, its gate update pair and the pooling must also equal, bit for
-bit, the row-major, out-of-place records frozen in `composite_oracle.py`.
+sequence and its gate update pair must also equal, bit for bit, the
+row-major records frozen in `composite_oracle.py`; the pooling, which
+folds the key projection into the queries, must match the out-of-place
+record frozen there within 1e-12 and give the key bias a zero gradient.
 """
 
 import numpy as np
@@ -221,6 +223,8 @@ POOLS = {
     "unmasked-batch": (3, (3, 6, 5), None, True),
     "untracked-feats": (3, (4, 6, 5), (6, 2, 6, 5), False),
     "single-position": (4, (2, 1, 5), None, True),
+    "wide-view": (3, (3, 5, 9), (5, 2, 4), True),  # view dim above d_a
+    "long-words": (5, (3, 206, 4), (206, 180, 197), True),  # the word stream's shape
 }
 
 
@@ -249,8 +253,8 @@ class TestAttend:
         p, e, feats, mask, leaves, w = self._setup(case)
         fused = _run(lambda: attend(e, feats, p, mask), leaves, w)
         composite = _run(lambda: oracle.attend(e, feats, p, mask), leaves, w)
-        np.testing.assert_array_equal(fused[0], composite[0])  # scores bit for bit
         _assert_same(fused, composite)
+        assert not fused[1]["pool.key_proj.b"].any()  # the softmax cancels q . b_k
         assert len(fused[1]) == (10 if feats.tracked else 9)  # E, 8 projections, feats
         assert feats.tracked or feats.grad is None
 
@@ -259,8 +263,8 @@ class TestAttend:
         p, e, feats, mask, _, _ = self._setup(case)
         out, weights = attend(e, feats, p, mask, return_weights=True)
         want_out, want_weights = oracle.attend(e, feats, p, mask, return_weights=True)
-        np.testing.assert_array_equal(out.data, want_out.data)
-        np.testing.assert_array_equal(weights.data, want_weights.data)
+        assert _max_abs_diff(out.data, want_out.data) <= TOL
+        assert _max_abs_diff(weights.data, want_weights.data) <= TOL
         if mask is not None:
             assert (weights.data[np.broadcast_to(mask, weights.shape) != 0] == 0.0).all()
 
@@ -273,13 +277,47 @@ class TestAttend:
 
     @pytest.mark.parametrize("case", list(POOLS))
     def test_matches_the_out_of_place_record_bit_for_bit(self, case):
+        """Within 1e-12 of the frozen out-of-place record; the folded keys reorder the sums."""
         p, e, feats, mask, leaves, w = self._setup(case)
         new = _run(lambda: attend(e, feats, p, mask), leaves, w)
         ref = _run(lambda: oracle.rowmajor_attend(e, feats, p, mask), leaves, w)
-        _assert_identical(new, ref)
+        _assert_same(new, ref)
+        assert not new[1]["pool.key_proj.b"].any()
         _, weights = attend(e, feats, p, mask, return_weights=True)
         _, want = oracle.rowmajor_attend(e, feats, p, mask, return_weights=True)
-        assert np.array_equal(weights.data, want.data)
+        assert _max_abs_diff(weights.data, want.data) <= TOL
+
+    @pytest.mark.parametrize("case", list(POOLS))
+    def test_the_key_bias_changes_nothing(self, case):
+        """Outputs, weights and every other gradient ignore the key bias, bit for bit."""
+        p, e, feats, mask, leaves, w = self._setup(case)
+        runs = []
+        for b_k in (0.0, 3.5):
+            p.key_proj.b.data[...] = b_k
+            value, grads = _run(lambda: attend(e, feats, p, mask), leaves, w)
+            _, weights = attend(e, feats, p, mask, return_weights=True)
+            runs.append((value, grads, weights.data))
+        (val_a, grads_a, weights_a), (val_b, grads_b, weights_b) = runs
+        assert np.array_equal(weights_a, weights_b)
+        _assert_identical((val_a, grads_a), (val_b, grads_b))
+        assert not grads_a["pool.key_proj.b"].any()
+
+
+def test_training_leaves_the_key_biases_at_their_initial_values():
+    """A zero gradient gives an Adam step of exactly 0, so no key bias moves."""
+    ds = synth_generate(4, SynthSpec(docs=24, val_frac=0.0, d_w=6, d_s=5, vocab=24))
+    cfg = ModelConfig(
+        num_tropes=ds.num_tropes, d_w=6, d_s=5, d_f=8, d_a=8, d_h=8,
+        reasoner_steps=2, reasoner_heads=2, streams=("word", "sentence", "relation"),
+    )
+    model = build_model(cfg, seed=2)
+    params = model.named_parameters()
+    before = {name: t.data.copy() for name, t in params.items() if ".key_proj." in name}
+    assert len(before) == 6  # a weight and a bias per stream
+    train(model, ds.split("train"), TrainConfig(learning_rate=1e-2, epochs=1, batch_size=8))
+    for name, data in before.items():
+        moved = not np.array_equal(params[name].data, data)
+        assert moved == name.endswith(".w"), name
 
 
 D_S, D_H = 5, 8

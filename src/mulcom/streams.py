@@ -3,18 +3,21 @@
 Each stream pools one view of each document (raw word features,
 LSTM-encoded sentence features, or reasoner node states) into one
 vector per trope. The trope embedding is projected to a query, the
-view rows to keys and values, and the softmax-weighted value sum is
-projected back to the trope dim, so every stream emits [B x num_tropes
-x d_f] regardless of the views' lengths. Views of different lengths
-are zero-padded to the longest and the padding is masked out of the
-attention, so a document's result does not depend on its batch mates.
-The pooling, `attend`, is one tape record with a hand-derived backward
-pass, like the sentence LSTM and the reasoner it reads from. It never
-forms the keys: the key projection is folded into the queries, which
-depend only on the tropes, and the scores read the view rows directly.
-The key bias adds the same term to every score of a trope, which the
-softmax cancels, so it stays a parameter (checkpoints keep it) with a
-gradient of exactly zero.
+softmax over the query's scores against the view rows weights those
+rows, and the weighted row sum is projected to values and back to the
+trope dim, so every stream emits [B x num_tropes x d_f] regardless of
+the views' lengths. Views of different lengths are zero-padded to the
+longest and the padding is masked out of the attention, so a
+document's result does not depend on its batch mates. The pooling,
+`attend`, is one tape record with a hand-derived backward pass, like
+the sentence LSTM and the reasoner it reads from. It forms neither
+keys nor values per position. The key projection is folded into the
+queries, which depend only on the tropes, and the scores read the view
+rows directly. The key bias adds the same term to every score of a
+trope, which the softmax cancels, so it stays a parameter (checkpoints
+keep it) with a gradient of exactly zero. The value projection runs
+after the pooling, on one row per trope: every softmax row sums to 1,
+so pooling and projecting commute, bias included.
 """
 
 from __future__ import annotations
@@ -94,20 +97,32 @@ def attend(
     One tape record. The scores q (F W_k + b_k)^T / sqrt(d_a) are
     computed as (q W_k^T) F^T / sqrt(d_a): the [num_tropes, d] product
     q W_k^T is formed once per call, and q . b_k, constant along the
-    positions, is dropped, as the softmax cancels it. Per position this
-    costs num_tropes * d multiply-adds where the keys and their scores
-    cost d * d_a + num_tropes * d_a, so it saves work whenever
-    num_tropes * d < d * d_a + num_tropes * d_a, which holds for every
-    view with d <= d_a. The values agree with the composite of affine,
-    scaled product, mask, softmax and affine primitives to rounding,
-    not bit for bit. The softmax runs in place in the one
-    [..., num_tropes, L] buffer the score product returns: scale, mask
-    add, max subtraction, exp and normalization. The backward pass forms
-    the score gradient ds in place as (dw - sum(dw * w)) * w, where dw
-    is the weights' gradient, folds the batch axis into the rows of one
-    GEMM per weight, and forms d(q W_k^T) = ds F once, from which the
-    query and key-weight gradients follow; the view's gradient is
-    ds^T (q W_k^T) plus the value path's, and the key bias's is zero.
+    positions, is dropped, as the softmax cancels it. The context
+    w (F W_v + b_v) is computed as (w F) W_v + b_v, since each row of w
+    sums to 1. So no [..., L, d_a] key or value buffer exists, and the
+    values agree with the composite of affine, scaled product, mask,
+    softmax and affine primitives to rounding, not bit for bit.
+
+    Cost, with T = num_tropes and d the view dim: per position, the
+    scores and the pooling w F cost 2 T d multiply-adds. Keys would add
+    d d_a + T d_a - T d to that, and so would values, projected per
+    position and then pooled. Per trope row, the value projection of
+    w F costs d d_a. With d = d_a the folded values do less work
+    exactly when L > T, and with d < d_a at shorter L. Word views, tens
+    to hundreds of tokens long, gain most; a sentence or entity view
+    shorter than T pays a little more.
+
+    The softmax runs in place in the one [..., num_tropes, L] buffer the
+    score product returns: scale, mask add, max subtraction, exp and
+    normalization. The backward pass folds the batch axis into the rows
+    of one GEMM per weight. It forms d(w F) = d_ctx W_v^T once, on
+    [B * num_tropes, d] rows, from which the weights' gradient
+    dw = d(w F) F^T, the value weight's (w F)^T d_ctx and the view's
+    value-path term w^T d(w F) follow; the value bias's is the row sum
+    of d_ctx. The score gradient ds is formed in place as
+    (dw - sum(dw * w)) * w, and d(q W_k^T) = ds F once, from which the
+    query and key-weight gradients follow; the view's gradient adds
+    ds^T (q W_k^T), and the key bias's is zero.
     """
     if feats.shape[-2] == 0:
         raise EmptyDocumentError("attend: no positions to attend over")
@@ -116,7 +131,6 @@ def attend(
     c = 1.0 / math.sqrt(d_a)
     q = e.data @ qp.w.data + qp.b.data
     qk = q @ kp.w.data.T  # [num_tropes, d]: the key projection, folded into the queries
-    v = feats.data @ vp.w.data + vp.b.data
     w = qk @ np.swapaxes(feats.data, -1, -2)  # the scores, then the softmax weights in place
     w *= c
     if mask is not None:
@@ -124,24 +138,24 @@ def attend(
     w -= w.max(axis=-1, keepdims=True)
     np.exp(w, out=w)
     w /= w.sum(axis=-1, keepdims=True)  # [..., num_tropes, L]
-    ctx = w @ v
+    wf = w @ feats.data  # [..., num_tropes, d]: the view rows pooled before the value projection
+    ctx = wf @ vp.w.data + vp.b.data  # each row of w sums to 1, so w @ 1 b_v = b_v
     out = Tensor(ctx @ op.w.data + op.b.data)
 
     def grads_fn(gout: Array) -> dict[Tensor, Array]:
         n_t, n_l, d_f = e.shape[0], feats.shape[-2], out.shape[-1]
         n_b = feats.size // (n_l * feats.shape[-1])
         g = gout.reshape(n_b * n_t, d_f)
-        d_ctx = (g @ op.w.data.T).reshape(n_b, n_t, d_a)
+        d_ctx = g @ op.w.data.T  # [B*T, d_a]
+        d_wf = (d_ctx @ vp.w.data.T).reshape(n_b, n_t, -1)  # d loss / d (w F)
+        rows = feats.data.reshape(n_b * n_l, -1)
         w3 = w.reshape(n_b, n_t, n_l)
-        ds = d_ctx @ np.swapaxes(v.reshape(n_b, n_l, d_a), -1, -2)  # d loss / d w
+        ds = d_wf @ np.swapaxes(rows.reshape(n_b, n_l, -1), -1, -2)  # d loss / d w
         ds -= (ds * w3).sum(axis=-1, keepdims=True)
         ds *= w3
         ds *= c  # d loss / d scores before scaling; the mask takes none
-        rows = feats.data.reshape(n_b * n_l, -1)
         d_qk = ds.transpose(1, 0, 2).reshape(n_t, n_b * n_l) @ rows
         dq = d_qk @ kp.w.data
-        dv = (np.swapaxes(w3, -1, -2) @ d_ctx).reshape(n_b * n_l, d_a)
-        ones = np.ones(n_b * n_l)  # a GEMV sums the rows several times faster than .sum
         grads = {
             op.w: ctx.reshape(n_b * n_t, d_a).T @ g,
             op.b: g.sum(axis=0),
@@ -149,14 +163,14 @@ def attend(
             qp.b: dq.sum(axis=0),
             kp.w: d_qk.T @ q,
             kp.b: np.zeros_like(kp.b.data),  # the softmax cancels q . b_k
-            vp.w: rows.T @ dv,
-            vp.b: ones @ dv,
+            vp.w: wf.reshape(n_b * n_t, -1).T @ d_ctx,
+            vp.b: np.ones(n_b * n_t) @ d_ctx,  # a GEMV sums the rows faster than .sum
         }
         if e.tracked:
             grads[e] = dq @ qp.w.data.T
         if feats.tracked:
             d_feats = np.swapaxes(ds, -1, -2) @ qk  # [B, L, d]
-            d_feats += (dv @ vp.w.data.T).reshape(d_feats.shape)
+            d_feats += np.swapaxes(w3, -1, -2) @ d_wf
             grads[feats] = d_feats.reshape(feats.shape)
         return grads
 

@@ -11,8 +11,9 @@ for every input and parameter, and must stay few records, so per-gate,
 per-step, per-head or per-op records cannot return unnoticed. The LSTM
 sequence and its gate update pair must also equal, bit for bit, the
 row-major records frozen in `composite_oracle.py`; the pooling, which
-folds the key projection into the queries, must match the out-of-place
-record frozen there within 1e-12 and give the key bias a zero gradient.
+folds the key projection into the queries and pools the view rows
+before the value projection, must match the out-of-place record frozen
+there within 1e-12 and give the key bias a zero gradient.
 """
 
 import numpy as np
@@ -225,6 +226,7 @@ POOLS = {
     "single-position": (4, (2, 1, 5), None, True),
     "wide-view": (3, (3, 5, 9), (5, 2, 4), True),  # view dim above d_a
     "long-words": (5, (3, 206, 4), (206, 180, 197), True),  # the word stream's shape
+    "more-tropes": (8, (3, 4, 6), (4, 1, 3), True),  # L < T: pooling first costs more here
 }
 
 
@@ -301,6 +303,18 @@ class TestAttend:
         assert np.array_equal(weights_a, weights_b)
         _assert_identical((val_a, grads_a), (val_b, grads_b))
         assert not grads_a["pool.key_proj.b"].any()
+
+
+    @pytest.mark.parametrize("case", list(POOLS))
+    def test_value_bias_shifts_each_pooled_row_by_its_projection(self, case):
+        """out(b_v + delta) - out(b_v) = delta W_o: every weight row sums to 1."""
+        p, e, feats, mask, _, _ = self._setup(case)
+        delta = np.random.default_rng(7).uniform(-2.0, 2.0, size=p.value_proj.b.shape)
+        before = attend(e, feats, p, mask).data
+        p.value_proj.b.data += delta
+        after = attend(e, feats, p, mask).data
+        want = np.broadcast_to(delta @ p.out_proj.w.data, before.shape)
+        assert _max_abs_diff(after - before, want) <= TOL
 
 
 def test_training_leaves_the_key_biases_at_their_initial_values():

@@ -226,7 +226,7 @@ def bce_loss(logits: Tensor, targets: Array, pos_weight: float = 1.0) -> Tensor:
     of neg, softplus, products, sum and mean, so they are its bit for bit.
     """
     targets = np.asarray(targets)
-    if not np.isin(targets, (0, 1)).all():
+    if not ((targets == 0) | (targets == 1)).all():
         raise ValidationError("bce_loss targets must be binary")
     if not (math.isfinite(pos_weight) and pos_weight > 0):
         raise ValidationError(f"pos_weight must be finite and positive, got {pos_weight}")
@@ -301,11 +301,25 @@ def score_dataset(
     docs: Sequence[FeatureDoc],
     graphs: GraphBatch | None = None,
 ) -> Array:
-    """Scores of `docs`, a chunk at a time; `graphs` as in `forward_logits`."""
+    """Scores of `docs`, a chunk of `SCORE_CHUNK` at a time.
+
+    `graphs`, when given, is the union of the entity graphs of `docs`, one
+    member per doc in order. Otherwise, when the relation stream needs
+    them, the union of all the docs' graphs is built here once, and each
+    chunk `select`s its members from it.
+    """
+    if graphs is not None and graphs.n_members != len(docs):
+        raise ValidationError(
+            f"score_dataset: {graphs.n_members} graphs for {len(docs)} docs"
+        )
+    if graphs is None and docs and "relation" in model.cfg.streams:
+        graphs = graph_batch(docs)
     scores = np.zeros((len(docs), model.cfg.num_tropes))
     for lo in range(0, len(docs), SCORE_CHUNK):
         hi = min(lo + SCORE_CHUNK, len(docs))
-        chunk_graphs = None if graphs is None else graphs.select(range(lo, hi))
+        chunk_graphs = graphs
+        if graphs is not None and hi - lo < len(docs):
+            chunk_graphs = graphs.select(range(lo, hi))
         scores[lo:hi] = forward(model, docs[lo:hi], chunk_graphs)
     return scores
 

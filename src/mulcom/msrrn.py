@@ -53,6 +53,7 @@ from .numerics import (
     Params,
     Segments,
     Tensor,
+    gate_scale,
     init_affine,
     init_lstm,
     init_mha,
@@ -120,20 +121,6 @@ def init_reasoner(
 
 
 @functools.cache
-def _gate_scale(hd: int) -> Array:
-    """[4h] column factors of the gate pre-activations: 0.5 for i, f and o, 1 for g; read-only.
-
-    `lstm_update` takes the sigmoid gates' pre-activations halved. One
-    contiguous multiply by this vector costs less than a strided pass
-    over the [N, 3h] sigmoid block, and scaling by 0.5 or 1 is exact.
-    """
-    out = np.full(4 * hd, 0.5)
-    out[3 * hd :] = 1.0
-    out.flags.writeable = False
-    return out
-
-
-@functools.cache
 def _head_sum(heads: int, d_head: int) -> Array:
     """[heads * d_head, heads] 0/1 matrix summing each head's columns; read-only."""
     out = np.repeat(np.eye(heads), d_head, axis=0)
@@ -185,7 +172,7 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
     y = np.empty((n, 6 * hd))
     a = np.empty((n, 4 * hd))  # the step's gate pre-activations
     a4 = a.reshape(n, 4, hd).transpose(1, 0, 2)  # gate-major view, what `lstm_update` reads
-    gate_scale = _gate_scale(hd)
+    half = gate_scale(hd)
     for t in range(n_t):
         s = slot[t]
         if t:
@@ -201,7 +188,7 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
         per_pair += b2
         msg[s] = segs.sum(per_pair)
         a += msg[s] @ w_msg
-        a *= gate_scale  # the sigmoid gates' halved, as `lstm_update` takes them
+        a *= half  # the sigmoid gates' halved, as `lstm_update` takes them
         lstm_update(a4, act[s], c[slot[t - 1]] if t else None, c[s], tc[s], hs[t])
 
     if attend:

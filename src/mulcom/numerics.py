@@ -677,6 +677,20 @@ def lstm_cell(h: Tensor, c: Tensor, x: Tensor, p: LSTMParams) -> tuple[Tensor, T
     return mul(o, tanh(c_next)), c_next
 
 
+@functools.cache
+def gate_scale(hd: int) -> Array:
+    """[4h] column factors of the gate pre-activations: 0.5 for i, f and o, 1 for g; read-only.
+
+    `lstm_update` takes the sigmoid gates' pre-activations halved; one
+    contiguous multiply by this vector halves them. Scaling by 0.5 or 1
+    is exact.
+    """
+    out = np.full(4 * hd, 0.5)
+    out[3 * hd :] = 1.0
+    out.flags.writeable = False
+    return out
+
+
 def lstm_update(
     z: Array, act: Array, c_prev: Array | None, c: Array, tc: Array, h: Array
 ) -> None:
@@ -787,11 +801,8 @@ def lstm_sequence(x: Tensor, p: LSTMParams) -> Tensor:
         )
     n_b, n_s, d_in = x.shape
     w_h, w_x = w[:hd], w[hd:]
-    # the sigmoid gates' columns halved: all halved, then g's put back, is
-    # faster than halving the strided sigmoid columns alone
-    w_half, b_half = w * 0.5, p.b.data * 0.5
-    w_half[:, 3 * hd :] = w[:, 3 * hd :]
-    b_half[3 * hd :] = p.b.data[3 * hd :]
+    half = gate_scale(hd)  # the sigmoid gates' columns halved, g's kept
+    w_half, b_half = w * half, p.b.data * half
     xt = x.data.transpose(1, 0, 2).reshape(n_s * n_b, d_in)  # time-major rows
     pre = xt @ w_half[hd:]
     pre += b_half

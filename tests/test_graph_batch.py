@@ -6,7 +6,10 @@ concatenation of the per-document graphs. The batched builder must
 produce the same arrays, signed zeros and summation order included, on
 derandomized ragged batches; `select` of any members must equal a fresh
 build of those members' documents; and a mention outside its document's
-sentences must be a typed error wherever it enters.
+sentences must be a typed error wherever it enters. `graph_batch` has two
+builders, a per-document pass for small batches and an array pass for
+large ones, and on batches either side of the size that picks between
+them both must give the same arrays, warnings and errors.
 """
 
 import logging
@@ -17,10 +20,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import mulcom.graph
 import mulcom.model
 import perdoc_oracle as oracle
 from mulcom.errors import ValidationError
-from mulcom.graph import EntityMentions, FeatureDoc, GraphBatch, graph_batch
+from mulcom.graph import (
+    ARRAY_PASS_MIN_DOCS,
+    EntityMentions,
+    FeatureDoc,
+    GraphBatch,
+    _array_pass,
+    _per_doc_pass,
+    graph_batch,
+)
 from mulcom.model import ModelConfig, TrainConfig, build_model, score_dataset, train
 
 ARRAYS = ("x", "recv", "send", "efeat", "node_counts", "pair_counts")
@@ -124,6 +136,78 @@ def test_graph_batch_equals_the_per_doc_loop(docs, data):
     members = data.draw(st.permutations(range(len(docs))))
     members = members[: data.draw(st.integers(1, len(docs)))]
     assert_same_graphs(got.select(members), graph_batch([docs[i] for i in members]))
+
+
+@st.composite
+def threshold_batches(draw):
+    """A batch of one doc fewer than the array pass takes, or exactly as many.
+
+    Besides ragged docs it always holds a doc without entities and a
+    crowded doc: three entities share a sentence of -0.0 features and a
+    fourth has no mentions. One entity may mention a sentence its doc
+    does not have, some ordinal too wide for a machine integer among them.
+    """
+    d_s = draw(st.integers(1, 3))
+    size = draw(st.sampled_from([ARRAY_PASS_MIN_DOCS - 1, ARRAY_PASS_MIN_DOCS]))
+    docs = [draw(feature_docs(d_s, f"doc{b}")) for b in range(size - 2)]
+    n_sents = draw(st.integers(1, 4))
+    flat = draw(st.lists(VALUES, min_size=n_sents * d_s, max_size=n_sents * d_s))
+    sent_feats = np.array(flat, dtype=np.float64).reshape(n_sents, d_s)
+    sent_feats[0] = -0.0
+    crowded = FeatureDoc(
+        "crowded", np.zeros((1, 2)), sent_feats,
+        [EntityMentions("c-a", (0, n_sents - 1)), EntityMentions("c-b", (n_sents - 1, 0, 0)),
+         EntityMentions("c-c", (0,)), EntityMentions("c-none", ())],
+        (),
+    )
+    lonely = draw(feature_docs(d_s, "no-entities"))
+    lonely.entities = []
+    for doc in (crowded, lonely):
+        docs.insert(draw(st.integers(0, len(docs))), doc)
+    if draw(st.booleans()):
+        doc = draw(st.sampled_from(docs))
+        bad = draw(st.sampled_from([-1, doc.n_sents, doc.n_sents + 7, 2**70, -(2**70)]))
+        sents = (*draw(st.lists(st.integers(0, doc.n_sents - 1), max_size=3)), bad)
+        doc.entities.insert(draw(st.integers(0, len(doc.entities))),
+                            EntityMentions(f"{doc.doc_id}-stray", sents))
+    return docs
+
+
+def _build(build, docs):
+    """`build(docs)`, or the text of its ValidationError; and its warnings."""
+    with graph_warnings() as messages:
+        try:
+            return build(docs), messages
+        except ValidationError as exc:
+            return str(exc), messages
+
+
+@_settings(150)
+@given(docs=threshold_batches(), data=st.data())
+def test_both_builders_and_select_agree_at_the_threshold(docs, data):
+    arrays, warned = _build(_array_pass, docs)
+    per_doc, per_doc_warned = _build(_per_doc_pass, docs)
+    assert warned == per_doc_warned
+    assert _build(graph_batch, docs)[1] == warned
+    if isinstance(per_doc, str):
+        assert arrays == per_doc
+        return
+    assert_same_graphs(arrays, per_doc)
+    members = data.draw(st.permutations(range(len(docs))))
+    members = members[: data.draw(st.integers(1, len(docs)))]
+    assert_same_graphs(arrays.select(members), _per_doc_pass([docs[i] for i in members]))
+
+
+@pytest.mark.parametrize("size, pass_name", [(ARRAY_PASS_MIN_DOCS - 1, "_per_doc_pass"),
+                                             (ARRAY_PASS_MIN_DOCS, "_array_pass")])
+def test_batch_size_picks_the_builder(monkeypatch, size, pass_name):
+    calls = []
+    for name in ("_per_doc_pass", "_array_pass"):
+        build = getattr(mulcom.graph, name)
+        monkeypatch.setattr(mulcom.graph, name,
+                            lambda docs, name=name, build=build: calls.append(name) or build(docs))
+    graph_batch([_doc_mentioning(1, name=f"d{b}") for b in range(size)])
+    assert calls == [pass_name]
 
 
 def test_sums_run_left_to_right():

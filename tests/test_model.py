@@ -12,6 +12,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import mulcom.model
 from mulcom.errors import (
     ConfigError,
     DataFormatError,
@@ -20,6 +21,7 @@ from mulcom.errors import (
 )
 from mulcom.graph import build_graph, graph_batch, label_matrix
 from mulcom.model import (
+    SCORE_CHUNK,
     Adam,
     ModelConfig,
     MulComModel,
@@ -283,8 +285,9 @@ class TestBceLoss:
         assert len(tape) == 1 and not untracked.tracked
 
     def test_non_binary_targets_rejected(self):
-        with pytest.raises(ValidationError):
-            bce_loss(Tensor(np.zeros((1, 1))), np.array([[0.5]]))
+        for targets in ([[0.5]], [[2]], [[-1]], [[np.nan]], [["1"]]):
+            with pytest.raises(ValidationError, match="binary"):
+                bce_loss(Tensor(np.zeros((1, 1))), np.array(targets))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):
@@ -699,3 +702,24 @@ class TestScoreDataset:
         scores = score_dataset(model, docs)
         for i, d in enumerate(docs):
             npt.assert_array_equal(scores[i], forward(model, [d])[0])
+
+    @pytest.mark.parametrize("n_docs, n_members", [(3, 2), (2, 3)])
+    def test_a_union_of_another_size_is_rejected_before_scoring(self, n_docs, n_members):
+        model = build_model(tiny_cfg(), seed=37)
+        docs = [tiny_doc(seed=40 + i) for i in range(3)]
+        with pytest.raises(ValidationError, match=f"{n_members} graphs for {n_docs} docs"):
+            score_dataset(model, docs[:n_docs], graph_batch(docs[:n_members]))
+
+    def test_builds_the_union_once_and_selects_each_chunk(self, monkeypatch):
+        calls = []
+
+        def counting(docs):
+            calls.append(len(docs))
+            return graph_batch(docs)
+
+        monkeypatch.setattr(mulcom.model, "graph_batch", counting)
+        model = build_model(tiny_cfg(), seed=37)
+        docs = [tiny_doc(seed=i) for i in range(SCORE_CHUNK + 3)]
+        scores = score_dataset(model, docs)
+        assert calls == [len(docs)]
+        npt.assert_array_equal(scores[-3:], score_dataset(model, docs[-3:]))

@@ -427,11 +427,3 @@ def label_matrix(docs: Sequence[FeatureDoc], num_tropes: int) -> Array:
         for t in doc.labels:
             y[row, t] = 1
     return y
-
-
-def graph_stats(graph: GraphBatch) -> dict[str, float]:
-    """Node count and density; self-loops do not count toward density."""
-    n = graph.n_nodes
-    plain = int(np.count_nonzero(graph.recv != graph.send)) // 2  # two rows each
-    density = 0.0 if n < 2 else plain / (n * (n - 1) / 2)
-    return {"node_count": float(n), "density": density}

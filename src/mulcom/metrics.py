@@ -19,9 +19,14 @@ from .numerics import rng_from_seed
 Array = np.ndarray
 
 
+def is_binary(a: Array) -> bool:
+    """Whether every entry of array `a` is 0 or 1 (True and False count)."""
+    return bool(((a == 0) | (a == 1)).all())
+
+
 def _check_binary(a: Array, name: str) -> Array:
     a = np.asarray(a)
-    if not np.isin(a, (0, 1)).all():
+    if not is_binary(a):
         raise ValidationError(f"{name} must contain only 0 and 1")
     return a.astype(np.int64)
 

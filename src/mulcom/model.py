@@ -27,7 +27,7 @@ from .graph import FeatureDoc, GraphBatch, graph_batch, label_matrix
 # to time graph building, which reads 0 now that batches build their graphs.
 from .graph import build_graph  # noqa: F401
 from .ioutil import atomic_write_text, canonical_json, read_json
-from .metrics import f1 as f1_metric
+from .metrics import f1 as f1_metric, is_binary
 from .msrrn import ReasonerParams, init_reasoner
 from .numerics import (
     AffineParams,
@@ -226,7 +226,7 @@ def bce_loss(logits: Tensor, targets: Array, pos_weight: float = 1.0) -> Tensor:
     of neg, softplus, products, sum and mean, so they are its bit for bit.
     """
     targets = np.asarray(targets)
-    if not ((targets == 0) | (targets == 1)).all():
+    if not is_binary(targets):
         raise ValidationError("bce_loss targets must be binary")
     if not (math.isfinite(pos_weight) and pos_weight > 0):
         raise ValidationError(f"pos_weight must be finite and positive, got {pos_weight}")
@@ -330,14 +330,22 @@ class Adam:
     The values move into one contiguous buffer, one segment per storage
     array: a tensor's own, or the array it is a `join`ed block of. Each
     tensor becomes the same view of its segment, so the fused records
-    read what a step writes. A step gathers each gradient with one copy
-    and is one vectorized update over the buffer; a parameter without a
-    gradient gets its data, m and v back after it.
+    read what a step writes. The segments are grouped in order into
+    blocks of at most `BLOCK` floats; an array wider than that is a
+    block of its own. A step updates one block at a time: it gathers the
+    block's gradients with one copy each into the scratch `_g`, then runs
+    the vectorized update over the block's m, v and data with the work
+    buffer `_a`. Both scratch buffers are as wide as the widest block,
+    not the whole buffer, and each block's passes stay in cache. Every
+    element sees the same operations as in one pass over the buffer, so
+    the result is the same bit for bit. A parameter without a gradient
+    gets zeros in `_g`, and its data, m and v back after its block.
     """
 
     beta1 = 0.9
     beta2 = 0.999
     eps = 1e-8
+    BLOCK = 32768  # floats; 256 KiB per block-wide buffer
 
     def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = dict(params)
@@ -349,48 +357,60 @@ class Adam:
         self.flat = np.concatenate([np.zeros(0)] + [s.data.reshape(-1) for s in arrays.values()])
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
-        self._g = np.zeros_like(self.flat)  # the gathered gradient; finite where none is
-        self._a = np.empty_like(self.flat)  # a work buffer
-        bufs, segments, lo = (self._g, self.m, self.v, self.flat), {}, 0
-        for key, s in arrays.items():  # each array's segment of every buffer
-            segments[key] = [b[lo : lo + s.size].reshape(s.shape) for b in bufs]
-            s.data = segments[key][-1]
+        spans, starts, lo = {}, [0], 0  # each array's block start and its span of the buffer
+        for key, s in arrays.items():
+            if lo > starts[-1] and lo + s.size - starts[-1] > self.BLOCK:
+                starts.append(lo)
+            spans[key] = (starts[-1], lo, lo + s.size)
+            s.data = self.flat[lo : lo + s.size].reshape(s.shape)
             lo += s.size
-        self.places = []  # each tensor and its views of _g, m, v and flat
+        ends = starts[1:] + [lo]
+        width = max(hi - lo for lo, hi in zip(starts, ends))
+        self._g = np.zeros(width)  # a block's gathered gradient
+        self._a = np.empty(width)  # a work buffer
+        # each block's span of the buffer and its tensors' views of _g, m, v and flat
+        blocks = {lo: (lo, hi, []) for lo, hi in zip(starts, ends)}
         for t in self.params.values():
-            at = [b[t.index] for b in segments[id(t.base or t)]]
+            start, lo, hi = spans[id(t.base or t)]
+            shape = (t.base or t).shape
+            segment = [self._g[lo - start : hi - start], self.m[lo:hi], self.v[lo:hi], self.flat[lo:hi]]
+            at = [b.reshape(shape)[t.index] for b in segment]
             t.data = at[-1]
-            self.places.append((t, at))
+            blocks[start][2].append((t, at))
+        self.blocks = list(blocks.values())
 
     def step(self) -> None:
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        kept = []  # the m, v and data of each parameter without a gradient
-        for t, (g, *state) in self.places:
-            if t.grad is None:
-                kept += [(s, s.copy()) for s in state]
-            else:
-                g[...] = t.grad
-        m, v, g, a = self.m, self.v, self._g, self._a
-        # m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*g*g, evaluated in place
-        m *= self.beta1
-        np.multiply(g, 1.0 - self.beta1, out=a)
-        m += a
-        v *= self.beta2
-        np.multiply(g, 1.0 - self.beta2, out=a)
-        a *= g
-        v += a
-        # data -= lr * (m/b1c) / (sqrt(v/b2c) + eps), reusing g as a work buffer
-        np.divide(m, b1c, out=a)
-        a *= self.lr
-        np.divide(v, b2c, out=g)
-        np.sqrt(g, out=g)
-        g += self.eps
-        a /= g
-        self.flat -= a
-        for s, saved in kept:
-            s[...] = saved
+        for lo, hi, places in self.blocks:
+            kept = []  # the m, v and data of each parameter without a gradient
+            for t, (g, *state) in places:
+                if t.grad is None:
+                    g[...] = 0.0  # keeps every pass below finite
+                    kept += [(s, s.copy()) for s in state]
+                else:
+                    g[...] = t.grad
+            m, v, data = self.m[lo:hi], self.v[lo:hi], self.flat[lo:hi]
+            g, a = self._g[: hi - lo], self._a[: hi - lo]
+            # m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*g*g, evaluated in place
+            m *= self.beta1
+            np.multiply(g, 1.0 - self.beta1, out=a)
+            m += a
+            v *= self.beta2
+            np.multiply(g, 1.0 - self.beta2, out=a)
+            a *= g
+            v += a
+            # data -= lr * (m/b1c) / (sqrt(v/b2c) + eps), reusing g as a work buffer
+            np.divide(m, b1c, out=a)
+            a *= self.lr
+            np.divide(v, b2c, out=g)
+            np.sqrt(g, out=g)
+            g += self.eps
+            a /= g
+            data -= a
+            for s, saved in kept:
+                s[...] = saved
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -237,6 +237,8 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
             d_flat = d_qkv.reshape(n_t * n, 3 * hd)
             grads[mha.w_qkv] = h_flat.T @ d_flat
             gh = (d_flat @ w_qkv.T).reshape(n_t, n, hd)
+            # dead from here; freed before the recurrence's backward allocates
+            del d_qkv, dq, dk, dv, d_flat, d_scores, d_j, d_weight, d_ctx
         else:
             gh = np.zeros((n_t, n, hd))
             gh[-1] = gout

@@ -740,16 +740,23 @@ def lstm_update_backward(
     i, f, o, g = act.transpose(1, 0, 2, 3)  # each [T, n, h]
     # d act_k / d pre-activation_k, times what multiplies act_k in
     # c_t = f * c_{t-1} + i * g, or in h_t = o * tanh(c_t) for the o gate;
-    # the loop scales step t's by the gradient reaching c_t or h_t
-    d_act = np.empty_like(act)
-    sig = act[:, :3]
-    np.multiply(sig, 1.0 - sig, out=d_act[:, :3])  # the sigmoid derivative
+    # the loop scales step t's by the gradient reaching c_t or h_t. Each
+    # factor is formed in place, with no temporaries. The sigmoid
+    # derivative runs over all four gates, so its two passes read and
+    # write whole contiguous blocks; the g gate's block is overwritten.
+    d_act = np.subtract(1.0, act)
+    d_act *= act
     d_act[:, 0] *= g
     d_act[0, 1] = 0.0  # c_{-1} = 0
     d_act[1:, 1] *= c[:-1]
     d_act[:, 2] *= tc
-    np.multiply(i, 1.0 - g * g, out=d_act[:, 3])
-    dc_dh = o * (1.0 - tc * tc)  # d c_t / d h_t through tanh(c_t), times o
+    d_g = d_act[:, 3]
+    np.multiply(g, g, out=d_g)
+    np.subtract(1.0, d_g, out=d_g)
+    d_g *= i
+    dc_dh = np.multiply(tc, tc)  # d c_t / d h_t through tanh(c_t), times o
+    np.subtract(1.0, dc_dh, out=dc_dh)
+    dc_dh *= o
     d_pre = np.empty((n_t, n, 4 * hd))
     d_pre4 = d_pre.reshape(n_t, n, 4, hd).transpose(0, 2, 1, 3)  # gate-major view
     dh = dc = None  # gradients reaching h_t and c_t through step t+1

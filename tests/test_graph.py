@@ -9,9 +9,16 @@ from mulcom.graph import (
     EntityMentions,
     FeatureDoc,
     build_graph,
-    graph_stats,
     validate_doc,
 )
+
+
+def graph_stats(graph):
+    """Node count and density; self-loops do not count toward density."""
+    n = graph.n_nodes
+    plain = int(np.count_nonzero(graph.recv != graph.send)) // 2  # two rows each
+    density = 0.0 if n < 2 else plain / (n * (n - 1) / 2)
+    return {"node_count": float(n), "density": density}
 
 
 def make_doc(mention_table, n_sents, d_s=4, seed=0, labels=()):

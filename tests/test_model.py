@@ -461,6 +461,48 @@ class TestAdam:
             for k, p in params.items():
                 npt.assert_array_equal(p.data, ref[k])
 
+    def test_blockwise_update_matches_per_tensor_loop(self, monkeypatch):
+        # blocks of at most 8 floats: unused lies between b and c in the
+        # first, w is wider than a block, and x and y share a joined array
+        monkeypatch.setattr(Adam, "BLOCK", 8)
+        rng = np.random.default_rng(5)
+        shapes = {"b": (4,), "unused": (1,), "c": (3,), "w": (3, 4),
+                  "x": (2, 1), "y": (2, 2), "e": (2,), "f": (5,)}
+        init = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        params = {k: param(a.copy()) for k, a in init.items()}
+        numerics.join([params["x"], params["y"]])
+        opt = Adam(params, lr=0.01)
+        assert [(lo, hi) for lo, hi, _ in opt.blocks] == [(0, 8), (8, 20), (20, 28), (28, 33)]
+        assert opt._g.size == opt._a.size == 12
+        name = {id(p): k for k, p in params.items()}
+        ref = {k: a.copy() for k, a in init.items()}
+        m = {k: np.zeros_like(a) for k, a in init.items()}
+        v = {k: np.zeros_like(a) for k, a in init.items()}
+        for step in range(1, 6):
+            grads = {k: rng.standard_normal(s) for k, s in shapes.items()}
+            grads["unused"] = None
+            if step == 3:
+                grads["y"] = None  # one block of the joined array skips a step
+            for k, p in params.items():
+                p.grad = None if grads[k] is None else grads[k].copy()
+            opt._g.fill(-np.inf)  # a step must not read what the scratch held
+            opt.step()
+            b1c, b2c = 1.0 - 0.9**step, 1.0 - 0.999**step
+            for k, g in grads.items():
+                if g is None:
+                    continue
+                m[k] = 0.9 * m[k] + (1.0 - 0.9) * g
+                v[k] = 0.999 * v[k] + (1.0 - 0.999) * g * g
+                ref[k] -= 0.01 * (m[k] / b1c) / (np.sqrt(v[k] / b2c) + 1e-8)
+            for _, _, places in opt.blocks:
+                for p, (_, p_m, p_v, data) in places:
+                    k = name[id(p)]
+                    assert np.shares_memory(p.data, data)
+                    npt.assert_array_equal(data, ref[k])
+                    npt.assert_array_equal(p_m, m[k])
+                    npt.assert_array_equal(p_v, v[k])
+        npt.assert_array_equal(params["unused"].data, init["unused"])
+
 
 class TestTrain:
     def test_zero_learning_rate_leaves_parameters_unchanged(self):

@@ -62,16 +62,17 @@ def _doc_to_record(doc: FeatureDoc) -> dict:
 
 
 def _ordinals(values, what: str) -> tuple[int, ...]:
-    """`values` as ints; a TypeError unless each is an int or an integral float.
+    """`values` as sorted, unique ints, as `FeatureDoc` keeps labels and mentions.
 
-    A bool or a string is no ordinal. A float is allowed because the
-    reader loads an integer literal wider than 64 bits as one.
+    A TypeError unless each is an int or an integral float: a bool or a
+    string is no ordinal. A float is allowed because the reader loads an
+    integer literal wider than 64 bits as one.
     """
     out = tuple(values)
     for v in out:
         if type(v) is not int and not (type(v) is float and v.is_integer()):
             raise TypeError(f"{what} must be an integer, got {v!r}")
-    return tuple(map(int, out))
+    return tuple(sorted(set(map(int, out))))
 
 
 def _entity(e: dict) -> EntityMentions:

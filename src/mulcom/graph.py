@@ -20,23 +20,21 @@ of docs:
   the (node, sentence) pairs, pairs each sentence's members, and groups
   the pair rows by edge.
 
-On planted corpus docs (8 entities, 8-9 sentences; one core of a
+On planted corpus docs (8 entities, 7-9 sentences; one core of a
 2-vCPU Xeon container, best of 40 interleaved timings), the per-doc
-pass takes about 10 us plus 17 us a doc, and the array pass about
-75 us plus 3-4 us a doc at small batches, 7 us a doc at 160 docs. Their
-best times cross between 4 and 5 docs and their medians between 5 and
-6; at 6 docs, `ARRAY_PASS_MIN_DOCS`, the array pass is the faster by
-both on two corpus seeds.
+pass takes about 11 us plus 15-16 us a doc, and the array pass about
+72 us plus 3-4 us a doc at small batches, 6-7 us a doc at 160 docs.
+Their best times cross between 4 and 5 docs and their medians between
+4 and 6; at 6 docs, `ARRAY_PASS_MIN_DOCS`, the array pass is the faster
+by both on two corpus seeds.
 
-Both builders do the float sums the same way, as a few numpy ops over
-the whole batch, one rank at a time: every sum's first summand, then
-every sum's second, and so on. Each feature is therefore summed in
-ascending sentence order, left to right, exactly as a loop over one
-document adds it, and a graph's bits depend neither on its batch mates
-nor on the builder. `np.add.reduceat` or a `.sum` per group would take
-fewer ops, but both may reassociate (numpy sums pairwise and unrolled;
-`reduceat` returned r0 + (r1 + r2) for some three-row groups), and that
-changes last bits.
+Neither builder adds a float itself. Each lists every node's and every
+edge's sentence rows in ascending sentence order and hands both lists
+to one `numerics.Segments`, which adds each group left to right for
+the whole batch at once; an undirected edge is summed once and its sum
+fills both of its pair rows. Every feature is therefore summed as a
+loop over one document adds it, and a graph's bits depend neither on
+its batch mates nor on the builder.
 """
 
 from __future__ import annotations
@@ -49,6 +47,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
+from .numerics import Segments
 
 log = logging.getLogger(__name__)
 
@@ -172,35 +171,6 @@ def _ranges(starts: Array, sizes: Array) -> Array:
     return np.arange(sizes.sum(), dtype=np.intp) + (starts - _starts(sizes)).repeat(sizes)
 
 
-def _ordered_sums(feats: Array, sums: list[list[int]]) -> Array:
-    """Row t is feats[sums[t][0]] + feats[sums[t][1]] + ..., left to right.
-
-    An empty sum is 0. The first summand of every sum is one gather, then
-    every sum's second is one add, and so on, rank by rank: each sum is
-    added in its own order, with a few numpy ops per rank for all sums.
-    """
-    if not feats.shape[0]:  # no sentences, so every sum is empty
-        return np.zeros((len(sums), feats.shape[1]))
-    firsts = [rows[0] if rows else 0 for rows in sums]
-    empty: list[int] = []
-    ranks: list[tuple[list[int], list[int]]] = []  # rank r >= 1: (targets, rows)
-    for t in [t for t, rows in enumerate(sums) if len(rows) != 1]:
-        rows = sums[t]
-        if not rows:
-            empty.append(t)
-        for r in range(1, len(rows)):
-            if r > len(ranks):
-                ranks.append(([], []))
-            ranks[r - 1][0].append(t)
-            ranks[r - 1][1].append(rows[r])
-    out = feats.take(firsts, axis=0)
-    if empty:
-        out[empty] = 0.0
-    for targets, rows in ranks:
-        out[targets] += feats.take(rows, axis=0)
-    return out
-
-
 def _runs(keys: Array) -> tuple[Array, Array]:
     """Start and length of each run of equal values in `keys`."""
     cut = np.empty(keys.shape[0] + 1, dtype=bool)
@@ -210,33 +180,12 @@ def _runs(keys: Array) -> tuple[Array, Array]:
     return bounds[:-1], bounds[1:] - bounds[:-1]
 
 
-def _run_sums(feats: Array, rows: Array, starts: Array, counts: Array) -> Array:
-    """Row g is feats[rows[starts[g]]] + feats[rows[starts[g] + 1]] + ..., left to right.
+def _check_mentions(doc: FeatureDoc, ent: EntityMentions) -> None:
+    """Warn that `ent` has no mentions, or raise for one outside `doc`'s sentences.
 
-    Group g's summand rows are the run of `counts[g]` entries of `rows`
-    from `starts[g]`; an empty run sums to +0.0. The sums go rank by
-    rank, as in `_ordered_sums`, so each group's bits equal that
-    function's for the same summands.
-    """
-    if not rows.shape[0]:  # every run is empty
-        return np.zeros((counts.shape[0], feats.shape[1]), dtype=feats.dtype)
-    out = feats.take(rows.take(starts, mode="clip"), axis=0)
-    empty = counts == 0
-    if empty.any():
-        out[empty] = 0.0
-    rank, live = 1, (counts > 1).nonzero()[0]
-    while live.shape[0]:
-        out[live] += feats.take(rows.take(starts.take(live) + rank), axis=0)
-        rank += 1
-        live = live[counts.take(live) > rank]
-    return out
-
-
-def _sorted_mentions(doc: FeatureDoc, ent: EntityMentions) -> list[int]:
-    """`ent`'s sentences, sorted and unique.
-
-    Logs a warning when there are none and raises a ValidationError
-    naming the doc and entity when one lies outside the doc's sentences.
+    The ValidationError names the doc and entity. The builders call this
+    only for an entity whose mentions are empty or out of range; one with
+    none stays an isolated zero node.
     """
     sents = sorted(set(ent.sents))
     if not sents:
@@ -247,7 +196,6 @@ def _sorted_mentions(doc: FeatureDoc, ent: EntityMentions) -> list[int]:
     elif sents[0] < 0 or sents[-1] >= doc.n_sents:
         bad = sents[0] if sents[0] < 0 else sents[-1]
         raise ValidationError(_mention_error(doc, ent, bad))
-    return sents
 
 
 def _sentence_rows(docs: Sequence[FeatureDoc]) -> Array:
@@ -285,27 +233,34 @@ def graph_batch(docs: Sequence[FeatureDoc]) -> GraphBatch:
 
 
 def _per_doc_pass(docs: Sequence[FeatureDoc]) -> GraphBatch:
-    """`graph_batch` by one Python pass over the docs, then `_ordered_sums`.
+    """`graph_batch` by one Python pass over the docs, then one `Segments` sum.
 
     The pass does the integer bookkeeping: each node's mention rows, the
-    entities of each sentence, the edges, their pair order and each pair
-    row's summand rows. The float sums then run over the whole batch at
-    once, rank by rank.
+    entities of each sentence, the edges in (i, j) order, each edge's
+    sentence rows and its pair rows. The float sums then run over the
+    whole batch at once, nodes and edges together, each edge once.
     """
     entity_ids: list[str] = []
     node_counts: list[int] = []
     pair_counts: list[int] = []
-    node_sums: list[list[int]] = []  # per node: its sentences' rows of `feats`
-    pair_sums: list[list[int]] = []  # per pair row: its edge's sentences' rows
+    node_rows: list[int] = []  # each node's sentences' rows of `feats`, node after node
+    edge_rows: list[int] = []  # each edge's sentences' rows, edge after edge
+    node_sizes: list[int] = []
+    edge_sizes: list[int] = []
+    pair_edge: list[int] = []  # the edge of each pair row
     recv: list[int] = []
     send: list[int] = []
     node0 = row0 = 0
     for doc in docs:
         sentence_entities: dict[int, list[int]] = {}
+        n_sents = doc.n_sents
         for node, ent in enumerate(doc.entities, node0):
             entity_ids.append(ent.entity_id)
-            sents = _sorted_mentions(doc, ent)
-            node_sums.append([row0 + s for s in sents])
+            sents = sorted(set(ent.sents))
+            if not sents or sents[0] < 0 or sents[-1] >= n_sents:
+                _check_mentions(doc, ent)  # warns, or raises
+            node_rows += [row0 + s for s in sents]
+            node_sizes.append(len(sents))
             for s in sents:
                 sentence_entities.setdefault(s, []).append(node)
 
@@ -317,29 +272,29 @@ def _per_doc_pass(docs: Sequence[FeatureDoc]) -> GraphBatch:
                 edges.setdefault(key, []).append(row0 + s)
 
         first_pair = len(recv)
-        for (i, j), rows in sorted(edges.items()):
+        for edge, ((i, j), rows) in enumerate(sorted(edges.items()), len(edge_sizes)):
+            edge_rows += rows
+            edge_sizes.append(len(rows))
             if i == j:
                 recv.append(i)
                 send.append(i)
-                pair_sums.append(rows)
+                pair_edge.append(edge)
             else:
                 recv += (i, j)
                 send += (j, i)
-                pair_sums += (rows, rows)
+                pair_edge += (edge, edge)
         node_counts.append(len(doc.entities))
         pair_counts.append(len(recv) - first_pair)
         node0 += len(doc.entities)
-        row0 += doc.n_sents
+        row0 += n_sents
 
-    feats = _sentence_rows(docs)
-    x = _ordered_sums(feats, node_sums)
-    x += 0.0  # as if summed from +0.0, so a -0.0 sum is +0.0
+    sums = Segments(node_rows + edge_rows, node_sizes + edge_sizes).sum(_sentence_rows(docs))
     return GraphBatch(
         entity_ids=entity_ids,
-        x=x,
+        x=sums[:node0] + 0.0,  # as if summed from +0.0, so a -0.0 sum is +0.0
         recv=np.array(recv, dtype=np.intp),
         send=np.array(send, dtype=np.intp),
-        efeat=_ordered_sums(feats, pair_sums),  # from the first summand: a lone -0.0 stays
+        efeat=sums[node0:].take(pair_edge, axis=0),  # from the first summand: a lone -0.0 stays
         node_counts=np.array(node_counts, dtype=np.intp),
         pair_counts=np.array(pair_counts, dtype=np.intp),
     )
@@ -354,9 +309,9 @@ def _array_pass(docs: Sequence[FeatureDoc]) -> GraphBatch:
     (stably, so members stay ascending), each sentence's run of members
     gives a self-loop for a lone member, otherwise every member paired
     with each later one. A stable sort of those (i, j, row) entries by
-    edge groups them in (i, j) order with rows ascending, and
-    `_run_sums` adds both kinds of group rank by rank, as the per-doc
-    pass adds them.
+    edge groups them in (i, j) order with rows ascending. One `Segments`
+    then sums the node groups and the edge groups together, as the
+    per-doc pass does.
     """
     mentions = [ent.sents for doc in docs for ent in doc.entities]
     sizes = np.fromiter(map(len, mentions), np.intp, len(mentions))
@@ -376,19 +331,16 @@ def _array_pass(docs: Sequence[FeatureDoc]) -> GraphBatch:
     if bad.any() or not sizes.all():  # warn and raise as the per-doc pass would
         ents = [ent for doc in docs for ent in doc.entities]
         for k in np.union1d((sizes == 0).nonzero()[0], mention_node[bad]).tolist():
-            _sorted_mentions(docs[node_doc[k]], ents[k])
+            _check_mentions(docs[node_doc[k]], ents[k])
 
     key = mention_node * n_rows + sents + row0.take(mention_doc)
     key.sort()
-    node, row = np.divmod(key.take(_runs(key)[0]), n_rows)  # by node, then row, each once
-    feats = _sentence_rows(docs)
-    counts = np.bincount(node, minlength=n_nodes)
-    x = _run_sums(feats, row, _starts(counts), counts)
-    x += 0.0  # as if summed from +0.0, so a -0.0 sum is +0.0
+    node, node_rows = np.divmod(key.take(_runs(key)[0]), n_rows)  # by node, then row, each once
+    node_sizes = np.bincount(node, minlength=n_nodes)
 
-    per_sent = np.bincount(row, minlength=n_rows)
-    by_row = row.argsort(kind="stable")
-    node, row = node.take(by_row), row.take(by_row)
+    per_sent = np.bincount(node_rows, minlength=n_rows)
+    by_row = node_rows.argsort(kind="stable")
+    node, row = node.take(by_row), node_rows.take(by_row)
     at = np.arange(row.shape[0])
     later = (per_sent.cumsum() - 1).take(row) - at  # members after each in its sentence
     lone = per_sent.take(row) == 1
@@ -397,19 +349,22 @@ def _array_pass(docs: Sequence[FeatureDoc]) -> GraphBatch:
     row = np.concatenate([row[lone], row.repeat(later)])
     edge = i * width + j
     by_edge = edge.argsort(kind="stable")  # rows stay ascending within an edge
-    edge, row = edge.take(by_edge), row.take(by_edge)
-    starts, counts = _runs(edge)
+    edge, edge_rows = edge.take(by_edge), row.take(by_edge)
+    starts, edge_sizes = _runs(edge)
     i, j = np.divmod(edge.take(starts), width)
     keep = np.ones((i.shape[0], 2), dtype=bool)
     keep[:, 1] = i != j  # rows (i, j) then (j, i) per edge; a self-loop is one row
     keep = keep.ravel()
     recv = np.array([i, j]).T.ravel()[keep]
+    groups = Segments(np.concatenate([node_rows, edge_rows]),
+                      np.concatenate([node_sizes, edge_sizes]))
+    sums = groups.sum(_sentence_rows(docs))
     return GraphBatch(
         entity_ids=[ent.entity_id for doc in docs for ent in doc.entities],
-        x=x,
+        x=sums[:n_nodes] + 0.0,  # as if summed from +0.0, so a -0.0 sum is +0.0
         recv=recv,
         send=(i + j).repeat(2)[keep] - recv,  # each row's other end
-        efeat=_run_sums(feats, row, starts, counts).repeat(2, axis=0)[keep],
+        efeat=sums[n_nodes:].repeat(2, axis=0)[keep],
         node_counts=node_counts,
         pair_counts=np.bincount(node_doc.take(recv), minlength=len(docs)),
     )

@@ -44,6 +44,18 @@ def _f1_from_counts(tp: int, fp: int, fn: int) -> float:
     return 0.0 if denom == 0 else 2.0 * tp / denom
 
 
+def _trope_counts(preds: Array, labels: Array) -> tuple[list[int], list[int], list[int]]:
+    """Per-trope (tp, fp, fn) of binary [N, T] arrays, as column sums."""
+    hit, gold = preds == 1, labels == 1
+    tp = (hit & gold).sum(axis=0)
+    return tp.tolist(), (hit.sum(axis=0) - tp).tolist(), (gold.sum(axis=0) - tp).tolist()
+
+
+def _mean_percent(values: list[float]) -> float:
+    """The mean of fractions `values`, summed in order, as a percentage; 0 for none."""
+    return 100.0 * (sum(values) / len(values)) if values else 0.0
+
+
 def f1(preds: Array, labels: Array, mode: str = "micro") -> float:
     """Multi-label F1 as a percentage over an [N, T] binary pair.
 
@@ -58,22 +70,13 @@ def f1(preds: Array, labels: Array, mode: str = "micro") -> float:
         )
     if preds.ndim != 2:
         raise ValidationError(f"f1 expects [N, T] arrays, got shape {preds.shape}")
+    if mode not in ("micro", "macro"):
+        raise ValidationError(f"unknown f1 mode {mode!r}")
+    tp, fp, fn = _trope_counts(preds, labels)
     if mode == "micro":
-        tp = int(((preds == 1) & (labels == 1)).sum())
-        fp = int(((preds == 1) & (labels == 0)).sum())
-        fn = int(((preds == 0) & (labels == 1)).sum())
-        return 100.0 * _f1_from_counts(tp, fp, fn)
-    if mode == "macro":
-        vals = []
-        for t in range(labels.shape[1]):
-            if labels[:, t].sum() == 0:
-                continue
-            tp = int(((preds[:, t] == 1) & (labels[:, t] == 1)).sum())
-            fp = int(((preds[:, t] == 1) & (labels[:, t] == 0)).sum())
-            fn = int(((preds[:, t] == 0) & (labels[:, t] == 1)).sum())
-            vals.append(_f1_from_counts(tp, fp, fn))
-        return 100.0 * (sum(vals) / len(vals)) if vals else 0.0
-    raise ValidationError(f"unknown f1 mode {mode!r}")
+        return 100.0 * _f1_from_counts(sum(tp), sum(fp), sum(fn))
+    # macro: tropes with a gold positive (tp + fn > 0)
+    return _mean_percent([_f1_from_counts(t, p, n) for t, p, n in zip(tp, fp, fn) if t + n])
 
 
 def average_precision(scores: Array, labels: Array, trope: str = "trope") -> float:
@@ -86,15 +89,27 @@ def average_precision(scores: Array, labels: Array, trope: str = "trope") -> flo
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ValidationError("average_precision expects matching 1-d arrays")
     _check_finite(scores[:, None], [trope])
-    npos = int(labels.sum())
-    if npos == 0:
+    if not labels.any():
         raise ValidationError("average_precision: no positive labels")
+    return _average_precision(scores, labels)
+
+
+def _average_precision(scores: Array, labels: Array) -> float:
+    """AP of checked, finite 1-d `scores` and binary `labels` with a positive."""
     order = np.argsort(-scores, kind="stable")
     ranked = labels[order]
     cum_pos = np.cumsum(ranked)
     ks = np.arange(1, len(ranked) + 1)
     prec_at_hit = (cum_pos / ks)[ranked == 1]
-    return float(prec_at_hit.sum() / npos)
+    return float(prec_at_hit.sum() / int(labels.sum()))
+
+
+def _trope_aps(scores: Array, labels: Array) -> list[float | None]:
+    """AP of each trope (column) of checked [N, T] arrays; None for one with no positive."""
+    return [
+        _average_precision(scores[:, t], labels[:, t]) if labels[:, t].any() else None
+        for t in range(labels.shape[1])
+    ]
 
 
 def map_score(scores: Array, labels: Array) -> float:
@@ -107,12 +122,7 @@ def map_score(scores: Array, labels: Array) -> float:
     if scores.shape != labels.shape or scores.ndim != 2:
         raise ValidationError("map_score expects matching [N, T] arrays")
     _check_finite(scores, [f"trope_{t}" for t in range(scores.shape[1])])
-    aps = [
-        average_precision(scores[:, t], labels[:, t])
-        for t in range(labels.shape[1])
-        if labels[:, t].sum() > 0
-    ]
-    return 100.0 * (sum(aps) / len(aps)) if aps else 0.0
+    return _mean_percent([ap for ap in _trope_aps(scores, labels) if ap is not None])
 
 
 def random_baseline(
@@ -184,31 +194,28 @@ def evaluate(
         raise ValidationError(f"evaluate: {len(trope_names)} trope names for {n_tropes} tropes")
     _check_finite(scores, trope_names)
     preds = (scores >= threshold).astype(np.int64)
+    tps, fps, fns = _trope_counts(preds, labels)
+    aps = _trope_aps(scores, labels)
     per_trope: dict[str, dict] = {}
     notes: list[str] = []
-    for t in range(n_tropes):
-        support = int(labels[:, t].sum())
-        tp = int(((preds[:, t] == 1) & (labels[:, t] == 1)).sum())
-        fp = int(((preds[:, t] == 1) & (labels[:, t] == 0)).sum())
-        fn = int(((preds[:, t] == 0) & (labels[:, t] == 1)).sum())
-        prec = 0.0 if tp + fp == 0 else tp / (tp + fp)
-        rec = 0.0 if tp + fn == 0 else tp / (tp + fn)
-        ap = None
-        if support > 0:
-            ap = 100.0 * average_precision(scores[:, t], labels[:, t])
+    f1s: list[float] = []  # of the tropes with a gold positive
+    for name, tp, fp, fn, ap in zip(trope_names, tps, fps, fns, aps):
+        f1_t = _f1_from_counts(tp, fp, fn)
+        if ap is None:
+            notes.append(f"{name}: no gold positives, excluded from macro/mAP")
         else:
-            notes.append(f"{trope_names[t]}: no gold positives, excluded from macro/mAP")
-        per_trope[trope_names[t]] = {
-            "precision": 100.0 * prec,
-            "recall": 100.0 * rec,
-            "f1": 100.0 * _f1_from_counts(tp, fp, fn),
-            "ap": ap,
-            "support": support,
+            f1s.append(f1_t)
+        per_trope[name] = {
+            "precision": 0.0 if tp + fp == 0 else 100.0 * (tp / (tp + fp)),
+            "recall": 0.0 if tp + fn == 0 else 100.0 * (tp / (tp + fn)),
+            "f1": 100.0 * f1_t,
+            "ap": None if ap is None else 100.0 * ap,
+            "support": tp + fn,
         }
     return EvalReport(
-        micro_f1=f1(preds, labels, mode="micro"),
-        macro_f1=f1(preds, labels, mode="macro"),
-        mAP=map_score(scores, labels),
+        micro_f1=100.0 * _f1_from_counts(sum(tps), sum(fps), sum(fns)),
+        macro_f1=_mean_percent(f1s),
+        mAP=_mean_percent([ap for ap in aps if ap is not None]),
         threshold=threshold,
         per_trope=per_trope,
         notes=notes,

@@ -145,7 +145,7 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
     (l1, l2), mha = p.message_mlp.layers, p.step_attention
     inputs = p.inputs if attend else p.inputs[:-4]
     keep = recording(inputs)
-    segs = Segments(recv, n)
+    segs = Segments.by_index(recv, n)
 
     w1, w2, b2 = l1.w.data, l2.w.data, l2.b.data
     w_cell = p.cell.w.data  # rows: h, x_proj, m
@@ -246,7 +246,7 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
         d_pair = np.empty((n_t, n_p, hd))  # d loss / d message MLP output
         d_pre = np.empty((n_t, n_p, hd))  # d loss / d message layer 1 pre-relu
         d_step = np.empty((max(n_t - 1, 0), n, 6 * hd))  # d loss / d (h_{t-1} @ w_step)
-        send_segs = Segments(send, n) if n_t > 1 else None
+        send_segs = Segments.by_index(send, n) if n_t > 1 else None
 
         def step(t: int, d_act_t: Array) -> Array | None:
             """Back through step t's messages; the gradient reaching h_{t-1}."""

@@ -451,42 +451,64 @@ def _row_index(index: Sequence[int], n: int, op: str) -> Array:
 
 
 class Segments:
-    """Sums of rows grouped by an index array: out[v] = sum of rows[p] with index[p] == v.
+    """Grouped row sums in a fixed order: out[g] = rows[order[s]] + rows[order[s + 1]] + ...
 
-    Each group's rows are added in row order, one rank at a time: every
-    group's first row is gathered, then every group's second row added,
-    and so on. That sums in the order `np.add.at` does, with one gather
-    per rank where `np.add.at` works an element at a time and
-    `np.add.reduceat` pays a call per group; on entity graphs most nodes
-    receive only a few pairs, so the ranks are few.
+    The groups' summand rows lie in `order` group after group, `counts[g]`
+    of them for group g, whose run starts at s = counts[0] + ... +
+    counts[g - 1]. Each group adds its rows left to right from its first
+    row, so a group of one -0.0 row sums to -0.0; a group with no rows
+    sums to +0.0. It is the one place that adds grouped rows: the
+    reasoner's messages and their gradients (grouped `by_index`) and
+    both graph builders' node and edge features, so their bits depend
+    only on the summands and their order.
+
+    The sums go one rank at a time: every group's first row is one
+    gather, every group's second row one gathered add, and so on. That
+    keeps each group's order whatever its neighbours, which
+    `np.add.reduceat` and `.sum` do not: both may reassociate, as numpy
+    sums pairwise and unrolled, and `reduceat` returned r0 + (r1 + r2)
+    for some three-row groups. It takes one gather per rank where
+    `np.add.at` works an element at a time; entity graphs have few ranks.
     """
 
-    def __init__(self, index: Array, n: int):
+    def __init__(self, order: Sequence[int], counts: Sequence[int]):
+        order = np.asarray(order, dtype=np.intp)
+        counts = np.asarray(counts, dtype=np.intp)
+        self.n = counts.shape[0]
+        starts = counts.cumsum()
+        total = int(starts[-1]) if self.n else 0
+        if total != order.shape[0]:
+            raise ShapeMismatchError(f"Segments: counts sum to {total}, not {order.shape[0]}")
+        starts -= counts
+        live = counts.nonzero()[0]  # the groups with a row of this rank
+        first = starts if live.shape[0] == self.n else starts.take(live)
+        self.ranks = [(live, order.take(first))]  # (groups, their rows of this rank)
+        left, rank = order.shape[0] - live.shape[0], 1
+        while left:
+            live = (counts > rank).nonzero()[0]
+            self.ranks.append((live, order.take(starts.take(live) + rank)))
+            left, rank = left - live.shape[0], rank + 1
+
+    @classmethod
+    def by_index(cls, index: Sequence[int], n: int) -> Segments:
+        """Group g holds the rows p with index[p] == g, for g in [0, n), in row order.
+
+        Its sums are those of `np.add.at(zeros, index, rows)`, bit for
+        bit, up to the sign of a zero.
+        """
         index = _row_index(index, n, "Segments")
-        order = np.argsort(index, kind="stable")
-        counts = np.bincount(index, minlength=n)
-        self.n = n
-        groups = np.flatnonzero(counts)
-        starts = (np.cumsum(counts) - counts)[groups]
-        left = counts[groups]
-        self.ranks = []  # (groups, their rows of this rank)
-        while groups.size:
-            self.ranks.append((groups, order[starts]))
-            more = left > 1
-            groups, starts, left = groups[more], starts[more] + 1, left[more] - 1
+        return cls(index.argsort(kind="stable"), np.bincount(index, minlength=n))
 
     def sum(self, rows: Array) -> Array:
-        """Per-group row sums, [n, ...]; a group with no rows gets 0."""
-        if not self.ranks:
-            return np.zeros((self.n,) + rows.shape[1:])
+        """Per-group row sums, [n, ...], in the dtype of `rows`."""
         (groups, first), *rest = self.ranks
-        if groups.size == self.n:
-            out = rows[first]
+        if groups.shape[0] == self.n:
+            out = rows.take(first, axis=0)
         else:
-            out = np.zeros((self.n,) + rows.shape[1:])
-            out[groups] = rows[first]
+            out = np.zeros((self.n,) + rows.shape[1:], dtype=rows.dtype)
+            out[groups] = rows.take(first, axis=0)
         for groups, idx in rest:
-            out[groups] += rows[idx]
+            out[groups] += rows.take(idx, axis=0)
         return out
 
 
@@ -497,7 +519,7 @@ def gather_rows(x: Tensor, index: Sequence[int]) -> Tensor:
 
     def backward_fn(g: Array) -> None:
         if x.tracked:
-            _accum(x, Segments(idx, x.shape[0]).sum(g), fresh=True)
+            _accum(x, Segments.by_index(idx, x.shape[0]).sum(g), fresh=True)
 
     return _emit((x,), out, backward_fn)
 
@@ -505,7 +527,7 @@ def gather_rows(x: Tensor, index: Sequence[int]) -> Tensor:
 def scatter_add_rows(x: Tensor, index: Sequence[int], num_rows: int) -> Tensor:
     """Sum rows of `x` into `num_rows` output rows: out[index[p]] += x[p]."""
     idx = np.asarray(index, dtype=np.intp)
-    out = Tensor(Segments(idx, num_rows).sum(x.data))
+    out = Tensor(Segments.by_index(idx, num_rows).sum(x.data))
 
     def backward_fn(g: Array) -> None:
         if x.tracked:

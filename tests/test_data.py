@@ -156,6 +156,25 @@ class TestLoadErrors:
         assert doc.labels == (1,) and type(doc.labels[0]) is int
         assert doc.entities[0].sents == (0,) and type(doc.entities[0].sents[0]) is int
 
+    def load_one(self, tmp_path, entities, labels):
+        rec = {"doc_id": "d0", "word_feats": [[0.0]], "sent_feats": [[0.0], [1.0]],
+               "entities": entities, "labels": labels}
+        (tmp_path / "train.jsonl").write_text(json.dumps(rec) + "\n")
+        return load_dataset(self.write_manifest(tmp_path, {"train": ["train.jsonl"]}))
+
+    def test_duplicate_labels_load_sorted_and_count_once(self, tmp_path):
+        ds = self.load_one(tmp_path, [], [1, 0, 1])
+        doc, = ds.split("train")
+        assert doc.labels == (0, 1)
+        assert trope_prevalence([doc], 2) == [100.0, 100.0]
+        assert corpus_stats(ds)["train"]["tropes"]["max"] == 2.0
+
+    def test_duplicate_mentions_load_sorted_and_count_once(self, tmp_path):
+        ds = self.load_one(tmp_path, [{"id": "e", "sents": [1, 1, 0]}], [])
+        doc, = ds.split("train")
+        assert doc.entities[0].sents == (0, 1)
+        assert corpus_stats(ds)["train"]["corefs"]["max"] == 2.0
+
     def test_label_wider_than_64_bits_names_the_doc(self, tmp_path):
         # the reader loads it as the nearest float, which is out of range too
         rec = {"doc_id": "d0", "word_feats": [[0.0]], "sent_feats": [[0.0]],

@@ -192,7 +192,47 @@ class TestConcatAndShapes:
         rows = rng.standard_normal((n_rows, 3))
         want = np.zeros((n_groups, 3))
         np.add.at(want, index, rows)
-        npt.assert_array_equal(nm.Segments(index, n_groups).sum(rows), want)
+        npt.assert_array_equal(nm.Segments.by_index(index, n_groups).sum(rows), want)
+        # the runs form: any rows, repeats allowed, in groups of any size, empty ones too
+        order = rng.integers(0, max(n_rows, 1), size=n_rows * 2 if n_rows else 0)
+        counts = np.bincount(rng.integers(0, n_groups, size=order.shape[0]), minlength=n_groups)
+        want = np.zeros((n_groups, 3))
+        np.add.at(want, np.arange(n_groups).repeat(counts), rows[order])
+        npt.assert_array_equal(nm.Segments(order, counts).sum(rows), want)
+
+    @staticmethod
+    def _bits(a):
+        return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+    def test_segment_sums_add_each_group_left_to_right(self):
+        rows = np.array([[1e16], [1.0], [-1e16]])
+        # (1e16 + 1) rounds to 1e16, so the order decides between 0 and 1
+        sums = nm.Segments([0, 1, 2, 0, 2, 1, 1, 0, 2], [3, 3, 3]).sum(rows)
+        npt.assert_array_equal(sums, [[0.0], [1.0], [0.0]])
+        npt.assert_array_equal(nm.Segments.by_index([0, 0, 0], 1).sum(rows), [[0.0]])
+        npt.assert_array_equal(nm.Segments.by_index([0, 0, 0], 1).sum(rows[[0, 2, 1]]), [[1.0]])
+
+    def test_segment_sums_keep_signed_zeros(self):
+        rows = np.array([[-0.0], [0.0]])
+        # one -0.0; two; -0.0 then +0.0; +0.0 then -0.0; no rows
+        sums = nm.Segments([0, 0, 0, 0, 1, 1, 0], [1, 2, 2, 2, 0]).sum(rows)
+        want = [[-0.0], [-0.0], [0.0], [0.0], [0.0]]
+        assert self._bits(sums).tolist() == self._bits(want).tolist()
+        lone = nm.Segments.by_index([1, 0], 3).sum(rows)
+        assert self._bits(lone).tolist() == self._bits([[0.0], [-0.0], [0.0]]).tolist()
+
+    def test_segment_sums_of_empty_groups_are_positive_zero(self):
+        rows = np.arange(6.0).reshape(3, 2)
+        sums = nm.Segments([2, 0, 1], [0, 2, 0, 0, 1, 0]).sum(rows)
+        npt.assert_array_equal(sums, [[0, 0], [4, 6], [0, 0], [0, 0], [2, 3], [0, 0]])
+        for segs in (nm.Segments([], [0, 0]), nm.Segments.by_index([], 2)):
+            assert self._bits(segs.sum(rows)).tolist() == [[0, 0], [0, 0]]
+        assert nm.Segments([], []).sum(rows).shape == (0, 2)
+
+    @pytest.mark.parametrize("order, counts", [([0, 1], [1]), ([0], [1, 1]), ([0], [])])
+    def test_segment_counts_must_cover_order(self, order, counts):
+        with pytest.raises(ShapeMismatchError, match="Segments: counts sum to"):
+            nm.Segments(order, counts)
 
     @pytest.mark.parametrize("index", [[0, 3], [-1, 0]])
     def test_segment_index_out_of_range(self, index):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import SynthSpec
 from .errors import DataFormatError, ValidationError
-from .graph import EntityMentions, FeatureDoc, validate_doc
+from .graph import EntityMentions, FeatureDoc
 from .ioutil import atomic_write_text, canonical_json, loads, read_json
 from .numerics import rng_from_seed
 
@@ -61,8 +61,8 @@ def _doc_to_record(doc: FeatureDoc) -> dict:
     }
 
 
-def _ordinals(values, what: str) -> tuple[int, ...]:
-    """`values` as sorted, unique ints, as `FeatureDoc` keeps labels and mentions.
+def _ordinals(values, what: str) -> Iterator[int]:
+    """`values` as ints; `FeatureDoc` sorts and dedupes them.
 
     A TypeError unless each is an int or an integral float: a bool or a
     string is no ordinal. A float is allowed because the reader loads an
@@ -72,7 +72,7 @@ def _ordinals(values, what: str) -> tuple[int, ...]:
     for v in out:
         if type(v) is not int and not (type(v) is float and v.is_integer()):
             raise TypeError(f"{what} must be an integer, got {v!r}")
-    return tuple(sorted(set(map(int, out))))
+    return map(int, out)
 
 
 def _entity(e: dict) -> EntityMentions:
@@ -192,6 +192,16 @@ def load_dataset(manifest_path: str) -> Dataset:
                 f"manifest split {split!r} must be a list of record file names",
                 path=manifest_path,
             )
+    categories = manifest.get("trope_categories")
+    if categories is not None and not (
+        isinstance(categories, dict)
+        and set(categories) <= set(trope_names)
+        and all(isinstance(c, str) for c in categories.values())
+    ):
+        raise DataFormatError(
+            "manifest 'trope_categories' must be null or map trope names to strings",
+            path=manifest_path,
+        )
     base = os.path.dirname(os.path.abspath(manifest_path))
     splits: dict[str, list[FeatureDoc]] = {}
     num_tropes = len(trope_names)
@@ -208,27 +218,31 @@ def load_dataset(manifest_path: str) -> Dataset:
                     raise DataFormatError(
                         f"invalid JSON record: {exc}", path=path, line=lineno
                     )
-                doc = _record_to_doc(rec, path, lineno)
-                validate_doc(doc, num_tropes)
-                if doc.doc_id in seen_ids:
-                    raise ValidationError(
-                        f"doc {doc.doc_id} appears in both "
-                        f"{seen_ids[doc.doc_id]!r} and {split!r}"
-                    )
+                try:
+                    doc = _record_to_doc(rec, path, lineno)
+                    if doc.labels and doc.labels[-1] >= num_tropes:
+                        raise ValidationError(f"{doc.doc_id}: label index {doc.labels[-1]} "
+                                              f"outside [0, {num_tropes})")
+                    if doc.doc_id in seen_ids:
+                        raise ValidationError(
+                            f"doc {doc.doc_id} appears in both "
+                            f"{seen_ids[doc.doc_id]!r} and {split!r}"
+                        )
+                    d = (doc.word_feats.shape[1], doc.sent_feats.shape[1])
+                    if dims is not None and d != dims:
+                        raise ValidationError(
+                            f"doc {doc.doc_id}: feature dims {d} differ from {dims}"
+                        )
+                except ValidationError as exc:
+                    raise ValidationError(f"{exc} ({path}:{lineno})") from None
                 seen_ids[doc.doc_id] = split
-                d = (doc.word_feats.shape[1], doc.sent_feats.shape[1])
-                if dims is None:
-                    dims = d
-                elif d != dims:
-                    raise ValidationError(
-                        f"doc {doc.doc_id}: feature dims {d} differ from {dims}"
-                    )
+                dims = d
                 docs.append(doc)
         splits[split] = docs
     return Dataset(
         trope_names=trope_names,
         splits=splits,
-        trope_categories=manifest.get("trope_categories"),
+        trope_categories=categories,
     )
 
 
@@ -371,7 +385,7 @@ def _synth_doc(
         for eid in ents:
             mentions.setdefault(eid, []).append(s)
     entities = [
-        EntityMentions(entity_id=eid, sents=tuple(sorted(sents)))
+        EntityMentions(entity_id=eid, sents=sents)
         for eid, sents in sorted(mentions.items())
     ]
 
@@ -383,7 +397,7 @@ def _synth_doc(
         word_feats=word_feats,
         sent_feats=sent_feats,
         entities=entities,
-        labels=tuple(int(t) for t in np.flatnonzero(labels)),
+        labels=np.flatnonzero(labels).tolist(),
     )
 
 

@@ -16,17 +16,17 @@ of docs:
   docs, single-doc scoring among them: one Python pass of dicts and
   loops does the integer bookkeeping;
 - the array pass, for larger batches: a fixed number of numpy ops over
-  the whole batch flattens every entity's mentions, dedupes and orders
-  the (node, sentence) pairs, pairs each sentence's members, and groups
-  the pair rows by edge.
+  the whole batch flattens every entity's mentions, already ordered by
+  node, then sentence, pairs each sentence's members, and groups the
+  pair rows by edge.
 
 On planted corpus docs (8 entities, 7-9 sentences; one core of a
 2-vCPU Xeon container, best of 40 interleaved timings), the per-doc
-pass takes about 11 us plus 15-16 us a doc, and the array pass about
-72 us plus 3-4 us a doc at small batches, 6-7 us a doc at 160 docs.
-Their best times cross between 4 and 5 docs and their medians between
-4 and 6; at 6 docs, `ARRAY_PASS_MIN_DOCS`, the array pass is the faster
-by both on two corpus seeds.
+pass takes about 9 us plus 13-14 us a doc, and the array pass about
+58 us plus 3-4 us a doc at small batches, 7 us a doc at 160 docs.
+On two corpus seeds their best times and their medians each cross
+between 4 and 6 docs; at 6 docs, `ARRAY_PASS_MIN_DOCS`, the array pass
+is the faster by both.
 
 Neither builder adds a float itself. Each lists every node's and every
 edge's sentence rows in ascending sentence order and hands both lists
@@ -61,16 +61,47 @@ class EntityMentions:
     entity_id: str
     sents: tuple[int, ...]  # sorted, unique sentence ordinals
 
+    def __post_init__(self) -> None:
+        self.sents = tuple(sorted(set(self.sents)))
+
 
 @dataclass
 class FeatureDoc:
-    """One synopsis as precomputed features plus gold labels."""
+    """One synopsis as precomputed features plus gold labels.
+
+    Construction sets up the invariants every consumer relies on, for
+    loaded and hand-built docs alike: `entities` becomes a tuple in the
+    given order, `labels` a sorted tuple of distinct indices, and a
+    negative label or a mention outside the doc's sentences is a
+    ValidationError naming the doc (and the entity). An entity with no
+    mentions is logged once here and stays an isolated zero node.
+    """
 
     doc_id: str
     word_feats: Array  # [n_tokens, d_w]
     sent_feats: Array  # [n_sents, d_s]
-    entities: list[EntityMentions]
-    labels: tuple[int, ...]  # sorted trope indices
+    entities: tuple[EntityMentions, ...]
+    labels: tuple[int, ...]  # sorted, unique trope indices
+
+    def __post_init__(self) -> None:
+        self.entities = tuple(self.entities)
+        self.labels = tuple(sorted(set(self.labels)))
+        if self.labels and self.labels[0] < 0:
+            raise ValidationError(f"{self.doc_id}: label index {self.labels[0]} is negative")
+        n_sents = self.n_sents
+        for ent in self.entities:
+            sents = ent.sents
+            if not sents:
+                log.warning(
+                    "doc %s: entity %r has no mentions; keeping isolated zero node",
+                    self.doc_id, ent.entity_id,
+                )
+            elif sents[0] < 0 or sents[-1] >= n_sents:
+                bad = sents[0] if sents[0] < 0 else sents[-1]
+                raise ValidationError(
+                    f"{self.doc_id}: entity {ent.entity_id!r} mentions sentence {bad}, "
+                    f"but document has {n_sents} sentences"
+                )
 
     @property
     def n_tokens(self) -> int:
@@ -79,28 +110,6 @@ class FeatureDoc:
     @property
     def n_sents(self) -> int:
         return self.sent_feats.shape[0]
-
-
-def _mention_error(doc: FeatureDoc, ent: EntityMentions, s: int) -> str:
-    return (f"{doc.doc_id}: entity {ent.entity_id!r} mentions sentence {s}, "
-            f"but document has {doc.n_sents} sentences")
-
-
-def validate_doc(doc: FeatureDoc, num_tropes: int) -> None:
-    """Raise ValidationError (tagged with doc_id) on any invariant breach."""
-    if doc.sent_feats.ndim != 2 or doc.word_feats.ndim != 2:
-        raise ValidationError(f"{doc.doc_id}: feature arrays must be 2-d")
-    if doc.n_sents < 1:
-        raise ValidationError(f"{doc.doc_id}: document has no sentences")
-    for ent in doc.entities:
-        for s in ent.sents:
-            if not 0 <= s < doc.n_sents:
-                raise ValidationError(_mention_error(doc, ent, s))
-    for t in doc.labels:
-        if not 0 <= t < num_tropes:
-            raise ValidationError(
-                f"{doc.doc_id}: label index {t} outside [0, {num_tropes})"
-            )
 
 
 @dataclass
@@ -180,24 +189,6 @@ def _runs(keys: Array) -> tuple[Array, Array]:
     return bounds[:-1], bounds[1:] - bounds[:-1]
 
 
-def _check_mentions(doc: FeatureDoc, ent: EntityMentions) -> None:
-    """Warn that `ent` has no mentions, or raise for one outside `doc`'s sentences.
-
-    The ValidationError names the doc and entity. The builders call this
-    only for an entity whose mentions are empty or out of range; one with
-    none stays an isolated zero node.
-    """
-    sents = sorted(set(ent.sents))
-    if not sents:
-        log.warning(
-            "doc %s: entity %r has no mentions; keeping isolated zero node",
-            doc.doc_id, ent.entity_id,
-        )
-    elif sents[0] < 0 or sents[-1] >= doc.n_sents:
-        bad = sents[0] if sents[0] < 0 else sents[-1]
-        raise ValidationError(_mention_error(doc, ent, bad))
-
-
 def _sentence_rows(docs: Sequence[FeatureDoc]) -> Array:
     """Every doc's sentence features, one doc after another."""
     if len(docs) == 1:
@@ -222,8 +213,7 @@ def graph_batch(docs: Sequence[FeatureDoc]) -> GraphBatch:
 
     A batch of `ARRAY_PASS_MIN_DOCS` docs or more is built by
     `_array_pass`, a smaller one by `_per_doc_pass`; both give the same
-    arrays, bit for bit. A mention outside its document's sentences is a
-    ValidationError naming the doc and entity.
+    arrays, bit for bit.
     """
     if not docs:
         raise ValidationError("graph_batch: empty batch")
@@ -253,15 +243,11 @@ def _per_doc_pass(docs: Sequence[FeatureDoc]) -> GraphBatch:
     node0 = row0 = 0
     for doc in docs:
         sentence_entities: dict[int, list[int]] = {}
-        n_sents = doc.n_sents
         for node, ent in enumerate(doc.entities, node0):
             entity_ids.append(ent.entity_id)
-            sents = sorted(set(ent.sents))
-            if not sents or sents[0] < 0 or sents[-1] >= n_sents:
-                _check_mentions(doc, ent)  # warns, or raises
-            node_rows += [row0 + s for s in sents]
-            node_sizes.append(len(sents))
-            for s in sents:
+            node_rows += [row0 + s for s in ent.sents]
+            node_sizes.append(len(ent.sents))
+            for s in ent.sents:
                 sentence_entities.setdefault(s, []).append(node)
 
         edges: dict[tuple[int, int], list[int]] = {}  # (i, j) -> its sentences' rows
@@ -286,7 +272,7 @@ def _per_doc_pass(docs: Sequence[FeatureDoc]) -> GraphBatch:
         node_counts.append(len(doc.entities))
         pair_counts.append(len(recv) - first_pair)
         node0 += len(doc.entities)
-        row0 += n_sents
+        row0 += doc.n_sents
 
     sums = Segments(node_rows + edge_rows, node_sizes + edge_sizes).sum(_sentence_rows(docs))
     return GraphBatch(
@@ -303,40 +289,26 @@ def _per_doc_pass(docs: Sequence[FeatureDoc]) -> GraphBatch:
 def _array_pass(docs: Sequence[FeatureDoc]) -> GraphBatch:
     """`graph_batch` as a fixed number of numpy ops over the whole batch.
 
-    Every entity's mentions are flattened once into (node, row) keys,
-    rows counting sentences across the batch; sorting the keys dedupes
-    them and orders them by node, then row. Ordered by row instead
-    (stably, so members stay ascending), each sentence's run of members
-    gives a self-loop for a lone member, otherwise every member paired
-    with each later one. A stable sort of those (i, j, row) entries by
-    edge groups them in (i, j) order with rows ascending. One `Segments`
-    then sums the node groups and the edge groups together, as the
-    per-doc pass does.
+    Every entity's mentions are flattened once into (node, row) pairs,
+    rows counting sentences across the batch; as `FeatureDoc` keeps
+    mentions, they come ordered by node, then row, each once. Ordered by
+    row instead (stably, so members stay ascending), each sentence's run
+    of members gives a self-loop for a lone member, otherwise every
+    member paired with each later one. A stable sort of those (i, j, row)
+    entries by edge groups them in (i, j) order with rows ascending. One
+    `Segments` then sums the node groups and the edge groups together, as
+    the per-doc pass does.
     """
     mentions = [ent.sents for doc in docs for ent in doc.entities]
-    sizes = np.fromiter(map(len, mentions), np.intp, len(mentions))
-    try:
-        sents = np.fromiter(chain.from_iterable(mentions), np.intp, int(sizes.sum()))
-    except OverflowError:  # an ordinal past intp is out of range; the pass names it
-        return _per_doc_pass(docs)
+    node_sizes = np.fromiter(map(len, mentions), np.intp, len(mentions))
+    sents = np.fromiter(chain.from_iterable(mentions), np.intp, int(node_sizes.sum()))
     node_counts = np.fromiter((len(doc.entities) for doc in docs), np.intp, len(docs))
     sent_counts = np.fromiter((doc.sent_feats.shape[0] for doc in docs), np.intp, len(docs))
     n_nodes, width = len(mentions), max(len(mentions), 1)
-    row0 = _starts(sent_counts)
     n_rows = max(int(sent_counts.sum()), 1)
     node_doc = np.arange(len(docs)).repeat(node_counts)
-    mention_doc = node_doc.repeat(sizes)
-    mention_node = np.arange(n_nodes).repeat(sizes)
-    bad = (sents < 0) | (sents >= sent_counts.take(mention_doc))
-    if bad.any() or not sizes.all():  # warn and raise as the per-doc pass would
-        ents = [ent for doc in docs for ent in doc.entities]
-        for k in np.union1d((sizes == 0).nonzero()[0], mention_node[bad]).tolist():
-            _check_mentions(docs[node_doc[k]], ents[k])
-
-    key = mention_node * n_rows + sents + row0.take(mention_doc)
-    key.sort()
-    node, node_rows = np.divmod(key.take(_runs(key)[0]), n_rows)  # by node, then row, each once
-    node_sizes = np.bincount(node, minlength=n_nodes)
+    node = np.arange(n_nodes).repeat(node_sizes)
+    node_rows = sents + _starts(sent_counts).take(node_doc).repeat(node_sizes)  # by node, then row
 
     per_sent = np.bincount(node_rows, minlength=n_rows)
     by_row = node_rows.argsort(kind="stable")

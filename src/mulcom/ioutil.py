@@ -15,7 +15,7 @@ import orjson
 # nested deeper than this go to json, which raises RecursionError past
 # the interpreter's recursion limit (about 1000 levels).
 _ORJSON_MAX_DEPTH = 512
-_NOT_BRACKET_OR_QUOTE = bytes(sorted(set(range(256)) - set(b'[]{}"')))
+_NOT_BRACKET_OR_QUOTE = bytes(c for c in range(256) if c not in b'[]{}"')
 
 
 def canonical_json(obj) -> str:

@@ -22,7 +22,7 @@ from mulcom.data import (
     trope_prevalence,
 )
 from mulcom.errors import ConfigError, DataFormatError, ValidationError
-from mulcom.graph import build_graph
+from mulcom.graph import EntityMentions, FeatureDoc, build_graph
 from mulcom.numerics import rng_from_seed
 
 from test_graph import make_doc
@@ -175,6 +175,17 @@ class TestLoadErrors:
         assert doc.entities[0].sents == (0, 1)
         assert corpus_stats(ds)["train"]["corefs"]["max"] == 2.0
 
+    def test_built_doc_with_repeats_counts_each_once_and_round_trips(self, tmp_path):
+        doc = FeatureDoc("d0", np.zeros((1, 1)), np.zeros((2, 1)),
+                         [EntityMentions("e", (1, 0, 1))], (1, 1))
+        ds = Dataset(["t0", "t1"], {"train": [doc]}, trope_categories={"t1": "motif"})
+        assert trope_prevalence([doc], 2) == [0.0, 100.0]
+        assert corpus_stats(ds)["train"]["corefs"]["max"] == 2.0
+        back = load_dataset(save_dataset(ds, str(tmp_path)))
+        loaded, = back.split("train")
+        assert (loaded.labels, loaded.entities) == ((1,), (EntityMentions("e", (0, 1)),))
+        assert back.trope_categories == {"t1": "motif"}
+
     def test_label_wider_than_64_bits_names_the_doc(self, tmp_path):
         # the reader loads it as the nearest float, which is out of range too
         rec = {"doc_id": "d0", "word_feats": [[0.0]], "sent_feats": [[0.0]],
@@ -183,6 +194,24 @@ class TestLoadErrors:
         path = self.write_manifest(tmp_path, {"train": ["train.jsonl"]})
         with pytest.raises(ValidationError, match="d0: label index"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("bad, error", [
+        ({"labels": [5]}, "d0: label index 5 outside [0, 2)"),
+        ({"labels": [-1]}, "d0: label index -1 is negative"),
+        ({"entities": [{"id": "e", "sents": [1]}]},
+         "d0: entity 'e' mentions sentence 1, but document has 1 sentences"),
+        ({"doc_id": "v0"}, "doc v0 appears in both 'val' and 'train'"),
+        ({"word_feats": [[0.0, 1.0]]}, "doc d0: feature dims (2, 1) differ from (1, 1)"),
+    ], ids=["label-bound", "negative-label", "mention", "duplicate-id", "dims"])
+    def test_record_errors_name_the_file_and_line(self, tmp_path, bad, error):
+        ok = {"doc_id": "d0", "word_feats": [[0.0]], "sent_feats": [[0.0]],
+              "entities": [], "labels": []}
+        (tmp_path / "val.jsonl").write_text(json.dumps({**ok, "doc_id": "v0"}) + "\n")
+        (tmp_path / "train.jsonl").write_text(json.dumps({**ok, **bad}) + "\n")
+        path = self.write_manifest(tmp_path, {"val": ["val.jsonl"], "train": ["train.jsonl"]})
+        with pytest.raises(ValidationError) as exc:
+            load_dataset(path)
+        assert str(exc.value) == f"{error} ({tmp_path / 'train.jsonl'}:1)"
 
     def test_duplicate_doc_id_across_splits(self, tmp_path):
         rec = {
@@ -261,7 +290,12 @@ class TestLoadErrors:
         {"splits": {"train": "train.jsonl"}},
         {"splits": {"train": [3]}},
         {"trope_names": "t0"},
-    ], ids=["list", "splits-list", "files-not-list", "file-not-name", "tropes-not-list"])
+        {"trope_categories": 5},
+        {"trope_categories": ["t0"]},
+        {"trope_categories": {"t0": 1}},
+        {"trope_categories": {"t9": "motif"}},
+    ], ids=["list", "splits-list", "files-not-list", "file-not-name", "tropes-not-list",
+            "categories-number", "categories-list", "category-not-string", "category-of-no-trope"])
     def test_malformed_manifest_is_data_format_error(self, tmp_path, manifest):
         path = self.write_manifest(tmp_path, {"train": ["train.jsonl"]})
         if isinstance(manifest, dict):
@@ -547,11 +581,11 @@ class TestSynthGenerate:
             assert abs(p - 40.0) < 5.0
 
     def test_docs_pass_validation(self):
-        from mulcom.graph import validate_doc
+        # construction checks the rest; a label's upper bound is the loader's
         spec = small_spec()
         ds = synth_generate(27, spec)
         for doc in ds.split("train"):
-            validate_doc(doc, spec.num_tropes)
+            assert set(doc.labels) <= set(range(spec.num_tropes))
 
     @pytest.mark.parametrize("kw", [{"docs": "10"}, {"vocab": 30.5}, {"val_frac": None}])
     def test_wrong_types_rejected(self, kw):

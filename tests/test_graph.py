@@ -9,7 +9,6 @@ from mulcom.graph import (
     EntityMentions,
     FeatureDoc,
     build_graph,
-    validate_doc,
 )
 
 
@@ -26,7 +25,7 @@ def make_doc(mention_table, n_sents, d_s=4, seed=0, labels=()):
     rng = np.random.default_rng(seed)
     sent_feats = rng.standard_normal((n_sents, d_s))
     entities = [
-        EntityMentions(entity_id=eid, sents=tuple(sorted(set(sents))))
+        EntityMentions(entity_id=eid, sents=sents)
         for eid, sents in mention_table.items()
     ]
     return FeatureDoc(
@@ -134,11 +133,9 @@ class TestBuildGraph:
             edges[(0, 1)], doc.sent_feats[0] + doc.sent_feats[1], atol=1e-15
         )
 
-    def test_zero_mention_entity_kept_isolated(self, caplog):
+    def test_zero_mention_entity_kept_isolated(self):
         doc = make_doc({"A": [0], "B": []}, n_sents=1)
-        with caplog.at_level("WARNING"):
-            g = build_graph(doc)
-        assert "no mentions" in caplog.text
+        g = build_graph(doc)
         npt.assert_array_equal(g.x[1], np.zeros(4))
         assert neighbours(g, 1) == []
 
@@ -214,16 +211,41 @@ class TestGraphStats:
 
 
 class TestValidation:
+    """`FeatureDoc` sets up a doc's invariants when it is made."""
+
+    @pytest.mark.parametrize("sents, want", [
+        ((2, 0, 2, 1, 0), (0, 1, 2)),
+        ((), ()),
+        ((0, -1), "sentence -1,"),
+        ((0, 3), "sentence 3,"),
+        ((0, 2**70), f"sentence {2**70},"),
+        ((-(2**70), 1, 5), f"sentence {-(2**70)},"),
+    ], ids=["normalized", "no-mentions", "minus-1", "n_sents", "2**70", "-(2**70)"])
+    def test_construction_sets_up_the_invariants(self, caplog, sents, want):
+        mentions = {"A": [1], "B": list(sents)}
+        if isinstance(want, str):
+            with pytest.raises(ValidationError) as exc:
+                make_doc(mentions, n_sents=3)
+            assert str(exc.value) == f"doc0: entity 'B' mentions {want} but document has 3 sentences"
+            return
+        with caplog.at_level("WARNING", logger="mulcom.graph"):
+            doc = make_doc(mentions, n_sents=3, labels=[2, 0, 2])
+        assert doc.entities == (EntityMentions("A", (1,)), EntityMentions("B", want))
+        assert doc.labels == (0, 2)
+        warned = [] if want else ["doc doc0: entity 'B' has no mentions; keeping isolated zero node"]
+        assert [r.getMessage() for r in caplog.records] == warned
+
     def test_out_of_range_mention(self):
-        doc = make_doc({"A": [5]}, n_sents=2)
-        with pytest.raises(ValidationError, match="doc0"):
-            validate_doc(doc, num_tropes=3)
+        # raised where the doc is made, so no builder or loader sees it
+        with pytest.raises(ValidationError, match="doc0: entity 'A' mentions sentence 5"):
+            make_doc({"A": [5]}, n_sents=2)
 
     def test_label_bound(self):
-        doc = make_doc({"A": [0]}, n_sents=1, labels=[3])
-        with pytest.raises(ValidationError, match="label index 3"):
-            validate_doc(doc, num_tropes=3)
+        # a label's upper bound is the loader's, which knows the trope count
+        with pytest.raises(ValidationError, match="doc0: label index -1 is negative"):
+            make_doc({"A": [0]}, n_sents=1, labels=[3, -1])
 
     def test_valid_doc_passes(self):
         doc = make_doc({"A": [0]}, n_sents=1, labels=[0, 2])
-        validate_doc(doc, num_tropes=3)
+        assert doc.labels == (0, 2)
+        assert doc.entities == (EntityMentions("A", (0,)),)

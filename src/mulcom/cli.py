@@ -6,8 +6,10 @@ the fields of `SynthSpec`, `ModelConfig`, `TrainConfig` and
 `GradcheckConfig`), which gives its flag, config-file key, type check
 and default. Settings resolve flag > config-file key > default; a value
 of the wrong type is a usage error.
-Every report embeds the resolved settings and seed. Reports and
-datasets are written atomically, logs go to standard error only.
+Each command returns its exit code and its report's fields, or None;
+`main` adds `command`, `seed` and `config` and writes them all to
+`<out>/<command>_report.json`. Files are written atomically, logs go to
+standard error only.
 
 Heavy imports happen inside the command handlers so the --threads cap
 can reach the numerics backend before it loads.
@@ -22,7 +24,7 @@ import statistics
 import sys
 import types
 import typing
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, asdict, fields
 from typing import Literal, NamedTuple, Sequence
 
 from . import __version__
@@ -145,15 +147,7 @@ def _set_thread_caps(threads: int) -> None:
         log.debug("numpy already loaded; thread caps may not take effect")
 
 
-def _write_report(out_dir: str, fname: str, report: dict) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, fname)
-    atomic_write_text(path, canonical_json(report) + "\n")
-    log.info("wrote %s", path)
-    return path
-
-
-def cmd_synth(cfg: dict) -> int:
+def cmd_synth(cfg: dict) -> tuple[int, dict | None]:
     out_dir = _require(cfg, "out", "synth")
     from .data import save_dataset, synth_generate
 
@@ -161,10 +155,10 @@ def cmd_synth(cfg: dict) -> int:
     manifest = save_dataset(ds, out_dir)
     counts = {name: len(docs) for name, docs in ds.splits.items()}
     log.info("wrote %s (%s docs, %d tropes)", manifest, counts, ds.num_tropes)
-    return EXIT_OK
+    return EXIT_OK, None
 
 
-def cmd_train(cfg: dict) -> int:
+def cmd_train(cfg: dict) -> tuple[int, dict | None]:
     out_dir = _require(cfg, "out", "train")
     manifest = _require(cfg, "data", "train")
     from .data import load_dataset
@@ -188,30 +182,19 @@ def cmd_train(cfg: dict) -> int:
     ckpt_path = os.path.join(out_dir, "checkpoint.json")
     save_checkpoint(model, ckpt_path)
     log.info("wrote %s", ckpt_path)
-    report = {
-        "command": "train",
-        "seed": cfg["seed"],
-        "config": cfg,
+    return EXIT_OK, {
         "model_config": mcfg.to_dict(),
         "dataset": {
             "manifest": manifest,
             "train_docs": len(train_docs),
             "val_docs": 0 if val_docs is None else len(val_docs),
         },
-        "result": {
-            "epochs_run": result.epochs_run,
-            "epoch_losses": result.epoch_losses,
-            "val_micro_f1": result.val_micro_f1,
-            "pos_weight": result.pos_weight,
-            "stopped_early": result.stopped_early,
-        },
+        "result": asdict(result),
     }
-    _write_report(out_dir, "train_report.json", report)
-    return EXIT_OK
 
 
-def cmd_eval(cfg: dict) -> int:
-    out_dir = _require(cfg, "out", "eval")
+def cmd_eval(cfg: dict) -> tuple[int, dict | None]:
+    _require(cfg, "out", "eval")
     manifest = _require(cfg, "data", "eval")
     ckpt = _require(cfg, "checkpoint", "eval")
     check_threshold(cfg["threshold"])
@@ -245,10 +228,7 @@ def cmd_eval(cfg: dict) -> int:
         "%s split: micro-F1 %.2f macro-F1 %.2f mAP %.2f",
         cfg["split"], rep.micro_f1, rep.macro_f1, rep.mAP,
     )
-    report = {
-        "command": "eval",
-        "seed": cfg["seed"],
-        "config": cfg,
+    return EXIT_OK, {
         "model_config": model.cfg.to_dict(),
         "report": rep.to_dict(),
         # each trope's softmax weight on each stream, as the model mixes them
@@ -257,12 +237,10 @@ def cmd_eval(cfg: dict) -> int:
             for trope, row in zip(ds.trope_names, stream_attention(model))
         },
     }
-    _write_report(out_dir, "eval_report.json", report)
-    return EXIT_OK
 
 
-def cmd_stats(cfg: dict) -> int:
-    out_dir = _require(cfg, "out", "stats")
+def cmd_stats(cfg: dict) -> tuple[int, dict | None]:
+    _require(cfg, "out", "stats")
     manifest = _require(cfg, "data", "stats")
     from .data import corpus_stats, load_dataset, trope_prevalence
 
@@ -283,21 +261,16 @@ def cmd_stats(cfg: dict) -> int:
             "%s: %d docs, prevalence median %.2f%% max %.2f%%",
             split, len(docs), median, max(prev),
         )
-    report = {
-        "command": "stats",
-        "seed": cfg["seed"],
-        "config": cfg,
+    return EXIT_OK, {
         "trope_names": ds.trope_names,
         "stats": stats,
         "prevalence": prevalence,
         "prevalence_summary": summary,
     }
-    _write_report(out_dir, "stats_report.json", report)
-    return EXIT_OK
 
 
-def cmd_cooccur(cfg: dict) -> int:
-    out_dir = _require(cfg, "out", "cooccur")
+def cmd_cooccur(cfg: dict) -> tuple[int, dict | None]:
+    _require(cfg, "out", "cooccur")
     manifest = _require(cfg, "data", "cooccur")
     from .data import cooccurrence_iou, load_dataset
 
@@ -312,17 +285,10 @@ def cmd_cooccur(cfg: dict) -> int:
     ]
     for row in ranked[:5]:
         log.info("%.4f  %s / %s", row["iou"], row["a"], row["b"])
-    report = {
-        "command": "cooccur",
-        "seed": cfg["seed"],
-        "config": cfg,
-        "pairs": ranked,
-    }
-    _write_report(out_dir, "cooccur_report.json", report)
-    return EXIT_OK
+    return EXIT_OK, {"pairs": ranked}
 
 
-def cmd_gradcheck(cfg: dict) -> int:
+def cmd_gradcheck(cfg: dict) -> tuple[int, dict | None]:
     gcfg = GradcheckConfig(**{k: cfg[k] for k in GRADCHECK})
     tol = gcfg.tolerance
     from .gradcheck import run_gradcheck
@@ -336,19 +302,12 @@ def cmd_gradcheck(cfg: dict) -> int:
             "%-22s max rel err %.3e  %-4s (%.2fs)",
             r.name, r.max_err, "ok" if ok else "FAIL", r.seconds,
         )
-    if cfg["out"] is not None:
-        report = {
-            "command": "gradcheck",
-            "seed": cfg["seed"],
-            "config": cfg,
-            "tolerance": tol,
-            "checks": [
-                {"name": r.name, "max_err": r.max_err, "ok": r.ok(tol)}
-                for r in results
-            ],
-        }
-        _write_report(cfg["out"], "gradcheck_report.json", report)
-    return EXIT_OK if all_ok else EXIT_RUNTIME
+    return EXIT_OK if all_ok else EXIT_RUNTIME, {
+        "tolerance": tol,
+        "checks": [
+            {"name": r.name, "max_err": r.max_err, "ok": r.ok(tol)} for r in results
+        ],
+    }
 
 
 COMMANDS = {  # name: (handler, help, settings)
@@ -408,7 +367,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = _resolve(args, settings)
         _set_thread_caps(cfg["threads"])
-        return run(cfg)
+        code, body = run(cfg)
+        if body is not None and cfg["out"] is not None:  # gradcheck's --out is optional
+            os.makedirs(cfg["out"], exist_ok=True)
+            path = os.path.join(cfg["out"], f"{args.command}_report.json")
+            report = {"command": args.command, "seed": cfg["seed"], "config": cfg, **body}
+            atomic_write_text(path, canonical_json(report) + "\n")
+            log.info("wrote %s", path)
+        return code
     except ConfigError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import SynthSpec
 from .errors import DataFormatError, ValidationError
-from .graph import EntityMentions, FeatureDoc
+from .graph import EntityMentions, FeatureDoc, check_labels, label_matrix
 from .ioutil import atomic_write_text, canonical_json, loads, read_json
 from .numerics import rng_from_seed
 
@@ -30,6 +30,17 @@ Array = np.ndarray
 
 MANIFEST_FORMAT = "mulcom-dataset"
 MANIFEST_VERSION = 1
+_CATEGORIES_RULE = "'trope_categories' must be null or map trope names to strings"
+
+
+def _categories_ok(categories, trope_names: list[str]) -> bool:
+    """Whether `categories` is None or maps some of `trope_names` to strings."""
+    return categories is None or (
+        isinstance(categories, dict)
+        and set(categories) <= set(trope_names)
+        and all(isinstance(c, str) for c in categories.values())
+    )
+
 
 @dataclass
 class Dataset:
@@ -193,15 +204,8 @@ def load_dataset(manifest_path: str) -> Dataset:
                 path=manifest_path,
             )
     categories = manifest.get("trope_categories")
-    if categories is not None and not (
-        isinstance(categories, dict)
-        and set(categories) <= set(trope_names)
-        and all(isinstance(c, str) for c in categories.values())
-    ):
-        raise DataFormatError(
-            "manifest 'trope_categories' must be null or map trope names to strings",
-            path=manifest_path,
-        )
+    if not _categories_ok(categories, trope_names):
+        raise DataFormatError(f"manifest {_CATEGORIES_RULE}", path=manifest_path)
     base = os.path.dirname(os.path.abspath(manifest_path))
     splits: dict[str, list[FeatureDoc]] = {}
     num_tropes = len(trope_names)
@@ -220,9 +224,7 @@ def load_dataset(manifest_path: str) -> Dataset:
                     )
                 try:
                     doc = _record_to_doc(rec, path, lineno)
-                    if doc.labels and doc.labels[-1] >= num_tropes:
-                        raise ValidationError(f"{doc.doc_id}: label index {doc.labels[-1]} "
-                                              f"outside [0, {num_tropes})")
+                    check_labels(doc, num_tropes)
                     if doc.doc_id in seen_ids:
                         raise ValidationError(
                             f"doc {doc.doc_id} appears in both "
@@ -247,7 +249,14 @@ def load_dataset(manifest_path: str) -> Dataset:
 
 
 def save_dataset(dataset: Dataset, out_dir: str) -> str:
-    """Write manifest + one records file per split; returns manifest path."""
+    """Write manifest + one records file per split; returns manifest path.
+
+    Bad categories or a label past the trope count raise before any write.
+    """
+    if not _categories_ok(dataset.trope_categories, dataset.trope_names):
+        raise ValidationError(f"dataset {_CATEGORIES_RULE}")
+    for docs in dataset.splits.values():
+        label_matrix(docs, dataset.num_tropes)
     os.makedirs(out_dir, exist_ok=True)
     split_files: dict[str, list[str]] = {}
     for split, docs in dataset.splits.items():
@@ -310,11 +319,7 @@ def trope_prevalence(docs: list[FeatureDoc], num_tropes: int) -> list[float]:
     """Percentage of docs carrying each trope."""
     if not docs:
         raise ValidationError("trope_prevalence: empty document list")
-    counts = [0] * num_tropes
-    for doc in docs:
-        for t in doc.labels:
-            counts[t] += 1
-    return [100.0 * c / len(docs) for c in counts]
+    return (100.0 * label_matrix(docs, num_tropes).sum(axis=0) / len(docs)).tolist()
 
 
 def cooccurrence_iou(
@@ -324,17 +329,12 @@ def cooccurrence_iou(
     sorted by descending IoU (ties by pair index)."""
     if not docs:
         raise ValidationError("cooccurrence_iou: empty document list")
-    doc_sets: list[set[int]] = [set() for _ in range(num_tropes)]
-    for i, doc in enumerate(docs):
-        for t in doc.labels:
-            doc_sets[t].add(i)
-    pairs = []
-    for a in range(num_tropes):
-        for b in range(a + 1, num_tropes):
-            union = len(doc_sets[a] | doc_sets[b])
-            inter = len(doc_sets[a] & doc_sets[b])
-            iou = 0.0 if union == 0 else inter / union
-            pairs.append((a, b, iou))
+    y = label_matrix(docs, num_tropes)
+    a, b = np.triu_indices(num_tropes, k=1)
+    inter = (y.T @ y)[a, b]
+    counts = y.sum(axis=0)
+    union = counts[a] + counts[b] - inter  # 0 only where inter is 0 too
+    pairs = list(zip(a.tolist(), b.tolist(), (inter / np.maximum(union, 1)).tolist()))
     pairs.sort(key=lambda p: (-p[2], p[0], p[1]))
     return pairs
 

@@ -54,18 +54,18 @@ log = logging.getLogger(__name__)
 Array = np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class EntityMentions:
-    """One coreference entity and the sentences that mention it."""
+    """One coreference entity and the sentences that mention it; frozen."""
 
     entity_id: str
     sents: tuple[int, ...]  # sorted, unique sentence ordinals
 
     def __post_init__(self) -> None:
-        self.sents = tuple(sorted(set(self.sents)))
+        object.__setattr__(self, "sents", tuple(sorted(set(self.sents))))
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class FeatureDoc:
     """One synopsis as precomputed features plus gold labels.
 
@@ -74,7 +74,8 @@ class FeatureDoc:
     given order, `labels` a sorted tuple of distinct indices, and a
     negative label or a mention outside the doc's sentences is a
     ValidationError naming the doc (and the entity). An entity with no
-    mentions is logged once here and stays an isolated zero node.
+    mentions is logged once here and stays an isolated zero node. Both types
+    are frozen; `dataclasses.replace` makes a changed copy, checked again.
     """
 
     doc_id: str
@@ -84,8 +85,8 @@ class FeatureDoc:
     labels: tuple[int, ...]  # sorted, unique trope indices
 
     def __post_init__(self) -> None:
-        self.entities = tuple(self.entities)
-        self.labels = tuple(sorted(set(self.labels)))
+        object.__setattr__(self, "entities", tuple(self.entities))
+        object.__setattr__(self, "labels", tuple(sorted(set(self.labels))))
         if self.labels and self.labels[0] < 0:
             raise ValidationError(f"{self.doc_id}: label index {self.labels[0]} is negative")
         n_sents = self.n_sents
@@ -347,10 +348,17 @@ def build_graph(doc: FeatureDoc) -> GraphBatch:
     return graph_batch([doc])
 
 
+def check_labels(doc: FeatureDoc, num_tropes: int) -> None:
+    """Raise a ValidationError naming `doc` if it has a label >= `num_tropes`."""
+    if doc.labels and (top := doc.labels[-1]) >= num_tropes:
+        raise ValidationError(f"{doc.doc_id}: label index {top} outside [0, {num_tropes})")
+
+
 def label_matrix(docs: Sequence[FeatureDoc], num_tropes: int) -> Array:
-    """Binary [len(docs), num_tropes] gold matrix."""
+    """Binary [len(docs), num_tropes] gold matrix; checks each doc with `check_labels`."""
     y = np.zeros((len(docs), num_tropes), dtype=np.int64)
     for row, doc in enumerate(docs):
+        check_labels(doc, num_tropes)
         for t in doc.labels:
             y[row, t] = 1
     return y

@@ -8,7 +8,7 @@ are undefined) and listed in the report notes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -162,14 +162,7 @@ class EvalReport:
     notes: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "micro_f1": self.micro_f1,
-            "macro_f1": self.macro_f1,
-            "mAP": self.mAP,
-            "threshold": self.threshold,
-            "per_trope": self.per_trope,
-            "notes": list(self.notes),
-        }
+        return asdict(self)
 
 
 def evaluate(

@@ -1,6 +1,7 @@
 """End-to-end command-line checks: artifacts, precedence, exit codes."""
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -16,7 +17,14 @@ from mulcom import cli
 from mulcom.cli import build_parser, main
 from mulcom.data import Dataset, load_dataset, save_dataset
 from mulcom.graph import EntityMentions, FeatureDoc
-from mulcom.model import ModelConfig, build_model, load_checkpoint, save_checkpoint
+from mulcom.metrics import EvalReport
+from mulcom.model import (
+    ModelConfig,
+    TrainResult,
+    build_model,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 
 @pytest.fixture(scope="module")
@@ -355,6 +363,61 @@ class TestExitCodes:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("text, error", [
+        ("[1, 2]", "must hold a JSON object"),
+        (None, "cannot read config file"),  # a directory
+    ], ids=["list", "unreadable"])
+    def test_config_file_that_is_no_object_is_usage_error(self, text, error, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        if text is None:
+            cfg.mkdir()
+        else:
+            cfg.write_text(text)
+        assert main(["gradcheck", "--config", str(cfg), "--max-coords", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "usage error: " in err and error in err
+
+    @pytest.mark.parametrize("argv, error", [
+        (["synth", "--docs", "0"], "docs must be >= 1"),
+        (["synth", "--token-tropes", "-1"], "trope counts must be >= 0"),
+        (["synth", "--token-tropes", "0", "--motif-tropes", "0"], "need at least one trope"),
+        (["synth", "--filler-sents", "0"], "filler layout values must be >= 1"),
+        (["synth", "--val-frac", "1"], "val_frac must be in [0, 1)"),
+        (["synth", "--d-w", "0"], "embedding dims must be >= 1"),
+        (["train", "--learning-rate", "-1", "--epochs", "1"], "learning_rate must be >= 0"),
+        (["train", "--epochs", "-1"], "epochs must be >= 0"),
+        (["train", "--batch-size", "0", "--epochs", "1"], "batch_size must be >= 1"),
+        (["train", "--pos-weight", "0", "--epochs", "1"], "pos_weight must be positive"),
+        (["train", "--d-h", "10", "--reasoner-heads", "4", "--epochs", "1"],
+         "hidden dim 10 not divisible by 4 heads"),
+    ], ids=["docs", "token-tropes", "no-tropes", "filler-sents", "val-frac", "d-w",
+            "learning-rate", "epochs", "batch-size", "pos-weight", "d-h-heads"])
+    def test_setting_out_of_range_is_usage_error(self, argv, error, tiny_manifest, tmp_path,
+                                                 capsys):
+        out = tmp_path / "out"
+        if argv[0] == "train":
+            argv = argv + ["--data", tiny_manifest]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert f"usage error: {error}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, error", [
+        ("train", "training split is empty"),
+        ("eval", "split 'val' is empty"),
+    ])
+    def test_empty_split_is_runtime_error(self, command, error, tiny_manifest, tiny_checkpoint,
+                                          tmp_path, caplog):
+        docs = load_dataset(tiny_manifest).split("train")
+        splits = {"train": [], "val": docs} if command == "train" else {"train": docs, "val": []}
+        manifest = save_dataset(Dataset([f"t{k}" for k in range(8)], splits),
+                                str(tmp_path / "ds"))
+        argv = [command, "--data", manifest, "--out", str(tmp_path / "out")]
+        if command == "eval":
+            argv += ["--checkpoint", tiny_checkpoint]
+        assert main(argv) == 1
+        assert f"{manifest}: {error}" in caplog.text
+        assert not (tmp_path / "out").exists()
+
     def test_config_file_not_utf8(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(b"\xff\xfe{}")
@@ -470,6 +533,16 @@ def tiny_checkpoint(tiny_manifest, tmp_path_factory):
     return str(out / "checkpoint.json")
 
 
+def report_argv(command, out, manifest, checkpoint):
+    """A run of `command` that writes its report to `out`, with the flags of ROUND_TRIP."""
+    argv = [command, "--out", str(out), *ROUND_TRIP[command]]
+    if command != "gradcheck":
+        argv += ["--data", manifest]
+    if command == "eval":
+        argv += ["--checkpoint", checkpoint]
+    return argv
+
+
 ROUND_TRIP = {
     "train": ["--epochs", "1", "--seed", "3", "--streams", "word, relation",
               "--pos-weight", "2", "--relation-reasoner", "rrn", *TINY_TRAIN],
@@ -488,12 +561,7 @@ def test_report_config_reruns_identically(command, tiny_manifest, tiny_checkpoin
     synth writes no report, so it has no config block to feed back.
     """
     out = tmp_path / "run"
-    argv = [command, "--out", str(out), *ROUND_TRIP[command]]
-    if command != "gradcheck":
-        argv += ["--data", tiny_manifest]
-    if command == "eval":
-        argv += ["--checkpoint", tiny_checkpoint]
-    assert main(argv) == 0
+    assert main(report_argv(command, out, tiny_manifest, tiny_checkpoint)) == 0
     first = {p.name: p.read_bytes() for p in out.iterdir()}
     report = json.loads(first[f"{command}_report.json"])
     assert {"--" + k.replace("_", "-") for k in report["config"]} == PARENT_FLAGS[command]
@@ -502,3 +570,36 @@ def test_report_config_reruns_identically(command, tiny_manifest, tiny_checkpoin
     shutil.rmtree(out)
     assert main([command, "--config", str(cfg)]) == 0
     assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+
+REPORT_FIELDS = {  # each report's fields after the envelope
+    "train": {"model_config", "dataset", "result"},
+    "eval": {"model_config", "report", "stream_mix"},
+    "stats": {"trope_names", "stats", "prevalence", "prevalence_summary"},
+    "cooccur": {"pairs"},
+    "gradcheck": {"tolerance", "checks"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_FIELDS))
+def test_each_report_is_the_envelope_plus_the_commands_fields(
+        command, tiny_manifest, tiny_checkpoint, tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    assert main(report_argv(command, out, tiny_manifest, tiny_checkpoint)) == 0
+    written = {p.name for p in out.iterdir()}
+    assert written == {f"{command}_report.json"} | ({"checkpoint.json"} if command == "train"
+                                                   else set())
+    report = json.loads((out / f"{command}_report.json").read_text())
+    assert set(report) == {"command", "seed", "config"} | REPORT_FIELDS[command]
+    assert report["command"] == command
+    assert report["seed"] == report["config"]["seed"]
+    if command == "train":
+        assert set(report["result"]) == {f.name for f in dataclasses.fields(TrainResult)}
+    if command == "eval":
+        assert set(report["report"]) == {f.name for f in dataclasses.fields(EvalReport)}
+    if command == "gradcheck":  # its report is optional: no --out, no file
+        quiet = tmp_path / "quiet"
+        quiet.mkdir()
+        monkeypatch.chdir(quiet)
+        assert main(["gradcheck", *ROUND_TRIP["gradcheck"]]) == 0
+        assert list(quiet.iterdir()) == []

@@ -1,7 +1,9 @@
 """Dataset I/O, statistics, and planted-generator construction checks."""
 
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +24,7 @@ from mulcom.data import (
     trope_prevalence,
 )
 from mulcom.errors import ConfigError, DataFormatError, ValidationError
-from mulcom.graph import EntityMentions, FeatureDoc, build_graph
+from mulcom.graph import EntityMentions, FeatureDoc, build_graph, label_matrix
 from mulcom.numerics import rng_from_seed
 
 from test_graph import make_doc
@@ -424,6 +426,39 @@ class TestCorpusStats:
     def test_empty_split_omitted(self):
         ds = Dataset(trope_names=["a"], splits={"train": [], "val": []})
         assert corpus_stats(ds) == {}
+
+
+class TestLabelBound:
+    """A label past the trope count is a ValidationError wherever labels become columns."""
+
+    @pytest.mark.parametrize("fn", [label_matrix, trope_prevalence, cooccurrence_iou])
+    def test_label_past_the_trope_count_is_named(self, fn):
+        docs = [make_doc({"A": [0]}, n_sents=1, labels=(1,)),
+                make_doc({"A": [0]}, n_sents=1, labels=(0, 5))]
+        with pytest.raises(ValidationError) as exc:
+            fn(docs, 2)
+        assert str(exc.value) == "doc0: label index 5 outside [0, 2)"
+
+    @pytest.mark.parametrize("fn", [trope_prevalence, cooccurrence_iou])
+    def test_no_docs_is_named(self, fn):
+        with pytest.raises(ValidationError, match=f"{fn.__name__}: empty document list"):
+            fn([], 2)
+
+    @pytest.mark.parametrize("bad, error", [
+        ({"labels": (5,)}, "doc1: label index 5 outside [0, 2)"),
+        ({"trope_categories": 5}, "dataset 'trope_categories' must be null or map"),
+        ({"trope_categories": {"t9": "motif"}}, "dataset 'trope_categories' must be null"),
+        ({"trope_categories": {"t1": 1}}, "dataset 'trope_categories' must be null"),
+    ], ids=["label-5", "categories-int", "categories-unknown-trope", "categories-int-value"])
+    def test_save_refuses_what_load_would_reject_and_writes_nothing(self, tmp_path, bad, error):
+        good = make_doc({"A": [0]}, n_sents=1, labels=(1,))
+        val = dataclasses.replace(good, doc_id="doc1", labels=bad.get("labels", (0,)))
+        ds = Dataset(["t0", "t1"], {"train": [good], "val": [val]},
+                     trope_categories=bad.get("trope_categories"))
+        out = tmp_path / "ds"
+        with pytest.raises(ValidationError, match=re.escape(error)):
+            save_dataset(ds, str(out))
+        assert not out.exists()
 
 
 class TestPrevalence:

@@ -1,5 +1,7 @@
 """Graph construction checked against a brute-force pairwise scan."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -241,7 +243,8 @@ class TestValidation:
             make_doc({"A": [5]}, n_sents=2)
 
     def test_label_bound(self):
-        # a label's upper bound is the loader's, which knows the trope count
+        # the upper bound needs the trope count: `check_labels` has it, in
+        # `label_matrix` and the loader
         with pytest.raises(ValidationError, match="doc0: label index -1 is negative"):
             make_doc({"A": [0]}, n_sents=1, labels=[3, -1])
 
@@ -249,3 +252,21 @@ class TestValidation:
         doc = make_doc({"A": [0]}, n_sents=1, labels=[0, 2])
         assert doc.labels == (0, 2)
         assert doc.entities == (EntityMentions("A", (0,)),)
+
+    def test_a_made_doc_cannot_be_assigned_to(self):
+        doc = make_doc({"A": [0, 1]}, n_sents=2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            doc.entities[0].sents = (2,)  # would index a batch mate's sentence
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            doc.sent_feats = np.zeros((1, 4))
+        assert doc.entities[0].sents == (0, 1) and doc.n_sents == 2
+
+    def test_replace_normalizes_and_checks_again(self):
+        doc = make_doc({"A": [0]}, n_sents=2)
+        assert dataclasses.replace(doc, labels=(2, 0, 2)).labels == (0, 2)
+        assert dataclasses.replace(doc.entities[0], sents=(1, 0, 1)).sents == (0, 1)
+        with pytest.raises(ValidationError, match="doc0: label index -1 is negative"):
+            dataclasses.replace(doc, labels=(-1,))
+        with pytest.raises(ValidationError, match="mentions sentence 1, but document has 1"):
+            dataclasses.replace(doc, entities=[EntityMentions("A", (1,))],
+                                sent_feats=np.zeros((1, 4)))

@@ -171,3 +171,11 @@ def test_corpus_records_load_as_json_loads_gives_them(tmp_path, spec):
     assert len(lines) == 12
     for line in lines:
         assert tagged(loads(line)) == tagged(json.loads(line))
+
+
+def test_atomic_write_removes_its_temp_file_when_the_rename_fails(tmp_path):
+    taken = tmp_path / "taken"
+    taken.mkdir()  # renaming a file over a directory fails
+    with pytest.raises(OSError):
+        ioutil.atomic_write_text(str(taken), "{}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]

@@ -256,6 +256,26 @@ class TestEvaluate:
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
 
+MATRIX, OTHER = np.ones((2, 3)), np.ones((2, 2))
+
+
+class TestShapeChecks:
+    @pytest.mark.parametrize("call, error", [
+        (lambda: f1(MATRIX, OTHER), r"preds shape \(2, 3\) != labels shape \(2, 2\)"),
+        (lambda: f1(OTHER, OTHER, "weighted"), "unknown f1 mode 'weighted'"),
+        (lambda: average_precision(np.ones(3), np.ones(2)), "expects matching 1-d arrays"),
+        (lambda: average_precision(OTHER, OTHER), "expects matching 1-d arrays"),
+        (lambda: map_score(MATRIX, OTHER), r"map_score expects matching \[N, T\]"),
+        (lambda: map_score(np.ones(2), np.ones(2)), r"map_score expects matching \[N, T\]"),
+        (lambda: evaluate(MATRIX, OTHER), r"evaluate expects matching \[N, T\]"),
+        (lambda: evaluate(np.ones(2), np.ones(2)), r"evaluate expects matching \[N, T\]"),
+    ], ids=["f1-shapes", "f1-mode", "ap-lengths", "ap-2d", "map-shapes", "map-1d",
+            "evaluate-shapes", "evaluate-1d"])
+    def test_arrays_of_the_wrong_shape_are_named(self, call, error):
+        with pytest.raises(ValidationError, match=error):
+            call()
+
+
 class TestScoreValidation:
     # Before the check, the NaN case below reported trope_1 AP 100.0 and mAP 100.0.
     LABELS = np.array([[1, 0], [0, 1], [1, 1]])

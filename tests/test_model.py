@@ -1,5 +1,6 @@
 """Model head, loss, optimizer, and checkpoint round-trip tests."""
 
+import dataclasses
 import json
 import os
 import platform
@@ -68,8 +69,7 @@ def tiny_doc(seed=0, labels=(0, 2), n_tokens=7):
     doc = make_doc({"A": [0, 1], "B": [0], "C": [2]}, n_sents=3, d_s=5,
                    seed=seed, labels=labels)
     rng = rng_from_seed(seed, stream=40)
-    doc.word_feats = rng.standard_normal((n_tokens, 6))
-    return doc
+    return dataclasses.replace(doc, word_feats=rng.standard_normal((n_tokens, 6)))
 
 
 def mlp_oracle(x, mlp):
@@ -728,6 +728,16 @@ class TestCheckpoint:
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000)
         with pytest.raises(DataFormatError, match=r"invalid JSON.*deep\.json"):
+            load_checkpoint(str(path))
+
+    def test_rejects_non_finite_values(self, tmp_path):
+        path = tmp_path / "nan.json"
+        save_checkpoint(build_model(tiny_cfg(), seed=36), str(path))
+        payload = json.loads(path.read_text())
+        name = min(payload["params"])
+        payload["params"][name]["data"][0] = float("nan")
+        path.write_text(json.dumps(payload))  # a NaN literal
+        with pytest.raises(DataFormatError, match=f"{name} holds non-finite values"):
             load_checkpoint(str(path))
 
     def test_rejects_wrong_format_tag(self, tmp_path):

@@ -187,6 +187,13 @@ class TestSentenceStream:
         out2 = sentence_stream([swapped], e, p).data
         assert np.abs(out1 - out2).max() > 1e-8
 
+    def test_doc_without_sentences_is_named(self):
+        rng = rng_from_seed(51)
+        p = init_stream(rng, view_dim=5, d_f=4, d_a=5, rnn_input=3)
+        doc = FeatureDoc("bare", np.zeros((2, 3)), np.zeros((0, 3)), (), ())
+        with pytest.raises(EmptyDocumentError, match="doc bare: no sentences"):
+            sentence_stream([doc], Tensor(rng.standard_normal((2, 4))), p)
+
     def test_params_without_an_lstm_are_a_config_error(self):
         rng = rng_from_seed(49)
         p = init_stream(rng, view_dim=5, d_f=4, d_a=5)  # a word stream's params

@@ -92,6 +92,52 @@ def _entity(e: dict) -> EntityMentions:
     return EntityMentions(entity_id=e["id"], sents=_ordinals(e["sents"], "sentence ordinal"))
 
 
+def _feature_problem(word_feats: Array, sent_feats: Array) -> str | None:
+    """Why a doc's feature arrays are unusable, or None if they are fine.
+
+    Each must be a finite 2-d array of nonzero width with at least one
+    row: one word token, one sentence.
+    """
+    for name, feats, what in (("word_feats", word_feats, "word tokens"),
+                              ("sent_feats", sent_feats, "sentences")):
+        if feats.shape[:1] == (0,):
+            return f"record has no {what} ({name} is empty)"
+    if word_feats.ndim != 2 or sent_feats.ndim != 2:
+        return "feature arrays must be rectangular 2-d"
+    for name, feats in (("word_feats", word_feats), ("sent_feats", sent_feats)):
+        if feats.shape[1] == 0:
+            return f"{name} rows have no features (width 0)"
+        if not np.isfinite(feats).all():
+            return f"{name} holds non-finite values"
+    return None
+
+
+class _DocChecks:
+    """The checks of each doc against the dataset: a ValidationError if one fails.
+
+    A doc's labels lie below the trope count, its id appears in no other
+    split or earlier in its own, and its feature widths are those of the
+    first doc. `load_dataset` and `save_dataset` both run it.
+    """
+
+    def __init__(self, num_tropes: int):
+        self.num_tropes = num_tropes
+        self.splits: dict[str, str] = {}  # each doc id seen, and its split
+        self.dims: tuple[int, int] | None = None
+
+    def __call__(self, doc: FeatureDoc, split: str) -> None:
+        check_labels(doc, self.num_tropes)
+        if doc.doc_id in self.splits:
+            raise ValidationError(
+                f"doc {doc.doc_id} appears in both {self.splits[doc.doc_id]!r} and {split!r}"
+            )
+        dims = (doc.word_feats.shape[1], doc.sent_feats.shape[1])
+        if self.dims is not None and dims != self.dims:
+            raise ValidationError(f"doc {doc.doc_id}: feature dims {dims} differ from {self.dims}")
+        self.splits[doc.doc_id] = split
+        self.dims = dims
+
+
 def _record_to_doc(rec: dict, path: str, line: int) -> FeatureDoc:
     if not isinstance(rec, dict):
         raise DataFormatError(
@@ -111,27 +157,9 @@ def _record_to_doc(rec: dict, path: str, line: int) -> FeatureDoc:
         raise DataFormatError(
             f"doc {doc_id}: bad document record: {exc!r}", path=path, line=line
         ) from exc
-    for name, feats, what in (("word_feats", word_feats, "word tokens"),
-                              ("sent_feats", sent_feats, "sentences")):
-        if feats.shape[:1] == (0,):
-            raise DataFormatError(
-                f"doc {doc_id}: record has no {what} ({name} is empty)",
-                path=path, line=line,
-            )
-    if word_feats.ndim != 2 or sent_feats.ndim != 2:
-        raise DataFormatError(
-            f"doc {doc_id}: feature arrays must be rectangular 2-d",
-            path=path, line=line,
-        )
-    for name, feats in (("word_feats", word_feats), ("sent_feats", sent_feats)):
-        if feats.shape[1] == 0:
-            raise DataFormatError(
-                f"doc {doc_id}: {name} rows have no features (width 0)", path=path, line=line
-            )
-        if not np.isfinite(feats).all():
-            raise DataFormatError(
-                f"doc {doc_id}: {name} holds non-finite values", path=path, line=line
-            )
+    problem = _feature_problem(word_feats, sent_feats)
+    if problem is not None:
+        raise DataFormatError(f"doc {doc_id}: {problem}", path=path, line=line)
     return FeatureDoc(
         doc_id=doc_id,
         word_feats=word_feats,
@@ -208,9 +236,7 @@ def load_dataset(manifest_path: str) -> Dataset:
         raise DataFormatError(f"manifest {_CATEGORIES_RULE}", path=manifest_path)
     base = os.path.dirname(os.path.abspath(manifest_path))
     splits: dict[str, list[FeatureDoc]] = {}
-    num_tropes = len(trope_names)
-    dims: tuple[int, int] | None = None
-    seen_ids: dict[str, str] = {}
+    check = _DocChecks(len(trope_names))
     for split, files in split_files.items():
         docs: list[FeatureDoc] = []
         for rel in files:
@@ -224,21 +250,9 @@ def load_dataset(manifest_path: str) -> Dataset:
                     )
                 try:
                     doc = _record_to_doc(rec, path, lineno)
-                    check_labels(doc, num_tropes)
-                    if doc.doc_id in seen_ids:
-                        raise ValidationError(
-                            f"doc {doc.doc_id} appears in both "
-                            f"{seen_ids[doc.doc_id]!r} and {split!r}"
-                        )
-                    d = (doc.word_feats.shape[1], doc.sent_feats.shape[1])
-                    if dims is not None and d != dims:
-                        raise ValidationError(
-                            f"doc {doc.doc_id}: feature dims {d} differ from {dims}"
-                        )
+                    check(doc, split)
                 except ValidationError as exc:
                     raise ValidationError(f"{exc} ({path}:{lineno})") from None
-                seen_ids[doc.doc_id] = split
-                dims = d
                 docs.append(doc)
         splits[split] = docs
     return Dataset(
@@ -251,12 +265,20 @@ def load_dataset(manifest_path: str) -> Dataset:
 def save_dataset(dataset: Dataset, out_dir: str) -> str:
     """Write manifest + one records file per split; returns manifest path.
 
-    Bad categories or a label past the trope count raise before any write.
+    A dataset that `load_dataset` would reject raises a ValidationError
+    before any write: bad categories, or a doc with unusable features, a
+    label past the trope count, an id used twice or feature widths of
+    its own. The checks are the loader's.
     """
     if not _categories_ok(dataset.trope_categories, dataset.trope_names):
         raise ValidationError(f"dataset {_CATEGORIES_RULE}")
-    for docs in dataset.splits.values():
-        label_matrix(docs, dataset.num_tropes)
+    check = _DocChecks(dataset.num_tropes)
+    for split, docs in dataset.splits.items():
+        for doc in docs:
+            problem = _feature_problem(doc.word_feats, doc.sent_feats)
+            if problem is not None:
+                raise ValidationError(f"doc {doc.doc_id}: {problem}")
+            check(doc, split)
     os.makedirs(out_dir, exist_ok=True)
     split_files: dict[str, list[str]] = {}
     for split, docs in dataset.splits.items():

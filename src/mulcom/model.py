@@ -4,10 +4,13 @@ A learned trope embedding queries each enabled comprehension stream,
 a per-trope softmax over streams mixes the pooled results, and a
 shared two-layer predictor maps concat(mixed, embedding) to one logit
 per trope. The head is one tape record with a hand-derived backward
-pass, like the streams' pooling: the stream mix and the predictor's
-embedding half depend only on the parameters, so it computes them once
-per batch. Training minimizes positively-reweighted binary cross
-entropy with Adam.
+pass, like the streams' pooling. The stream mix and the predictor's
+embedding half depend only on the parameters, so they are computed
+once per weight state and kept on the model (`MulComModel.stream_mix`
+and `MulComModel.embedding_half`): once per training step, after Adam
+wrote the weights, and once for all the forward passes of a scoring
+run. Training minimizes positively-reweighted binary cross entropy
+with Adam.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .metrics import f1 as f1_metric, is_binary
 from .msrrn import ReasonerParams, init_reasoner
 from .numerics import (
     AffineParams,
+    Derived,
     MLPParams,
     Tensor,
     backward,
@@ -41,6 +45,7 @@ from .numerics import (
     retain_heap,
     rng_from_seed,
     Tape,
+    write,
 )
 from .streams import (
     StreamParams,
@@ -60,7 +65,12 @@ CHECKPOINT_VERSION = 1
 
 @dataclass(eq=False)
 class MulComModel:
-    """Parameter container; all computation lives in module functions."""
+    """Parameter container; all computation lives in module functions.
+
+    It keeps the head's products of parameters alone: `stream_mix` of
+    (E, then the stream-mix MLP's weights and biases by layer) and
+    `embedding_half` of (E, then the predictor's first weight and bias).
+    """
 
     cfg: ModelConfig
     E: Tensor
@@ -68,6 +78,10 @@ class MulComModel:
     reasoner: ReasonerParams | None
     stream_attn_mlp: MLPParams
     predictor: MLPParams
+
+    def __post_init__(self) -> None:
+        self.stream_mix = Derived(_stream_mix)
+        self.embedding_half = Derived(_embedding_half)
 
     def named_parameters(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {"trope_embedding": self.E}
@@ -136,13 +150,33 @@ def _layers_backward(
     return g
 
 
-def stream_attention(model: MulComModel) -> Array:
-    """Per-trope softmax over enabled streams, [num_tropes, n_streams]; untracked."""
-    w = _layers(model.E.data, model.stream_attn_mlp.layers)[-1]
+def _stream_mix(e: Tensor, *wb: Tensor) -> tuple[Array, ...]:
+    """The stream-mix MLP's hidden rows on `e`, then its softmax over streams.
+
+    `wb` holds each layer's weight and bias in turn. The hidden rows are
+    `_layers`' inner values, which the head's backward pass reads.
+    """
+    acts = _layers(e.data, [AffineParams(w, b) for w, b in zip(wb[::2], wb[1::2])])
+    w = acts[-1]
     w -= w.max(axis=-1, keepdims=True)
     np.exp(w, out=w)
     w /= w.sum(axis=-1, keepdims=True)
-    return w
+    return tuple(acts[1:])
+
+
+def _embedding_half(e: Tensor, w: Tensor, b: Tensor) -> tuple[Array]:
+    """E @ W[d_f:] + b: the embedding's part of the predictor's first layer."""
+    return (e.data @ w.data[e.shape[1] :] + b.data,)
+
+
+def _stream_mix_values(model: MulComModel) -> tuple[Array, ...]:
+    mlp = model.stream_attn_mlp.layers
+    return model.stream_mix(model.E, *(t for layer in mlp for t in (layer.w, layer.b)))
+
+
+def stream_attention(model: MulComModel) -> Array:
+    """Per-trope softmax over enabled streams, [num_tropes, n_streams]; read-only."""
+    return _stream_mix_values(model)[-1]
 
 
 def organize(parts: Sequence[Array], attn: Array) -> Array:
@@ -163,8 +197,9 @@ def predict_logits(model: MulComModel, outs: dict[str, Tensor]) -> Tensor:
     batch [B, num_tropes, d_f]; the logits drop the last axis. The rows
     are mixed by `stream_attention`'s weights (`organize`), and the
     predictor reads concat(mixed row, embedding row). Its first layer
-    is split as mixed @ W[:d_f] + (E @ W[d_f:] + b), so the bracket is
-    computed once per batch, not once per doc.
+    is split as mixed @ W[:d_f] + (E @ W[d_f:] + b). The stream mix and
+    the bracket depend on the parameters alone, so they are taken from
+    the model's caches, computed once per weight state, not per batch.
 
     One tape record. Its backward pass folds the batch axis into the
     rows of one GEMM per weight. The embedding takes the gradients of
@@ -176,13 +211,13 @@ def predict_logits(model: MulComModel, outs: dict[str, Tensor]) -> Tensor:
         raise MulComError(f"predict_logits: missing stream outputs {missing}")
     e = model.E
     parts = tuple(outs[s] for s in model.cfg.streams)
-    attn = stream_attention(model)
+    *mix_hidden, attn = _stream_mix_values(model)
     mixed = organize([p.data for p in parts], attn)
     first, *rest = model.predictor.layers  # build_model gives it two layers
     n_t, d_f = e.shape
     w_mix, w_emb = first.w.data[:d_f], first.w.data[d_f:]
     pre = mixed @ w_mix
-    pre += e.data @ w_emb + first.b.data
+    pre += model.embedding_half(e, first.w, first.b)[0]
     acts = _layers(np.maximum(pre, 0.0, out=pre), rest)
     out = Tensor(acts[-1].reshape(mixed.shape[:-1]))
 
@@ -200,9 +235,8 @@ def predict_logits(model: MulComModel, outs: dict[str, Tensor]) -> Tensor:
             axis=1,
         )
         d_z = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
-        # stream_attention keeps only its softmax, so its MLP runs again here
         mix = model.stream_attn_mlp.layers
-        d_e = _layers_backward(_layers(e.data, mix), mix, d_z, grads)
+        d_e = _layers_backward([e.data, *mix_hidden], mix, d_z, grads)
         d_e += g_emb @ w_emb.T
         grads[e] = d_e
         for s, p in enumerate(parts):
@@ -411,6 +445,8 @@ class Adam:
             data -= a
             for s, saved in kept:
                 s[...] = saved
+        for t in self.params.values():
+            write(t)  # the values moved through `flat`; each takes a new version
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -582,5 +618,5 @@ def load_checkpoint(path: str) -> MulComModel:
             raise DataFormatError(
                 f"checkpoint {path}: {name} holds non-finite values", path=path
             )
-        t.data[...] = data.reshape(shape)
+        write(t, data.reshape(shape))
     return model

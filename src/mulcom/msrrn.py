@@ -22,16 +22,15 @@ gate-major ([T, 4, N, h]), so its elementwise passes, forward and
 backward, run on contiguous [N, h] blocks. Each step halves the sigmoid
 gates' columns of its [N, 4h] pre-activations, as `lstm_update` takes
 them, with one contiguous multiply by a cached [4h] vector of 0.5s and
-1s: with two or three steps over a few nodes, one pass per step costs
-less than the per-call halved weight copies that `lstm_sequence` makes
-for its many steps. The step attention projects every step's states
-with one [N*T, h] @ [h, 3h] product and sums over steps before the
-output projection, since the sum of ctx_t @ W_o over t is (sum of
-ctx_t) @ W_o. The cell's gates and the attention's q, k and v
-projections are stored joined ([3h, 4h] and [h, 3h]), so the record
-reads them as they are; only the step weight, which takes rows of the
-message MLP and of the cell, is joined per call. The parameters' names
-and shapes stay those of the composite blocks.
+1s; with two or three steps over a few nodes that pass is short. The
+step attention projects every step's states with one [N*T, h] @
+[h, 3h] product and sums over steps before the output projection,
+since the sum of ctx_t @ W_o over t is (sum of ctx_t) @ W_o. The
+cell's gates and the attention's q, k and v projections are stored
+joined ([3h, 4h] and [h, 3h]), so the record reads them as they are. The step weight, which takes rows of the
+message MLP and of the cell, is joined once per weight state and kept
+on the parameters (`ReasonerParams.step_weight`). The parameters'
+names and shapes stay those of the composite blocks.
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ from .errors import ConfigError
 from .graph import GraphBatch
 from .numerics import (
     AffineParams,
+    Derived,
     LSTMParams,
     MHAParams,
     MLPParams,
@@ -90,6 +90,7 @@ class ReasonerParams(Params):
     def __post_init__(self) -> None:
         # `_reason`'s tape inputs in `named` order, the step attention's four last
         self.inputs = tuple(t for _, t in self.named())
+        self.step_weight = Derived(_step_weight)  # of (message layer 1 w, cell w)
 
     @property
     def hidden_dim(self) -> int:
@@ -118,6 +119,13 @@ def init_reasoner(
         step_attention=init_mha(rng, d_h, heads),
         steps=steps,
     )
+
+
+def _step_weight(w1: Tensor, w_cell: Tensor) -> tuple[Array]:
+    """[h, 6h]: what a step multiplies h by, the receiver, sender and recurrent blocks."""
+    hd = w_cell.shape[1] // 4
+    w1, w_cell = w1.data, w_cell.data
+    return (np.concatenate([w1[hd : 2 * hd], w1[2 * hd :], w_cell[:hd]], axis=1),)
 
 
 @functools.cache
@@ -150,8 +158,7 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
     w1, w2, b2 = l1.w.data, l2.w.data, l2.b.data
     w_cell = p.cell.w.data  # rows: h, x_proj, m
     w_msg = w_cell[2 * hd :]
-    # what a step multiplies h by: the receiver, sender and recurrent blocks
-    w_step = np.concatenate([w1[hd : 2 * hd], w1[2 * hd :], w_cell[:hd]], axis=1)
+    (w_step,) = p.step_weight(l1.w, p.cell.w)
 
     x_proj = x @ p.node_in.w.data + p.node_in.b.data
     e_proj = efeat @ p.edge_in.w.data + p.edge_in.b.data

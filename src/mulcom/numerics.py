@@ -33,6 +33,13 @@ and the tests' composite oracles build the unfused blocks from them.
 checks against central finite differences are the primary correctness
 instrument, so all arithmetic stays in float64.
 
+Parameters change in place only through `write`, which gives the
+tensor a new `version`. A `Derived` cache keeps arrays computed from
+parameters alone (the streams' trope queries, the head's stream mix,
+the LSTM's halved weights, the reasoner's step weight) on the block
+that owns them, and computes them again only when an input's version
+moved: once per scoring run, once per training step.
+
 A forward pass records primitives on the innermost active :class:`Tape`;
 ``backward`` replays the records in exact reverse order. Tapes are
 rebuilt per forward pass (graphs differ per batch) and are confined
@@ -47,6 +54,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import operator
 import threading
 from dataclasses import dataclass, fields
 from typing import Callable, Iterator, Sequence
@@ -98,10 +106,12 @@ class Tensor:
     """Dense float64 value with an optional same-shape gradient buffer.
 
     A block that `join` made of a larger array has that array's tensor as
-    `base`, and its data is `base.data[index]`.
+    `base`, and its data is `base.data[index]`. `version` counts the
+    writes `write` made to the values, so a `Derived` value knows when to
+    compute again.
     """
 
-    __slots__ = ("data", "grad", "tracked", "base", "index")
+    __slots__ = ("data", "grad", "tracked", "base", "index", "version")
 
     def __init__(self, data, tracked: bool = False):
         self.data: Array = np.asarray(data, dtype=np.float64)
@@ -109,6 +119,7 @@ class Tensor:
         self.tracked = bool(tracked)
         self.base: Tensor | None = None
         self.index = ...
+        self.version = 0
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -135,6 +146,62 @@ class Tensor:
 def param(data) -> Tensor:
     """A tracked leaf tensor (trainable parameter)."""
     return Tensor(data, tracked=True)
+
+
+def write(t: Tensor, value=None, index=...) -> None:
+    """Set `t.data[index] = value` in place and give `t` a new version.
+
+    The one way the package changes a tensor's values in place: Adam's
+    step, the gradient check's probes and the checkpoint loader all go
+    through it. The array `t` is a `join`ed block of gets a new version
+    too, so every `Derived` value read from either is computed again.
+    `value` None writes nothing: the caller has changed the values
+    through another view of the same memory, as `Adam.step` does through
+    its flat buffer, and only the versions move.
+    """
+    if value is not None:
+        t.data[index] = value
+    t.version += 1
+    if t.base is not None:
+        t.base.version += 1
+
+
+_versions = operator.attrgetter("version")
+
+
+class Derived:
+    """Arrays computed from the values of some tensors alone, kept until one is written.
+
+    `cache(*inputs)` returns `fn(*inputs)`, a tuple of arrays that `fn`
+    makes for the call. It computes them again only when the inputs are
+    other tensors, or the same tensors at other versions, than those of
+    the arrays it holds: since `write` is the one way to change values in
+    place, the held arrays are those `fn` would return now. Every caller
+    shares them, so they are read-only. The products of parameters alone
+    that every forward pass reads are kept this way on the parameter
+    block that owns them; a scoring pass computes each once, a training
+    step, after Adam wrote, once per step. A write through a `join`ed
+    block moves the joined array's version too, so a cache may take the
+    joined array as its input; parameters are written as their blocks.
+    """
+
+    __slots__ = ("fn", "state")
+
+    def __init__(self, fn: Callable[..., tuple[Array, ...]]):
+        self.fn = fn
+        # (inputs, their versions, the arrays), replaced as one, so a
+        # reader never pairs the arrays with the versions of others
+        self.state: tuple = ((), (), ())
+
+    def __call__(self, *inputs: Tensor) -> tuple[Array, ...]:
+        versions = tuple(map(_versions, inputs))
+        held, held_versions, values = self.state
+        if versions != held_versions or inputs != held:
+            values = self.fn(*inputs)
+            for v in values:
+                v.flags.writeable = False
+            self.state = (inputs, versions, values)
+        return values
 
 
 def join(parts: Sequence[Tensor]) -> Tensor:
@@ -616,6 +683,7 @@ class LSTMParams(Params):
         self.w = join([q.w for q in gates])
         self.b = join([q.b for q in gates])
         self.inputs = tuple(t for q in gates for t in (q.w, q.b))  # in `named` order
+        self.halved = Derived(_halved)  # of (w, b): `lstm_sequence`'s weights
 
     @property
     def hidden_dim(self) -> int:
@@ -697,6 +765,12 @@ def lstm_cell(h: Tensor, c: Tensor, x: Tensor, p: LSTMParams) -> tuple[Tensor, T
     g = tanh(affine(z, p.gate_g.w, p.gate_g.b))
     c_next = add(mul(f, c), mul(i, g))
     return mul(o, tanh(c_next)), c_next
+
+
+def _halved(w: Tensor, b: Tensor) -> tuple[Array, Array]:
+    """The joined LSTM weight and bias with the sigmoid gates' columns halved."""
+    half = gate_scale(b.shape[0] // 4)
+    return w.data * half, b.data * half
 
 
 @functools.cache
@@ -808,9 +882,10 @@ def lstm_sequence(x: Tensor, p: LSTMParams) -> Tensor:
     recurrent product and `lstm_update` run per step.
 
     `lstm_update` takes the sigmoid gates' pre-activations halved. The
-    all-steps projection and the recurrent product read a per-call copy
-    of the weight and bias with those gates' columns halved, so no step
-    scales by 0.5. This is exact: halving only lowers the exponent, so
+    all-steps projection and the recurrent product read a copy of the
+    weight and bias with those gates' columns halved, made once per
+    weight state and kept on the parameters (`LSTMParams.halved`), so no
+    step scales by 0.5. This is exact: halving only lowers the exponent, so
     every product and partial sum of x @ (W/2) + b/2 is exactly half of
     the one of x @ W + b, and rounds to exactly half of its rounding
     (barring subnormals). The states are therefore, bit for bit, those
@@ -830,8 +905,7 @@ def lstm_sequence(x: Tensor, p: LSTMParams) -> Tensor:
         )
     n_b, n_s, d_in = x.shape
     w_h, w_x = w[:hd], w[hd:]
-    half = gate_scale(hd)  # the sigmoid gates' columns halved, g's kept
-    w_half, b_half = w * half, p.b.data * half
+    w_half, b_half = p.halved(p.w, p.b)  # the sigmoid gates' columns halved, g's kept
     xt = x.data.transpose(1, 0, 2).reshape(n_s * n_b, d_in)  # time-major rows
     pre = xt @ w_half[hd:]
     pre += b_half
@@ -970,11 +1044,11 @@ def grad_check(
             # in place, so a view (a `join`ed block) perturbs what it views
             at = np.unravel_index(idx, t.shape)
             orig = t.data[at]
-            t.data[at] = orig + eps
+            write(t, orig + eps, at)
             loss_plus = float(f().data)
-            t.data[at] = orig - eps
+            write(t, orig - eps, at)
             loss_minus = float(f().data)
-            t.data[at] = orig
+            write(t, orig, at)
             numeric = (loss_plus - loss_minus) / (2.0 * eps)
             a = float(analytic[name][idx])
             if abs(a) < min_signal and abs(numeric) < min_signal:

@@ -34,6 +34,7 @@ from .graph import FeatureDoc, GraphBatch
 from .msrrn import ReasonerParams, run_msrrn, run_rrn
 from .numerics import (
     AffineParams,
+    Derived,
     LSTMParams,
     Params,
     Tensor,
@@ -59,6 +60,15 @@ class StreamParams(Params):
     value_proj: AffineParams  # view dim -> d_a
     out_proj: AffineParams  # d_a -> d_f
     sent_rnn: LSTMParams | None = None  # sentence stream only
+
+    def __post_init__(self) -> None:
+        self.queries = Derived(_queries)  # of (e, query w, query b, key w): `attend`'s
+
+
+def _queries(e: Tensor, w_q: Tensor, b_q: Tensor, w_k: Tensor) -> tuple[Array, Array]:
+    """The trope queries q = e W_q + b_q [num_tropes, d_a] and q W_k^T [num_tropes, d]."""
+    q = e.data @ w_q.data + b_q.data
+    return q, q @ w_k.data.T
 
 
 def init_stream(
@@ -95,9 +105,11 @@ def attend(
     as an untracked tensor.
 
     One tape record. The scores q (F W_k + b_k)^T / sqrt(d_a) are
-    computed as (q W_k^T) F^T / sqrt(d_a): the [num_tropes, d] product
-    q W_k^T is formed once per call, and q . b_k, constant along the
-    positions, is dropped, as the softmax cancels it. The context
+    computed as (q W_k^T) F^T / sqrt(d_a): the queries q and the
+    [num_tropes, d] product q W_k^T depend on the parameters alone, so
+    they are formed once per weight state and kept on `p`
+    (`StreamParams.queries`), and q . b_k, constant along the positions,
+    is dropped, as the softmax cancels it. The context
     w (F W_v + b_v) is computed as (w F) W_v + b_v, since each row of w
     sums to 1. So no [..., L, d_a] key or value buffer exists, and the
     values agree with the composite of affine, scaled product, mask,
@@ -129,8 +141,7 @@ def attend(
     qp, kp, vp, op = p.query_proj, p.key_proj, p.value_proj, p.out_proj
     d_a = qp.w.shape[1]
     c = 1.0 / math.sqrt(d_a)
-    q = e.data @ qp.w.data + qp.b.data
-    qk = q @ kp.w.data.T  # [num_tropes, d]: the key projection, folded into the queries
+    q, qk = p.queries(e, qp.w, qp.b, kp.w)  # qk: the key projection, folded into the queries
     w = qk @ np.swapaxes(feats.data, -1, -2)  # the scores, then the softmax weights in place
     w *= c
     if mask is not None:

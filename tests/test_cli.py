@@ -18,6 +18,7 @@ from mulcom.cli import build_parser, main
 from mulcom.data import Dataset, load_dataset, save_dataset
 from mulcom.graph import EntityMentions, FeatureDoc
 from mulcom.metrics import EvalReport
+from mulcom.numerics import write
 from mulcom.model import (
     ModelConfig,
     TrainResult,
@@ -129,8 +130,8 @@ class TestEval:
                           streams=("word",))
         model = build_model(cfg, seed=0)
         last = model.predictor.layers[-1]
-        last.w.data[:] = 0.0
-        last.b.data[:] = 10.0
+        write(last.w, 0.0)
+        write(last.b, 10.0)
         ckpt = tmp_path / "ckpt.json"
         save_checkpoint(model, str(ckpt))
         rc = main([

@@ -449,12 +449,21 @@ class TestLabelBound:
         ({"trope_categories": 5}, "dataset 'trope_categories' must be null or map"),
         ({"trope_categories": {"t9": "motif"}}, "dataset 'trope_categories' must be null"),
         ({"trope_categories": {"t1": 1}}, "dataset 'trope_categories' must be null"),
-    ], ids=["label-5", "categories-int", "categories-unknown-trope", "categories-int-value"])
+        ({"doc_id": "doc0"}, "doc doc0 appears in both 'train' and 'val'"),
+        ({"word_feats": np.zeros((3, 3))}, "doc doc1: feature dims (3, 4) differ from (2, 4)"),
+        ({"word_feats": np.zeros((0, 2))},
+         "doc doc1: record has no word tokens (word_feats is empty)"),
+        ({"sent_feats": np.zeros((0, 4)), "entities": ()},
+         "doc doc1: record has no sentences (sent_feats is empty)"),
+        ({"word_feats": np.full((3, 2), np.nan)}, "doc doc1: word_feats holds non-finite values"),
+    ], ids=["label-5", "categories-int", "categories-unknown-trope", "categories-int-value",
+            "duplicate-id", "feature-widths", "no-words", "no-sentences", "non-finite"])
     def test_save_refuses_what_load_would_reject_and_writes_nothing(self, tmp_path, bad, error):
         good = make_doc({"A": [0]}, n_sents=1, labels=(1,))
-        val = dataclasses.replace(good, doc_id="doc1", labels=bad.get("labels", (0,)))
-        ds = Dataset(["t0", "t1"], {"train": [good], "val": [val]},
-                     trope_categories=bad.get("trope_categories"))
+        fields = {"doc_id": "doc1", "labels": (0,), **bad}
+        categories = fields.pop("trope_categories", None)
+        val = dataclasses.replace(good, **fields)
+        ds = Dataset(["t0", "t1"], {"train": [good], "val": [val]}, trope_categories=categories)
         out = tmp_path / "ds"
         with pytest.raises(ValidationError, match=re.escape(error)):
             save_dataset(ds, str(out))

@@ -92,7 +92,7 @@ class TestLSTMSequence:
         rng = np.random.default_rng([n_b, n_s, 7])
         p = nm.init_lstm(rng, input_dim, hidden)
         for _, t in p.named("lstm"):  # nonzero biases exercise their gradients
-            t.data[...] = rng.uniform(-0.8, 0.8, size=t.shape)
+            nm.write(t, rng.uniform(-0.8, 0.8, size=t.shape))
         valid = np.ones((n_b, n_s), dtype=bool)
         if lengths is not None:
             valid = np.arange(n_s) < np.array(lengths)[:, None]
@@ -236,7 +236,7 @@ class TestAttend:
         rng = np.random.default_rng([len(shape), shape[-2], 3])
         p = init_stream(rng, view_dim=shape[-1], d_f=4, d_a=6)
         for _, t in p.named("pool"):  # nonzero biases exercise their gradients
-            t.data[...] = rng.uniform(-0.8, 0.8, size=t.shape)
+            nm.write(t, rng.uniform(-0.8, 0.8, size=t.shape))
         e = nm.param(rng.standard_normal((n_tropes, 4)))
         mask = None
         data = rng.standard_normal(shape)
@@ -295,7 +295,7 @@ class TestAttend:
         p, e, feats, mask, leaves, w = self._setup(case)
         runs = []
         for b_k in (0.0, 3.5):
-            p.key_proj.b.data[...] = b_k
+            nm.write(p.key_proj.b, b_k)
             value, grads = _run(lambda: attend(e, feats, p, mask), leaves, w)
             _, weights = attend(e, feats, p, mask, return_weights=True)
             runs.append((value, grads, weights.data))
@@ -311,7 +311,7 @@ class TestAttend:
         p, e, feats, mask, _, _ = self._setup(case)
         delta = np.random.default_rng(7).uniform(-2.0, 2.0, size=p.value_proj.b.shape)
         before = attend(e, feats, p, mask).data
-        p.value_proj.b.data += delta
+        nm.write(p.value_proj.b, p.value_proj.b.data + delta)
         after = attend(e, feats, p, mask).data
         want = np.broadcast_to(delta @ p.out_proj.w.data, before.shape)
         assert _max_abs_diff(after - before, want) <= TOL
@@ -366,7 +366,7 @@ def _reasoner(steps, heads, seed=0):
     p = msrrn.init_reasoner(rng, d_s=D_S, d_h=D_H, steps=steps, heads=heads)
     for name, t in p.named():  # nonzero biases exercise their gradients
         if name.endswith(".b"):
-            t.data[...] = rng.uniform(-0.5, 0.5, size=t.shape)
+            nm.write(t, rng.uniform(-0.5, 0.5, size=t.shape))
     return p, rng
 
 
@@ -516,7 +516,7 @@ def _head_setup(streams, case):
     head = {k: t for k, t in model.named_parameters().items()
             if k.startswith(("stream_attn.", "predictor."))}
     for t in head.values():  # nonzero biases exercise their gradients
-        t.data[...] = rng.uniform(-0.8, 0.8, size=t.shape)
+        nm.write(t, rng.uniform(-0.8, 0.8, size=t.shape))
     docs = _head_docs(case)
     runs = {
         "word": lambda p: word_stream(docs, model.E, p, cfg.max_word_tokens),

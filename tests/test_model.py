@@ -41,7 +41,7 @@ from mulcom.model import (
     train,
 )
 import composite_oracle as oracle
-from mulcom import numerics
+from mulcom import gradcheck, numerics
 from mulcom.numerics import (
     Tape,
     Tensor,
@@ -49,6 +49,7 @@ from mulcom.numerics import (
     grad_check,
     param,
     rng_from_seed,
+    write,
 )
 
 from test_graph import make_doc
@@ -125,7 +126,7 @@ class TestStreamAttention:
     def test_zero_mlp_gives_uniform_rows(self):
         model = build_model(tiny_cfg(), seed=2)
         for _, t in model.stream_attn_mlp.named("m"):
-            t.data[...] = 0.0
+            write(t, 0.0)
         a = stream_attention(model)
         npt.assert_allclose(a, np.full((3, 3), 1.0 / 3.0), atol=1e-15)
 
@@ -173,7 +174,7 @@ class TestPredictLogits:
     def test_zero_predictor_gives_half_scores(self):
         model = build_model(tiny_cfg(streams=("word",)), seed=4)
         for _, t in model.predictor.named("p"):
-            t.data[...] = 0.0
+            write(t, 0.0)
         doc = tiny_doc()
         logits = forward_logits(model, [doc])
         npt.assert_array_equal(logits.data, np.zeros((1, 3)))
@@ -347,7 +348,7 @@ class TestForward:
 
     def test_very_negative_logits_score_zero_without_overflow(self):
         model = build_model(tiny_cfg(), seed=15)
-        model.predictor.layers[-1].b.data[...] = -800.0  # exp(800) overflows
+        write(model.predictor.layers[-1].b, -800.0)  # exp(800) overflows
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             scores = forward(model, [tiny_doc(seed=16), tiny_doc(seed=17)])
@@ -543,7 +544,7 @@ class TestTrain:
 
     def test_non_finite_loss_aborts_with_diagnostics(self):
         model = build_model(tiny_cfg(streams=("word",)), seed=25)
-        model.E.data[...] = np.inf
+        write(model.E, np.inf)
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(MulComError, match="non-finite"):
                 train(model, [tiny_doc(seed=26)],
@@ -775,3 +776,127 @@ class TestScoreDataset:
         scores = score_dataset(model, docs)
         assert calls == [len(docs)]
         npt.assert_array_equal(scores[-3:], score_dataset(model, docs[-3:]))
+
+
+# The stream sets of the benchmark's workloads: word and relation, all
+# three, word and sentence.
+STREAM_SETS = [("word", "relation"), ("word", "sentence", "relation"), ("word", "sentence")]
+
+
+def ragged_docs():
+    """Docs whose token, sentence and entity counts all differ, so every stream pads."""
+    shapes = (
+        (7, 3, {"A": [0, 1], "B": [0], "C": [2]}),
+        (4, 5, {"A": [1, 4], "B": [4]}),
+        (11, 2, {"A": [0]}),
+    )
+    docs = []
+    for i, (n_tokens, n_sents, mentions) in enumerate(shapes):
+        doc = make_doc(mentions, n_sents=n_sents, d_s=5, seed=90 + i, labels=(i,))
+        rng = rng_from_seed(90 + i, stream=40)
+        docs.append(dataclasses.replace(
+            doc, doc_id=f"ragged{i}", word_feats=rng.standard_normal((n_tokens, 6))))
+    return docs
+
+
+def model_caches(model):
+    """Every `Derived` cache of `model`, by name."""
+    caches = {"stream_mix": model.stream_mix, "embedding_half": model.embedding_half}
+    for name in model.cfg.streams:
+        caches[f"stream.{name}.queries"] = model.streams[name].queries
+    if "sentence" in model.cfg.streams:
+        caches["stream.sentence.sent_rnn.halved"] = model.streams["sentence"].sent_rnn.halved
+    if model.reasoner is not None:
+        caches["reasoner.step_weight"] = model.reasoner.step_weight
+    return caches
+
+
+def cache_readers(name, streams):
+    """The caches that read parameter `name`, written independently of the caches' inputs."""
+    if name == "trope_embedding":
+        return {"stream_mix", "embedding_half"} | {f"stream.{s}.queries" for s in streams}
+    if name.startswith("stream_attn."):
+        return {"stream_mix"}
+    if name in ("predictor.layer0.w", "predictor.layer0.b"):
+        return {"embedding_half"}
+    stream = name.split(".")[1] if name.startswith("stream.") else None
+    if name in (f"stream.{stream}.query_proj.w", f"stream.{stream}.query_proj.b",
+                f"stream.{stream}.key_proj.w"):
+        return {f"stream.{stream}.queries"}
+    if name.startswith("stream.sentence.sent_rnn."):
+        return {"stream.sentence.sent_rnn.halved"}
+    if name == "reasoner.message_mlp.layer0.w" or (
+            name.startswith("reasoner.cell.gate_") and name.endswith(".w")):
+        return {"reasoner.step_weight"}
+    return set()
+
+
+class TestDerivedCaches:
+    """Parameter-only products are kept per weight state and never go stale."""
+
+    @pytest.mark.parametrize("streams", STREAM_SETS)
+    def test_scores_after_a_step_equal_a_checkpoint_of_the_stepped_weights(
+            self, tmp_path, streams):
+        model = build_model(tiny_cfg(streams=streams), seed=81)
+        docs = ragged_docs()
+        before = score_dataset(model, docs)  # fills every cache
+        opt = Adam(model.named_parameters(), lr=0.05)
+        with Tape() as tape:
+            loss = bce_loss(forward_logits(model, docs), label_matrix(docs, 3))
+        backward(loss, tape)
+        opt.step()
+        after = score_dataset(model, docs)
+        path = str(tmp_path / "stepped.json")
+        save_checkpoint(model, path)
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, score_dataset(load_checkpoint(path), docs))
+
+    @pytest.mark.parametrize("streams", STREAM_SETS)
+    def test_warm_and_cold_caches_score_the_same(self, streams):
+        cfg = tiny_cfg(streams=streams)
+        docs = ragged_docs()
+        warm = build_model(cfg, seed=82)
+        score_dataset(warm, docs[::-1])
+        for batch in ([docs[0]], [docs[1]], [docs[2]], docs, docs[1:]):
+            cold = score_dataset(build_model(cfg, seed=82), batch)
+            assert np.array_equal(score_dataset(warm, batch), cold)
+            assert np.array_equal(forward(warm, batch), cold)
+
+    def test_gradcheck_after_a_warm_scoring_pass_is_bit_identical(self, monkeypatch):
+        cold = gradcheck.run_gradcheck(seed=3, max_coords=4)
+        build = gradcheck._tiny_model
+
+        def warmed(seed):
+            model = build(seed)
+            cfg = model.cfg
+            score_dataset(model, gradcheck._ragged_docs(rng_from_seed(5), cfg.d_w, cfg.d_s))
+            assert all(cache.state[2] for cache in model_caches(model).values())
+            return model
+
+        monkeypatch.setattr(gradcheck, "_tiny_model", warmed)
+        warm = gradcheck.run_gradcheck(seed=3, max_coords=4)
+        assert [(r.name, r.max_err) for r in warm] == [(r.name, r.max_err) for r in cold]
+
+    def test_cached_arrays_are_read_only(self):
+        model = build_model(tiny_cfg(), seed=83)
+        score_dataset(model, ragged_docs())
+        caches = model_caches(model)
+        assert len(caches) == 7
+        for name, cache in caches.items():
+            for a in cache.state[2]:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            stream_attention(model)[0, 0] = 1.0
+
+    def test_a_write_recomputes_exactly_the_caches_that_read_it(self):
+        model = build_model(tiny_cfg(), seed=84)
+        docs = ragged_docs()
+        scores = score_dataset(model, docs)
+        caches = model_caches(model)
+        for name, t in model.named_parameters().items():
+            held = {c: cache.state for c, cache in caches.items()}
+            write(t, t.data.copy())  # the same values, a new version
+            assert np.array_equal(score_dataset(model, docs), scores), name
+            moved = {c for c, cache in caches.items() if cache.state is not held[c]}
+            assert moved == cache_readers(name, model.cfg.streams), name

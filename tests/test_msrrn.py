@@ -22,6 +22,7 @@ from mulcom.numerics import (
     lstm_cell,
     param,
     rng_from_seed,
+    write,
 )
 
 from composite_oracle import message_pass, reduce_sum
@@ -122,7 +123,7 @@ def with_x(graph, x):
 
 def zero_params(p):
     for _, t in p.named():
-        t.data[...] = 0.0
+        write(t, 0.0)
 
 
 class TestMessagePass:

@@ -267,7 +267,7 @@ class TestLSTMCell:
         rng = np.random.default_rng(0)
         p = nm.init_lstm(rng, input_dim, hidden)
         for _, t in p.named("lstm"):
-            t.data[...] = 0.0
+            nm.write(t, 0.0)
         return p
 
     def test_zero_params_zero_cell(self):
@@ -536,6 +536,84 @@ class TestGradCheck:
         w = nm.param(np.ones((2, 2)))
         with pytest.raises(ConfigError, match=key):
             nm.grad_check(lambda: oracle.reduce_sum(w), {"w": w}, **kw)
+
+
+class TestDerived:
+    """`Derived` keeps fn's arrays until `write` gives an input a new version."""
+
+    @staticmethod
+    def counting(log):
+        def fn(*inputs):
+            log.append(inputs)
+            return (sum(t.data for t in inputs) * 1.0,)
+
+        return fn
+
+    def test_computes_once_per_weight_state(self):
+        a, b, c = (nm.param(np.full(2, v)) for v in (1.0, 2.0, 4.0))
+        log = []
+        cache = nm.Derived(self.counting(log))
+        first = cache(a, b)
+        assert cache(a, b) is first and len(log) == 1
+        nm.write(c, 5.0)  # not an input
+        assert cache(a, b) is first and len(log) == 1
+        nm.write(a, 10.0)
+        (value,) = cache(a, b)
+        npt.assert_array_equal(value, [12.0, 12.0])
+        assert len(log) == 2 and cache(a, b)[0] is value
+
+    def test_a_write_invalidates_exactly_the_caches_that_read_it(self):
+        a, b, c = (nm.param(np.ones((2, 2))) for _ in range(3))
+        p, q = nm.param(np.ones((2, 1))), nm.param(np.ones((2, 3)))
+        base = nm.join([p, q])
+        inputs = {"ab": (a, b), "bc": (b, c), "c": (c,), "base": (base,), "q": (q,)}
+        caches = {k: nm.Derived(self.counting([])) for k in inputs}
+
+        def moved(t, value=None, index=...):
+            held = {k: cache(*inputs[k]) for k, cache in caches.items()}
+            nm.write(t, value, index)
+            return {k for k, cache in caches.items() if cache(*inputs[k]) is not held[k]}
+
+        assert moved(b, 3.0) == {"ab", "bc"}
+        assert moved(c, 3.0, (0, 1)) == {"bc", "c"}
+        assert moved(p, 2.0) == {"base"}  # a block's write reaches its joined array
+        assert moved(q) == {"base", "q"}
+        npt.assert_array_equal(caches["base"](base)[0], [[2.0, 1.0, 1.0, 1.0]] * 2)
+
+    def test_other_tensors_at_the_same_versions_recompute(self):
+        cache = nm.Derived(lambda t: (t.data * 2.0,))
+        a, b = nm.param([1.0]), nm.param([3.0])
+        assert a.version == b.version == 0
+        npt.assert_array_equal(cache(a)[0], [2.0])
+        npt.assert_array_equal(cache(b)[0], [6.0])
+
+    def test_arrays_are_read_only(self):
+        (value,) = nm.Derived(lambda t: (t.data + 1.0,))(nm.param(np.zeros(3)))
+        with pytest.raises(ValueError, match="read-only"):
+            value[0] = 1.0
+
+    def test_write_sets_the_values_and_moves_the_versions(self):
+        p, q = nm.param(np.zeros((2, 1))), nm.param(np.zeros((2, 2)))
+        base = nm.join([p, q])
+        nm.write(q, 7.0, (1, 0))
+        npt.assert_array_equal(base.data, [[0.0, 0.0, 0.0], [0.0, 7.0, 0.0]])
+        assert (p.version, q.version, base.version) == (0, 1, 1)
+        nm.write(p)  # values changed elsewhere: only the versions move
+        npt.assert_array_equal(base.data, [[0.0, 0.0, 0.0], [0.0, 7.0, 0.0]])
+        assert (p.version, q.version, base.version) == (1, 1, 2)
+
+    def test_grad_check_probes_reach_the_caches(self):
+        # The loss reads w only through a cache, off the tape, so its analytic
+        # gradient is 0; a probe the cache missed would measure 0 as well.
+        w = nm.param([0.5, -1.5])
+        x = nm.param([1.0, 2.0])
+        cache = nm.Derived(lambda t: (t.data * 3.0,))
+
+        def f():
+            return oracle.reduce_sum(nm.mul(x, Tensor(cache(w)[0])))
+
+        assert nm.grad_check(f, {"w": w}) == pytest.approx(1.0)
+        assert cache(w)[0].tolist() == [1.5, -4.5]
 
 
 class TestDeterminism:

@@ -11,7 +11,7 @@ from mulcom.errors import ConfigError, EmptyDocumentError
 from mulcom.graph import FeatureDoc, build_graph
 from mulcom.model import ModelConfig
 from mulcom.msrrn import init_reasoner
-from mulcom.numerics import Tensor, grad_check, rng_from_seed
+from mulcom.numerics import Tensor, grad_check, rng_from_seed, write
 from mulcom.streams import (
     attend,
     init_stream,
@@ -157,7 +157,7 @@ class TestSentenceStream:
         rng = rng_from_seed(43)
         p = init_stream(rng, view_dim=5, d_f=4, d_a=5, rnn_input=3)
         for _, t in p.sent_rnn.named("rnn"):
-            t.data[...] = 0.0
+            write(t, 0.0)
         doc = make_doc({"A": [0]}, n_sents=3, d_s=3, seed=44)
         e = rng.standard_normal((2, 4))
         out = sentence_stream([doc], Tensor(e), p)

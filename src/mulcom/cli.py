@@ -36,8 +36,8 @@ from .config import (
     check_threshold,
     check_type,
 )
-from .errors import ConfigError, MulComError, ValidationError
-from .ioutil import atomic_write_text, canonical_json, read_json
+from .errors import ConfigError, DataFormatError, MulComError, ValidationError
+from .ioutil import read_json, write_json
 
 log = logging.getLogger("mulcom.cli")
 
@@ -51,20 +51,6 @@ THREAD_ENV_VARS = (
     "MKL_NUM_THREADS",
     "NUMEXPR_NUM_THREADS",
 )
-
-
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        obj = read_json(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}")
-    except ValueError as exc:  # bad JSON, or text that is not UTF-8
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}")
-    if not isinstance(obj, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-    return obj
 
 
 class Setting(NamedTuple):
@@ -110,7 +96,10 @@ def _flag(name: str) -> str:
 
 def _resolve(args, settings: Sequence[Setting]) -> dict:
     """Merge flag > config file > default and type-check each value."""
-    file_cfg = _load_config_file(args.config)
+    try:
+        file_cfg = {} if args.config is None else read_json(args.config, "config file")
+    except DataFormatError as exc:  # a usage error, like a bad flag
+        raise ConfigError(str(exc)) from None
     known = {s.name for s in settings}
     unknown = set(file_cfg) - known
     if unknown:
@@ -147,6 +136,20 @@ def _set_thread_caps(threads: int) -> None:
         log.debug("numpy already loaded; thread caps may not take effect")
 
 
+def _load_split(manifest: str, split: str):
+    """The dataset at `manifest` and the docs of its `split`; a ValidationError if none."""
+    from .data import load_dataset
+
+    ds = load_dataset(manifest)
+    try:
+        docs = ds.split(split)
+    except ValidationError as exc:  # no such split
+        raise ValidationError(f"{manifest}: {exc}") from None
+    if not docs:
+        raise ValidationError(f"{manifest}: split {split!r} is empty")
+    return ds, docs
+
+
 def cmd_synth(cfg: dict) -> tuple[int, dict | None]:
     out_dir = _require(cfg, "out", "synth")
     from .data import save_dataset, synth_generate
@@ -161,13 +164,9 @@ def cmd_synth(cfg: dict) -> tuple[int, dict | None]:
 def cmd_train(cfg: dict) -> tuple[int, dict | None]:
     out_dir = _require(cfg, "out", "train")
     manifest = _require(cfg, "data", "train")
-    from .data import load_dataset
     from .model import build_model, save_checkpoint, train
 
-    ds = load_dataset(manifest)
-    train_docs = ds.split("train")
-    if not train_docs:
-        raise ValidationError(f"{manifest}: training split is empty")
+    ds, train_docs = _load_split(manifest, "train")
     val_docs = ds.splits.get("val") or None
     mcfg = ModelConfig(
         num_tropes=ds.num_tropes,
@@ -198,27 +197,17 @@ def cmd_eval(cfg: dict) -> tuple[int, dict | None]:
     manifest = _require(cfg, "data", "eval")
     ckpt = _require(cfg, "checkpoint", "eval")
     check_threshold(cfg["threshold"])
-    from .data import load_dataset
     from .graph import label_matrix
     from .metrics import evaluate
     from .model import load_checkpoint, score_dataset, stream_attention
 
-    ds = load_dataset(manifest)
-    docs = ds.split(cfg["split"])
-    if not docs:
-        raise ValidationError(f"{manifest}: split {cfg['split']!r} is empty")
+    ds, docs = _load_split(manifest, cfg["split"])
     model = load_checkpoint(ckpt)
     if model.cfg.num_tropes != ds.num_tropes:
         raise ValidationError(
             f"checkpoint has {model.cfg.num_tropes} tropes, "
             f"dataset has {ds.num_tropes}"
         )
-    dims = {"d_w": docs[0].word_feats.shape[1], "d_s": docs[0].sent_feats.shape[1]}
-    for key, readers in (("d_w", {"word"}), ("d_s", {"sentence", "relation"})):
-        if readers & set(model.cfg.streams) and getattr(model.cfg, key) != dims[key]:
-            raise ValidationError(
-                f"checkpoint has {key}={getattr(model.cfg, key)}, dataset has {key}={dims[key]}"
-            )
     scores = score_dataset(model, docs)
     labels = label_matrix(docs, ds.num_tropes)
     rep = evaluate(
@@ -272,10 +261,9 @@ def cmd_stats(cfg: dict) -> tuple[int, dict | None]:
 def cmd_cooccur(cfg: dict) -> tuple[int, dict | None]:
     _require(cfg, "out", "cooccur")
     manifest = _require(cfg, "data", "cooccur")
-    from .data import cooccurrence_iou, load_dataset
+    from .data import cooccurrence_iou
 
-    ds = load_dataset(manifest)
-    docs = ds.split(cfg["split"])
+    ds, docs = _load_split(manifest, cfg["split"])
     pairs = cooccurrence_iou(docs, ds.num_tropes)
     if cfg["top"] > 0:
         pairs = pairs[: cfg["top"]]
@@ -372,7 +360,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             os.makedirs(cfg["out"], exist_ok=True)
             path = os.path.join(cfg["out"], f"{args.command}_report.json")
             report = {"command": args.command, "seed": cfg["seed"], "config": cfg, **body}
-            atomic_write_text(path, canonical_json(report) + "\n")
+            write_json(path, report)
             log.info("wrote %s", path)
         return code
     except ConfigError as exc:

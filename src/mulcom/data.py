@@ -13,7 +13,6 @@ token multisets and only the graph can tell them apart.
 
 from __future__ import annotations
 
-import json
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -23,7 +22,8 @@ import numpy as np
 from .config import SynthSpec
 from .errors import DataFormatError, ValidationError
 from .graph import EntityMentions, FeatureDoc, check_labels, label_matrix
-from .ioutil import atomic_write_text, canonical_json, loads, read_json
+from .ioutil import (atomic_write_text, canonical_json, read_envelope, read_json_lines,
+                     write_json)
 from .numerics import rng_from_seed
 
 Array = np.ndarray
@@ -169,50 +169,9 @@ def _record_to_doc(rec: dict, path: str, line: int) -> FeatureDoc:
     )
 
 
-def _record_lines(path: str) -> Iterator[tuple[int, str]]:
-    """(line number, text) of each non-blank line of record file `path`.
-
-    Lines are read one at a time, with universal newlines, so a split's
-    whole text is never held at once.
-    """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                if not raw.isspace():
-                    yield lineno, raw
-    except FileNotFoundError:
-        raise DataFormatError(f"record file not found: {path}", path=path)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataFormatError(f"cannot read record file: {exc}", path=path)
-
-
 def load_dataset(manifest_path: str) -> Dataset:
     """Read a manifest and all its record files, validating every doc."""
-    try:
-        manifest = read_json(manifest_path)
-    except FileNotFoundError:
-        raise DataFormatError(f"manifest not found: {manifest_path}",
-                              path=manifest_path)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataFormatError(f"cannot read manifest: {exc}", path=manifest_path)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"manifest is not valid JSON: {exc}",
-                              path=manifest_path)
-    if not isinstance(manifest, dict):
-        raise DataFormatError(
-            f"manifest must be a JSON object, got {type(manifest).__name__}",
-            path=manifest_path,
-        )
-    if manifest.get("format") != MANIFEST_FORMAT:
-        raise DataFormatError(
-            f"unexpected manifest format {manifest.get('format')!r}",
-            path=manifest_path,
-        )
-    version = manifest.get("version")
-    if type(version) is not int or version != MANIFEST_VERSION:
-        raise DataFormatError(
-            f"unsupported manifest version {version!r}", path=manifest_path
-        )
+    manifest = read_envelope(manifest_path, "manifest", MANIFEST_FORMAT, MANIFEST_VERSION)
     trope_names = manifest.get("trope_names", [])
     if not (isinstance(trope_names, list) and all(isinstance(t, str) for t in trope_names)):
         raise DataFormatError("manifest 'trope_names' must be a list of strings",
@@ -241,13 +200,7 @@ def load_dataset(manifest_path: str) -> Dataset:
         docs: list[FeatureDoc] = []
         for rel in files:
             path = os.path.join(base, rel)
-            for lineno, raw in _record_lines(path):
-                try:
-                    rec = loads(raw)
-                except json.JSONDecodeError as exc:
-                    raise DataFormatError(
-                        f"invalid JSON record: {exc}", path=path, line=lineno
-                    )
+            for lineno, rec in read_json_lines(path, "record"):
                 try:
                     doc = _record_to_doc(rec, path, lineno)
                     check(doc, split)
@@ -294,7 +247,7 @@ def save_dataset(dataset: Dataset, out_dir: str) -> str:
         "splits": split_files,
     }
     manifest_path = os.path.join(out_dir, "manifest.json")
-    atomic_write_text(manifest_path, canonical_json(manifest) + "\n")
+    write_json(manifest_path, manifest)
     return manifest_path
 
 

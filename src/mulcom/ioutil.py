@@ -1,13 +1,22 @@
-"""Atomic file writes, canonical JSON for reproducible artifacts, and the
-one JSON reader every input goes through."""
+"""The file boundary: every JSON file the package touches is read,
+checked and written through this module.
+
+A manifest, record file, checkpoint or config file that cannot be read
+or parsed, or whose `format` and `version` envelope is wrong, is a
+`DataFormatError` naming the file (and the line). Writes are canonical
+JSON, atomic.
+"""
 
 from __future__ import annotations
 
 import json
 import os
 import tempfile
+from collections.abc import Iterator
 
 import orjson
+
+from .errors import DataFormatError
 
 # orjson 3.8 builds nested values by recursion on the C stack, with no
 # depth limit: 8k levels of objects overflow a 1 MiB thread stack and
@@ -77,10 +86,63 @@ def _nests_at_most(data: bytes, limit: int) -> bool:
     return True
 
 
-def read_json(path: str):
-    """The JSON value in UTF-8 file `path`, parsed by `loads`."""
-    with open(path, encoding="utf-8") as fh:
-        return loads(fh.read())
+def _unreadable(exc: OSError | UnicodeDecodeError, path: str, what: str) -> DataFormatError:
+    if isinstance(exc, FileNotFoundError):
+        return DataFormatError(f"{what} not found", path=path)
+    return DataFormatError(f"cannot read {what}: {exc}", path=path)  # also not UTF-8
+
+
+def read_json(path: str, what: str) -> dict:
+    """The JSON object in UTF-8 file `path`, parsed by `loads`; `what` names the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable(exc, path, what) from None
+    try:
+        obj = loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{what} is not valid JSON: {exc}", path=path) from None
+    if not isinstance(obj, dict):
+        raise DataFormatError(f"{what} must be a JSON object, got {type(obj).__name__}",
+                              path=path)
+    return obj
+
+
+def read_envelope(path: str, what: str, fmt: str, version: int) -> dict:
+    """`read_json`'s object, whose `format` must be `fmt` and `version` the int `version`."""
+    obj = read_json(path, what)
+    if obj.get("format") != fmt:
+        raise DataFormatError(f"unexpected {what} format {obj.get('format')!r}", path=path)
+    if type(obj.get("version")) is not int or obj["version"] != version:
+        raise DataFormatError(f"unsupported {what} version {obj.get('version')!r}", path=path)
+    return obj
+
+
+def read_json_lines(path: str, what: str) -> Iterator[tuple[int, object]]:
+    """(line number, value) of each non-blank line of UTF-8 JSON-lines file `path`.
+
+    Lines are read one at a time, with universal newlines, so the whole
+    text is never held at once.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                if raw.isspace():
+                    continue
+                try:
+                    value = loads(raw)
+                except json.JSONDecodeError as exc:
+                    raise DataFormatError(f"invalid JSON {what}: {exc}",
+                                          path=path, line=lineno) from None
+                yield lineno, value
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable(exc, path, f"{what} file") from None
+
+
+def write_json(path: str, obj) -> None:
+    """Write `obj` to `path` as canonical JSON and a newline, atomically."""
+    atomic_write_text(path, canonical_json(obj) + "\n")
 
 
 def atomic_write_text(path: str, text: str) -> None:

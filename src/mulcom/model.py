@@ -15,7 +15,6 @@ with Adam.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -29,7 +28,7 @@ from .graph import FeatureDoc, GraphBatch, graph_batch, label_matrix
 # Not called here. perfbench/layer_trace.py looks this name up on this module
 # to time graph building, which reads 0 now that batches build their graphs.
 from .graph import build_graph  # noqa: F401
-from .ioutil import atomic_write_text, canonical_json, read_json
+from .ioutil import read_envelope, write_json
 from .metrics import f1 as f1_metric, is_binary
 from .msrrn import ReasonerParams, init_reasoner
 from .numerics import (
@@ -288,7 +287,9 @@ def forward_logits(
 
     `graphs`, when given, is the union of the entity graphs of `docs`,
     one member per doc in order; otherwise it is built here when the
-    relation stream needs it.
+    relation stream needs it. Each doc's features must be as wide as the
+    model's `d_w` (read by the word stream) and `d_s` (read by the
+    sentence and relation streams), for the streams it enables.
     """
     retain_heap()
     if not docs:
@@ -298,6 +299,16 @@ def forward_logits(
             f"forward_logits: {graphs.n_members} graphs for {len(docs)} docs"
         )
     cfg = model.cfg
+    for key, feats, readers in (("d_w", "word_feats", {"word"}),
+                                ("d_s", "sent_feats", {"sentence", "relation"})):
+        if readers.isdisjoint(cfg.streams):
+            continue
+        want = getattr(cfg, key)
+        for doc in docs:
+            got = getattr(doc, feats).shape[1]
+            if got != want:
+                raise ValidationError(
+                    f"doc {doc.doc_id} has {key}={got}, the model has {key}={want}")
     outs: dict[str, Tensor] = {}
     for name in cfg.streams:
         if name == "word":
@@ -551,72 +562,38 @@ def save_checkpoint(model: MulComModel, path: str) -> None:
             for name, t in model.named_parameters().items()
         },
     }
-    atomic_write_text(path, canonical_json(payload) + "\n")
+    write_json(path, payload)
 
 
 def load_checkpoint(path: str) -> MulComModel:
     """Rebuild a saved model; any malformed content is a DataFormatError."""
-    try:
-        payload = read_json(path)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataFormatError(f"checkpoint {path}: cannot read: {exc}", path=path)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"checkpoint {path}: invalid JSON: {exc}", path=path)
-    if not isinstance(payload, dict):
-        raise DataFormatError(
-            f"checkpoint {path}: expected a JSON object, got {type(payload).__name__}",
-            path=path,
-        )
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise DataFormatError(
-            f"checkpoint {path}: unexpected format {payload.get('format')!r}",
-            path=path,
-        )
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise DataFormatError(
-            f"checkpoint {path}: unsupported version {payload.get('version')!r}",
-            path=path,
-        )
+    payload = read_envelope(path, "checkpoint", CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
     for key in ("config", "params"):
         if not isinstance(payload.get(key), dict):
-            raise DataFormatError(
-                f"checkpoint {path}: {key!r} is missing or not a JSON object",
-                path=path,
-            )
+            raise DataFormatError(f"checkpoint {key!r} is missing or not a JSON object", path=path)
     try:
         model = build_model(ModelConfig.from_dict(payload["config"]), seed=0)
     except ConfigError as exc:
-        raise DataFormatError(f"checkpoint {path}: {exc}", path=path) from exc
+        raise DataFormatError(f"checkpoint config: {exc}", path=path) from exc
     params = model.named_parameters()
     stored = payload["params"]
     if set(stored) != set(params):
-        raise DataFormatError(
-            f"checkpoint {path}: parameter names do not match the config",
-            path=path,
-        )
+        raise DataFormatError("checkpoint parameter names do not match the config", path=path)
     for name, t in params.items():
         entry = stored[name]
         try:
             shape = tuple(entry["shape"])
             data = np.asarray(entry["data"], dtype=np.float64)
         except (KeyError, TypeError, ValueError) as exc:
-            raise DataFormatError(
-                f"checkpoint {path}: malformed entry for {name}: {exc!r}", path=path
-            ) from exc
+            raise DataFormatError(f"checkpoint entry for {name} is malformed: {exc!r}",
+                                  path=path) from exc
         if shape != t.shape:
-            raise DataFormatError(
-                f"checkpoint {path}: {name} has shape {shape}, expected {t.shape}",
-                path=path,
-            )
+            raise DataFormatError(f"checkpoint {name} has shape {shape}, expected {t.shape}",
+                                  path=path)
         if data.shape != (t.size,):
-            raise DataFormatError(
-                f"checkpoint {path}: {name} holds data of shape {data.shape}, "
-                f"expected {t.size} values",
-                path=path,
-            )
+            raise DataFormatError(f"checkpoint {name} holds data of shape {data.shape}, "
+                                  f"expected {t.size} values", path=path)
         if not np.isfinite(data).all():
-            raise DataFormatError(
-                f"checkpoint {path}: {name} holds non-finite values", path=path
-            )
+            raise DataFormatError(f"checkpoint {name} holds non-finite values", path=path)
         write(t, data.reshape(shape))
     return model

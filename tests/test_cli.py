@@ -199,7 +199,7 @@ class TestEval:
             return
         assert rc == 1
         want = {"d_w": 6, "d_s": 5}[bad]
-        assert f"checkpoint has {bad}={dims[bad]}, dataset has {bad}={want}" in caplog.text
+        assert f"has {bad}={want}, the model has {bad}={dims[bad]}" in caplog.text
         assert "Traceback" not in caplog.text
 
     @pytest.mark.parametrize("corrupt", [
@@ -230,7 +230,7 @@ class TestEval:
             "--out", str(tmp_path),
         ])
         assert rc == 1
-        assert f"checkpoint {ckpt}" in caplog.text
+        assert "checkpoint" in caplog.text and str(ckpt) in caplog.text
         assert "Traceback" not in caplog.text
 
 
@@ -309,7 +309,8 @@ class TestExitCodes:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(DEEP)
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-        assert f"usage error: config file {cfg} is not valid JSON" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "usage error: config file is not valid JSON" in err and str(cfg) in err
 
     @pytest.mark.parametrize("where", ["manifest", "record"])
     def test_deeply_nested_data_exits_1_without_a_traceback(self, where, tiny_manifest,
@@ -365,7 +366,7 @@ class TestExitCodes:
         assert rc == 2
 
     @pytest.mark.parametrize("text, error", [
-        ("[1, 2]", "must hold a JSON object"),
+        ("[1, 2]", "must be a JSON object"),
         (None, "cannot read config file"),  # a directory
     ], ids=["list", "unreadable"])
     def test_config_file_that_is_no_object_is_usage_error(self, text, error, tmp_path, capsys):
@@ -403,13 +404,14 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("command, error", [
-        ("train", "training split is empty"),
+        ("train", "split 'train' is empty"),
         ("eval", "split 'val' is empty"),
+        ("cooccur", "split 'train' is empty"),
     ])
     def test_empty_split_is_runtime_error(self, command, error, tiny_manifest, tiny_checkpoint,
                                           tmp_path, caplog):
         docs = load_dataset(tiny_manifest).split("train")
-        splits = {"train": [], "val": docs} if command == "train" else {"train": docs, "val": []}
+        splits = {"train": docs, "val": []} if command == "eval" else {"train": [], "val": docs}
         manifest = save_dataset(Dataset([f"t{k}" for k in range(8)], splits),
                                 str(tmp_path / "ds"))
         argv = [command, "--data", manifest, "--out", str(tmp_path / "out")]
@@ -418,6 +420,18 @@ class TestExitCodes:
         assert main(argv) == 1
         assert f"{manifest}: {error}" in caplog.text
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "cooccur"])
+    def test_missing_split_names_the_manifest(self, command, tiny_manifest, tiny_checkpoint,
+                                              tmp_path, caplog):
+        docs = load_dataset(tiny_manifest).split("val")
+        manifest = save_dataset(Dataset([f"t{k}" for k in range(8)], {"val": docs}),
+                                str(tmp_path / "ds"))
+        argv = [command, "--data", manifest, "--out", str(tmp_path / "out")]
+        if command == "eval":
+            argv += ["--checkpoint", tiny_checkpoint, "--split", "train"]
+        assert main(argv) == 1
+        assert f"{manifest}: dataset has no 'train' split" in caplog.text
 
     def test_config_file_not_utf8(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -1,4 +1,4 @@
-"""The JSON reader: `ioutil.loads` against `json.loads`.
+"""The JSON file boundary: `ioutil.loads` against `json.loads`, and bad files.
 
 A derandomized property draws JSON texts from nested values (floats
 from raw bit patterns, NaN and infinities, 64-bit integers, strings with
@@ -6,6 +6,10 @@ non-ASCII characters and lone surrogates, written in both `ensure_ascii`
 forms), plus truncations and single-character corruptions of them. For
 every text the reader must give `json.loads`'s value, floats bit for
 bit, or raise `json.JSONDecodeError` with `json.loads`'s message.
+
+A manifest, a checkpoint or a record file that cannot be read, parsed
+or accepted must raise a `DataFormatError` whose `.path` is the file,
+and the same bytes as a `--config` file must be a usage error.
 """
 
 import json
@@ -20,9 +24,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mulcom import ioutil
-from mulcom.config import SynthSpec
-from mulcom.data import save_dataset, synth_generate
+from mulcom.cli import main
+from mulcom.config import ModelConfig, SynthSpec
+from mulcom.data import load_dataset, save_dataset, synth_generate
+from mulcom.errors import DataFormatError
 from mulcom.ioutil import loads
+from mulcom.model import build_model, load_checkpoint, save_checkpoint
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
                1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e16, 1e22, 1e23,
@@ -179,3 +186,85 @@ def test_atomic_write_removes_its_temp_file_when_the_rename_fails(tmp_path):
     with pytest.raises(OSError):
         ioutil.atomic_write_text(str(taken), "{}\n")
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+def _envelope_file(kind, directory):
+    """A valid manifest or checkpoint in `directory`: its path and its loader."""
+    if kind == "manifest":
+        return save_dataset(synth_generate(3, SynthSpec(docs=4)), str(directory)), load_dataset
+    path = str(directory / "checkpoint.json")
+    save_checkpoint(build_model(ModelConfig(num_tropes=2, d_w=3, d_s=3, d_f=4, d_a=4, d_h=4,
+                                            streams=("word",))), path)
+    return path, load_checkpoint
+
+
+def _without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+DIRECTORY = object()  # a directory where the file should be
+BAD_FILES = {  # each case: the valid object -> the bad file's text, None for no file, or DIRECTORY
+    "version-true": lambda o: json.dumps({**o, "version": True}),
+    "version-float": lambda o: json.dumps({**o, "version": 1.0}),
+    "version-string": lambda o: json.dumps({**o, "version": "1"}),
+    "version-2": lambda o: json.dumps({**o, "version": 2}),
+    "no-version": lambda o: json.dumps(_without(o, "version")),
+    "wrong-format": lambda o: json.dumps({**o, "format": "mulcom-other"}),
+    "no-format": lambda o: json.dumps(_without(o, "format")),
+    "list": lambda o: json.dumps([o]),
+    "missing": lambda o: None,
+    "directory": lambda o: DIRECTORY,
+    "not-utf8": lambda o: b'{"format": "\xff"}',
+    "invalid-json": lambda o: json.dumps(o)[:-1],
+    "too-deep": lambda o: '{"a":' * 100_000 + "1" + "}" * 100_000,
+}
+
+
+def _write_bad(path, text):
+    os.remove(path)
+    if text is DIRECTORY:
+        os.mkdir(path)
+    elif isinstance(text, bytes):
+        with open(path, "wb") as fh:
+            fh.write(text)
+    elif text is not None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+@pytest.mark.parametrize("case", list(BAD_FILES))
+@pytest.mark.parametrize("kind", ["manifest", "checkpoint"])
+def test_a_bad_manifest_or_checkpoint_is_a_data_format_error_naming_it(kind, case, tmp_path):
+    path, load = _envelope_file(kind, tmp_path)
+    with open(path, encoding="utf-8") as fh:
+        _write_bad(path, BAD_FILES[case](json.load(fh)))
+    with pytest.raises(DataFormatError) as err:
+        load(path)
+    assert err.value.path == path and err.value.line is None
+
+
+@pytest.mark.parametrize("case", list(BAD_FILES))
+def test_a_bad_config_file_is_a_usage_error(case, tmp_path, capsys):
+    path, _ = _envelope_file("manifest", tmp_path)
+    with open(path, encoding="utf-8") as fh:
+        _write_bad(path, BAD_FILES[case](json.load(fh)))
+    assert main(["stats", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "usage error: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case, line", [("missing", None), ("not-json", 2)])
+def test_a_bad_record_file_names_the_file_and_line(case, line, tmp_path):
+    manifest = save_dataset(synth_generate(3, SynthSpec(docs=4, val_frac=0.0)), str(tmp_path))
+    records = str(tmp_path / "train.jsonl")
+    if case == "missing":
+        os.remove(records)
+    else:
+        with open(records, encoding="utf-8") as fh:
+            lines = fh.readlines()
+        lines[1] = lines[1][:-3] + "\n"
+        with open(records, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+    with pytest.raises(DataFormatError) as err:
+        load_dataset(manifest)
+    assert (err.value.path, err.value.line) == (records, line)

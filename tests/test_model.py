@@ -728,7 +728,7 @@ class TestCheckpoint:
     def test_rejects_deeply_nested_file(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000)
-        with pytest.raises(DataFormatError, match=r"invalid JSON.*deep\.json"):
+        with pytest.raises(DataFormatError, match=r"checkpoint is not valid JSON.*deep\.json"):
             load_checkpoint(str(path))
 
     def test_rejects_non_finite_values(self, tmp_path):
@@ -762,6 +762,20 @@ class TestScoreDataset:
         docs = [tiny_doc(seed=40 + i) for i in range(3)]
         with pytest.raises(ValidationError, match=f"{n_members} graphs for {n_docs} docs"):
             score_dataset(model, docs[:n_docs], graph_batch(docs[:n_members]))
+
+    @pytest.mark.parametrize("stream, feats, key, want", [
+        ("word", "word_feats", "d_w", 6),
+        ("sentence", "sent_feats", "d_s", 5),
+        ("relation", "sent_feats", "d_s", 5),
+    ], ids=["word", "sentence", "relation"])
+    def test_a_doc_of_another_feature_width_is_named(self, stream, feats, key, want):
+        model = build_model(tiny_cfg(streams=(stream,)), seed=37)
+        wide = dataclasses.replace(tiny_doc(seed=39), doc_id="wide", **{feats: np.ones((3, 9))})
+        error = f"doc wide has {key}=9, the model has {key}={want}"
+        with pytest.raises(ValidationError, match=error):
+            score_dataset(model, [wide])
+        with pytest.raises(ValidationError, match=error):
+            forward_logits(model, [tiny_doc(seed=38), wide])
 
     def test_builds_the_union_once_and_selects_each_chunk(self, monkeypatch):
         calls = []

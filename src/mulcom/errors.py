@@ -22,12 +22,12 @@ class EmptyDocumentError(MulComError, ValueError):
 
 
 class DataFormatError(MulComError, ValueError):
-    """A file could not be read, parsed or accepted.
+    """A file could not be read, parsed, accepted or written.
 
-    `mulcom.ioutil` raises it for every JSON file the package reads (it
-    owns reading, the format and version envelope, and writing); the
-    loaders raise it for content they reject. `path` and `line` locate
-    the offending file and record when known.
+    `mulcom.ioutil` raises it for every JSON file the package reads or
+    writes (it owns reading, the format and version envelope, and
+    writing); the loaders raise it for content they reject. `path` and
+    `line` locate the offending file and record when known.
     """
 
     def __init__(self, message, path=None, line=None):

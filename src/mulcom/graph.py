@@ -214,10 +214,16 @@ def graph_batch(docs: Sequence[FeatureDoc]) -> GraphBatch:
 
     A batch of `ARRAY_PASS_MIN_DOCS` docs or more is built by
     `_array_pass`, a smaller one by `_per_doc_pass`; both give the same
-    arrays, bit for bit.
+    arrays, bit for bit. Every doc must have the first doc's `d_s`; the
+    first that does not is a ValidationError naming it.
     """
     if not docs:
         raise ValidationError("graph_batch: empty batch")
+    d_s = docs[0].sent_feats.shape[1]
+    for doc in docs:
+        if doc.sent_feats.shape[1] != d_s:
+            raise ValidationError(f"doc {doc.doc_id} has d_s={doc.sent_feats.shape[1]}, "
+                                  f"doc {docs[0].doc_id} has d_s={d_s}")
     if len(docs) >= ARRAY_PASS_MIN_DOCS:
         return _array_pass(docs)
     return _per_doc_pass(docs)

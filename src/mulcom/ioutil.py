@@ -4,7 +4,8 @@ checked and written through this module.
 A manifest, record file, checkpoint or config file that cannot be read
 or parsed, or whose `format` and `version` envelope is wrong, is a
 `DataFormatError` naming the file (and the line). Writes are canonical
-JSON, atomic.
+JSON, atomic, and a write that fails is a `DataFormatError` naming the
+file too.
 """
 
 from __future__ import annotations
@@ -146,14 +147,22 @@ def write_json(path: str, obj) -> None:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a same-directory temp file and rename over the target."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    """Write via a same-directory temp file and rename over the target.
+
+    An `OSError` (a missing directory, a directory at `path`, a full
+    disk) is a `DataFormatError` naming `path`. On any failure the temp
+    file is removed.
+    """
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise DataFormatError(f"cannot write file: {exc}", path=path) from None
         raise

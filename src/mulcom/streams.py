@@ -8,10 +8,15 @@ rows, and the weighted row sum is projected to values and back to the
 trope dim, so every stream emits [B x num_tropes x d_f] regardless of
 the views' lengths. Views of different lengths are zero-padded to the
 longest and the padding is masked out of the attention, so a
-document's result does not depend on its batch mates. The pooling,
-`attend`, is one tape record with a hand-derived backward pass, like
-the sentence LSTM and the reasoner it reads from. It forms neither
-keys nor values per position. The key projection is folded into the
+document's result does not depend on its batch mates. A batch with
+nothing to pad skips that: a lone document's word and sentence views
+are read in place as [1, L, d], and when every document has the same
+number of entities, the reasoner's node rows are read as one
+[B, n, d_h] view. Neither needs a mask, and values and gradients are
+the padded path's bit for bit, since that path only copied such views.
+The pooling, `attend`, is one tape record with a hand-derived backward
+pass, like the sentence LSTM and the reasoner it reads from. It forms
+neither keys nor values per position. The key projection is folded into the
 queries, which depend only on the tropes, and the scores read the view
 rows directly. The key bias adds the same term to every score of a
 trope, which the softmax cancels, so it stays a parameter (checkpoints
@@ -206,12 +211,28 @@ def _layout(lengths: Array) -> tuple[Array, Array | None]:
 
 
 def _pad(views: Sequence[Array]) -> tuple[Array, Array | None]:
-    """Zero-padded [B, L_max, d] stack of [L_b, d] views, and its mask."""
+    """Zero-padded [B, L_max, d] stack of [L_b, d] views, and its mask.
+
+    A lone view has nothing to pad: it comes back as a [1, L, d] view of
+    itself, with no mask.
+    """
+    if len(views) == 1:
+        return views[0][None], None
     valid, mask = _layout(np.array([v.shape[0] for v in views]))
     out = np.zeros(valid.shape + views[0].shape[1:])
     for row, v in zip(out, views):
         row[: v.shape[0]] = v
     return out, mask
+
+
+def _member_rows(nodes: Tensor, n_members: int) -> Tensor:
+    """The node rows [N, d_h] of `n_members` equal-size members, viewed as [B, n, d_h].
+
+    One tape record; the backward pass reshapes the gradient back into
+    a fresh [N, d_h] array.
+    """
+    view = Tensor(nodes.data.reshape(n_members, -1, nodes.shape[-1]))
+    return record((nodes,), view, lambda g: {nodes: g.reshape(nodes.shape).copy()})
 
 
 def word_stream(
@@ -255,10 +276,15 @@ def relation_stream(
     """Attention over reasoner node states; [B, T, d_f].
 
     The reasoner runs once on `graphs`, the disjoint union of the
-    batch's graphs. A member without nodes yields a zero row block and
-    takes no part in attention.
+    batch's graphs. When every member has the same number of nodes, its
+    node rows are the [B, n, d_h] view; otherwise they are scattered
+    into a zero-padded layout, masked. A member without nodes yields a
+    zero row block and takes no part in attention.
     """
     sizes = graphs.node_counts
+    run = run_msrrn if kind == "msrrn" else run_rrn
+    if sizes[0] and (sizes == sizes[0]).all():  # nothing to pad, so no mask
+        return attend(e, _member_rows(run(graphs, reasoner), sizes.size), p)
     out_shape = (graphs.n_members, e.shape[0], p.out_proj.w.shape[1])
     present = np.flatnonzero(sizes)
     if present.size < sizes.size:
@@ -266,7 +292,6 @@ def relation_stream(
                     "for them", sizes.size - present.size, sizes.size)
     if present.size == 0:
         return Tensor(np.zeros(out_shape))
-    run = run_msrrn if kind == "msrrn" else run_rrn
     nodes = run(graphs, reasoner)  # [N, d_h], members in order
     valid, mask = _layout(sizes[present])
     view = scatter_rows(nodes, valid, valid.shape + nodes.shape[-1:])

@@ -252,6 +252,35 @@ class TestOutOfRangeMentions:
             score_dataset(build_model(cfg, seed=0), [_doc_mentioning(sentence)])
 
 
+@pytest.mark.parametrize("n_docs", [2, ARRAY_PASS_MIN_DOCS], ids=["per-doc-pass", "array-pass"])
+class TestMixedWidths:
+    # Docs 5 and 9 wide: the first doc whose d_s differs from the first
+    # doc's is named before any concatenate, in either builder.
+    @staticmethod
+    def docs(n_docs):
+        rng = np.random.default_rng(2)
+        return [FeatureDoc(f"d{i}", rng.standard_normal((3, 4)),
+                           rng.standard_normal((2, 5 if i == 0 else 9)),
+                           [EntityMentions("a", (0, 1))], (0,))
+                for i in range(n_docs)]
+
+    def test_graph_batch_names_the_first_doc_that_differs(self, n_docs):
+        with pytest.raises(ValidationError, match="^doc d1 has d_s=9, doc d0 has d_s=5$"):
+            graph_batch(self.docs(n_docs))
+
+    @pytest.mark.parametrize("caller", ["score_dataset", "train"])
+    def test_scoring_and_training_raise_it(self, n_docs, caller):
+        # Both build the split's graph union before any forward pass.
+        cfg = ModelConfig(num_tropes=2, d_w=4, d_s=5, d_f=4, d_a=4, d_h=4,
+                          reasoner_steps=1, reasoner_heads=1, streams=("relation",))
+        model, docs = build_model(cfg, seed=0), self.docs(n_docs)
+        with pytest.raises(ValidationError, match="doc d1 has d_s=9, doc d0 has d_s=5"):
+            if caller == "train":
+                train(model, docs, TrainConfig(epochs=1, batch_size=2))
+            else:
+                score_dataset(model, docs)
+
+
 def test_train_builds_each_splits_graphs_once(monkeypatch):
     calls = []
 

@@ -9,7 +9,8 @@ bit, or raise `json.JSONDecodeError` with `json.loads`'s message.
 
 A manifest, a checkpoint or a record file that cannot be read, parsed
 or accepted must raise a `DataFormatError` whose `.path` is the file,
-and the same bytes as a `--config` file must be a usage error.
+and the same bytes as a `--config` file must be a usage error. A file
+that cannot be written raises one too, and leaves no temp file behind.
 """
 
 import json
@@ -183,9 +184,37 @@ def test_corpus_records_load_as_json_loads_gives_them(tmp_path, spec):
 def test_atomic_write_removes_its_temp_file_when_the_rename_fails(tmp_path):
     taken = tmp_path / "taken"
     taken.mkdir()  # renaming a file over a directory fails
-    with pytest.raises(OSError):
+    with pytest.raises(DataFormatError, match="cannot write file") as info:
         ioutil.atomic_write_text(str(taken), "{}\n")
+    assert info.value.path == str(taken)
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+def test_a_write_into_a_missing_directory_names_the_target(tmp_path):
+    target = str(tmp_path / "missing" / "report.json")
+    with pytest.raises(DataFormatError, match="cannot write file") as info:
+        ioutil.write_json(target, {"a": 1})
+    assert info.value.path == target
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_checkpoint_saved_over_a_directory_names_it(tmp_path):
+    model = build_model(ModelConfig(num_tropes=2, d_w=3, d_s=3, d_f=4, d_a=4, d_h=4,
+                                    streams=("word",)))
+    with pytest.raises(DataFormatError) as info:
+        save_checkpoint(model, str(tmp_path))
+    assert info.value.path == str(tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_other_write_failures_clean_up_and_propagate_unchanged(tmp_path, monkeypatch):
+    def interrupted(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(ioutil.os, "replace", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        ioutil.atomic_write_text(str(tmp_path / "report.json"), "{}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def _envelope_file(kind, directory):

@@ -2,8 +2,12 @@
 
 On-disk layout: a JSON manifest naming the tropes and per-split record
 files, plus line-delimited JSON record files (one document per line,
-dense float arrays inline). The synthetic generator plants two kinds
-of label rules: a trope tied to a reserved token appearing in
+dense float arrays inline). The `FeatureDoc` and `EntityMentions`
+constructors check a record's own content, and a record they reject is
+a DataFormatError at its path and line; a doc that clashes with the
+dataset (a label past the trope count, a repeated id, other feature
+widths) is a ValidationError there. The synthetic generator plants two
+kinds of label rules: a trope tied to a reserved token appearing in
 entity-free sentences (word-level signal only), and a trope tied to
 the co-mention of a fixed entity pair in one sentence (graph-level
 signal). Off documents for a pair trope mention both entities in
@@ -14,7 +18,6 @@ token multisets and only the graph can tell them apart.
 from __future__ import annotations
 
 import os
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,46 +75,6 @@ def _doc_to_record(doc: FeatureDoc) -> dict:
     }
 
 
-def _ordinals(values, what: str) -> Iterator[int]:
-    """`values` as ints; `FeatureDoc` sorts and dedupes them.
-
-    A TypeError unless each is an int or an integral float: a bool or a
-    string is no ordinal. A float is allowed because the reader loads an
-    integer literal wider than 64 bits as one.
-    """
-    out = tuple(values)
-    for v in out:
-        if type(v) is not int and not (type(v) is float and v.is_integer()):
-            raise TypeError(f"{what} must be an integer, got {v!r}")
-    return map(int, out)
-
-
-def _entity(e: dict) -> EntityMentions:
-    if not isinstance(e["id"], str):
-        raise TypeError(f"entity id must be a string, got {e['id']!r}")
-    return EntityMentions(entity_id=e["id"], sents=_ordinals(e["sents"], "sentence ordinal"))
-
-
-def _feature_problem(word_feats: Array, sent_feats: Array) -> str | None:
-    """Why a doc's feature arrays are unusable, or None if they are fine.
-
-    Each must be a finite 2-d array of nonzero width with at least one
-    row: one word token, one sentence.
-    """
-    for name, feats, what in (("word_feats", word_feats, "word tokens"),
-                              ("sent_feats", sent_feats, "sentences")):
-        if feats.shape[:1] == (0,):
-            return f"record has no {what} ({name} is empty)"
-    if word_feats.ndim != 2 or sent_feats.ndim != 2:
-        return "feature arrays must be rectangular 2-d"
-    for name, feats in (("word_feats", word_feats), ("sent_feats", sent_feats)):
-        if feats.shape[1] == 0:
-            return f"{name} rows have no features (width 0)"
-        if not np.isfinite(feats).all():
-            return f"{name} holds non-finite values"
-    return None
-
-
 class _DocChecks:
     """The checks of each doc against the dataset: a ValidationError if one fails.
 
@@ -139,34 +102,24 @@ class _DocChecks:
 
 
 def _record_to_doc(rec: dict, path: str, line: int) -> FeatureDoc:
+    """The doc a record holds; a DataFormatError at `path:line` if its content makes none."""
     if not isinstance(rec, dict):
         raise DataFormatError(
             f"record must be a JSON object, got {type(rec).__name__}", path=path, line=line
         )
     doc_id = rec.get("doc_id")
-    if not isinstance(doc_id, str):
-        raise DataFormatError(
-            f"record 'doc_id' must be a string, got {doc_id!r}", path=path, line=line
-        )
     try:
-        word_feats = np.asarray(rec["word_feats"], dtype=np.float64)
-        sent_feats = np.asarray(rec["sent_feats"], dtype=np.float64)
-        entities = [_entity(e) for e in rec["entities"]]
-        labels = _ordinals(rec["labels"], "label")
+        try:
+            entities = [EntityMentions(e["id"], e["sents"]) for e in rec["entities"]]
+        except ValidationError as exc:  # an entity cannot name its doc
+            raise ValidationError(f"doc {doc_id}: {exc}") from None
+        return FeatureDoc(doc_id, rec["word_feats"], rec["sent_feats"], entities, rec["labels"])
+    except ValidationError as exc:  # a ValueError, so caught before the clause below
+        raise DataFormatError(str(exc), path=path, line=line) from None
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(
             f"doc {doc_id}: bad document record: {exc!r}", path=path, line=line
         ) from exc
-    problem = _feature_problem(word_feats, sent_feats)
-    if problem is not None:
-        raise DataFormatError(f"doc {doc_id}: {problem}", path=path, line=line)
-    return FeatureDoc(
-        doc_id=doc_id,
-        word_feats=word_feats,
-        sent_feats=sent_feats,
-        entities=entities,
-        labels=labels,
-    )
 
 
 def load_dataset(manifest_path: str) -> Dataset:
@@ -201,8 +154,8 @@ def load_dataset(manifest_path: str) -> Dataset:
         for rel in files:
             path = os.path.join(base, rel)
             for lineno, rec in read_json_lines(path, "record"):
+                doc = _record_to_doc(rec, path, lineno)
                 try:
-                    doc = _record_to_doc(rec, path, lineno)
                     check(doc, split)
                 except ValidationError as exc:
                     raise ValidationError(f"{exc} ({path}:{lineno})") from None
@@ -219,18 +172,15 @@ def save_dataset(dataset: Dataset, out_dir: str) -> str:
     """Write manifest + one records file per split; returns manifest path.
 
     A dataset that `load_dataset` would reject raises a ValidationError
-    before any write: bad categories, or a doc with unusable features, a
-    label past the trope count, an id used twice or feature widths of
-    its own. The checks are the loader's.
+    before any write: bad categories, or a doc with a label past the
+    trope count, an id used twice or feature widths of its own. The
+    checks are the loader's; a doc's own content was checked when it was made.
     """
     if not _categories_ok(dataset.trope_categories, dataset.trope_names):
         raise ValidationError(f"dataset {_CATEGORIES_RULE}")
     check = _DocChecks(dataset.num_tropes)
     for split, docs in dataset.splits.items():
         for doc in docs:
-            problem = _feature_problem(doc.word_feats, doc.sent_feats)
-            if problem is not None:
-                raise ValidationError(f"doc {doc.doc_id}: {problem}")
             check(doc, split)
     os.makedirs(out_dir, exist_ok=True)
     split_files: dict[str, list[str]] = {}

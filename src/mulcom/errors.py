@@ -18,7 +18,7 @@ class ValidationError(MulComError, ValueError):
 
 
 class EmptyDocumentError(MulComError, ValueError):
-    """A document has no content for the requested stream."""
+    """`streams.attend` got a view with no positions (`FeatureDoc` rejects a doc with none)."""
 
 
 class DataFormatError(MulComError, ValueError):

@@ -40,9 +40,10 @@ its batch mates nor on the builder.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -54,55 +55,107 @@ log = logging.getLogger(__name__)
 Array = np.ndarray
 
 
-@dataclass(frozen=True, slots=True)
+_set = object.__setattr__  # how the frozen types' __init__ stores a field
+
+
+def _ordinals(values, what: str, where: str) -> tuple[int, ...]:
+    """`values` as sorted, distinct Python ints; a ValidationError starting `where` if not.
+
+    Each is an int, a numpy integer or an integral float (the reader loads
+    an integer wider than 64 bits as one), never a bool or a string.
+    """
+    try:
+        out = list(values)
+    except TypeError:
+        raise ValidationError(f"{where}: {what}s must be integers, got {values!r}") from None
+    for i, v in enumerate(out):
+        if type(v) is int:
+            continue
+        if not (isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                or isinstance(v, float) and v.is_integer()):
+            raise ValidationError(f"{where}: {what} must be an integer, got {v!r}")
+        out[i] = int(v)
+    return tuple(sorted(set(out)))
+
+
+def _features(doc_id: str, name: str, what: str, x) -> Array:
+    """`x` as a fresh read-only float64 array: 2-d, finite, with a row and a column."""
+    try:
+        a = np.array(x, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"doc {doc_id}: {name} is no array of numbers ({exc})") from None
+    if a.shape[:1] == (0,):
+        raise ValidationError(f"doc {doc_id}: record has no {what} ({name} is empty)")
+    if a.ndim != 2:
+        raise ValidationError(f"doc {doc_id}: feature arrays must be rectangular 2-d")
+    if a.shape[1] == 0:
+        raise ValidationError(f"doc {doc_id}: {name} rows have no features (width 0)")
+    if not np.isfinite(a).all():
+        raise ValidationError(f"doc {doc_id}: {name} holds non-finite values")
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class EntityMentions:
     """One coreference entity and the sentences that mention it; frozen."""
 
     entity_id: str
     sents: tuple[int, ...]  # sorted, unique sentence ordinals
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sents", tuple(sorted(set(self.sents))))
+    def __init__(self, entity_id: str, sents) -> None:
+        if not isinstance(entity_id, str):
+            raise ValidationError(f"entity id must be a string, got {entity_id!r}")
+        _set(self, "entity_id", entity_id)
+        _set(self, "sents", _ordinals(sents, "sentence ordinal", f"entity {entity_id!r}"))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class FeatureDoc:
     """One synopsis as precomputed features plus gold labels.
 
-    Construction sets up the invariants every consumer relies on, for
-    loaded and hand-built docs alike: `entities` becomes a tuple in the
-    given order, `labels` a sorted tuple of distinct indices, and a
-    negative label or a mention outside the doc's sentences is a
-    ValidationError naming the doc (and the entity). An entity with no
-    mentions is logged once here and stays an isolated zero node. Both types
-    are frozen; `dataclasses.replace` makes a changed copy, checked again.
+    The constructors make every check a doc's own content needs, for
+    loaded and hand-built docs alike; a failure is a ValidationError
+    naming the doc (and the entity). Ids are strings and each entity an
+    `EntityMentions`, in the given order. Each feature array is copied
+    into a read-only float64 array: 2-d, finite, at least one row (word
+    token, sentence) and one column. Labels and mentions are sorted
+    tuples of distinct ints (`_ordinals`), labels non-negative, mentions
+    within the doc's sentences. An entity with no mentions is logged
+    once here and stays an isolated zero node. Both types are frozen;
+    `dataclasses.replace` makes a changed copy, checked again.
     """
 
     doc_id: str
-    word_feats: Array  # [n_tokens, d_w]
-    sent_feats: Array  # [n_sents, d_s]
+    word_feats: Array  # [n_tokens, d_w], read-only
+    sent_feats: Array  # [n_sents, d_s], read-only
     entities: tuple[EntityMentions, ...]
     labels: tuple[int, ...]  # sorted, unique trope indices
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entities", tuple(self.entities))
-        object.__setattr__(self, "labels", tuple(sorted(set(self.labels))))
-        if self.labels and self.labels[0] < 0:
-            raise ValidationError(f"{self.doc_id}: label index {self.labels[0]} is negative")
+    def __init__(self, doc_id: str, word_feats, sent_feats, entities, labels) -> None:
+        if not isinstance(doc_id, str):
+            raise ValidationError(f"doc_id must be a string, got {doc_id!r}")
+        _set(self, "doc_id", doc_id)
+        _set(self, "word_feats", _features(doc_id, "word_feats", "word tokens", word_feats))
+        _set(self, "sent_feats", _features(doc_id, "sent_feats", "sentences", sent_feats))
+        labels = _ordinals(labels, "label", f"doc {doc_id}")
+        if labels and labels[0] < 0:
+            raise ValidationError(f"{doc_id}: label index {labels[0]} is negative")
+        _set(self, "labels", labels)
+        ents = tuple(entities) if isinstance(entities, Iterable) else (entities,)
         n_sents = self.n_sents
-        for ent in self.entities:
+        for ent in ents:
+            if not isinstance(ent, EntityMentions):
+                raise ValidationError(f"doc {doc_id}: entity {ent!r} is no EntityMentions")
             sents = ent.sents
             if not sents:
-                log.warning(
-                    "doc %s: entity %r has no mentions; keeping isolated zero node",
-                    self.doc_id, ent.entity_id,
-                )
+                log.warning("doc %s: entity %r has no mentions; keeping isolated zero node",
+                            doc_id, ent.entity_id)
             elif sents[0] < 0 or sents[-1] >= n_sents:
                 bad = sents[0] if sents[0] < 0 else sents[-1]
-                raise ValidationError(
-                    f"{self.doc_id}: entity {ent.entity_id!r} mentions sentence {bad}, "
-                    f"but document has {n_sents} sentences"
-                )
+                raise ValidationError(f"{doc_id}: entity {ent.entity_id!r} mentions sentence "
+                                      f"{bad}, but document has {n_sents} sentences")
+        _set(self, "entities", ents)
 
     @property
     def n_tokens(self) -> int:

@@ -242,9 +242,6 @@ def word_stream(
     max_tokens: int,
 ) -> Tensor:
     """Attention over raw word features, truncated to `max_tokens`; [B, T, d_f]."""
-    for doc in docs:
-        if doc.n_tokens == 0:
-            raise EmptyDocumentError(f"doc {doc.doc_id}: no word tokens")
     feats, mask = _pad([doc.word_feats[:max_tokens] for doc in docs])
     return attend(e, Tensor(feats), p, mask)
 
@@ -257,9 +254,6 @@ def sentence_stream(docs: Sequence[FeatureDoc], e: Tensor, p: StreamParams) -> T
     attention, and an LSTM state depends only on earlier steps, so they
     change nothing.
     """
-    for doc in docs:
-        if doc.n_sents == 0:
-            raise EmptyDocumentError(f"doc {doc.doc_id}: no sentences")
     if p.sent_rnn is None:
         raise ConfigError("sentence stream: its params have no sentence LSTM (sent_rnn)")
     feats, mask = _pad([doc.sent_feats for doc in docs])

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import perdoc_oracle
 from composite_oracle import stack
 from mulcom.config import STREAM_NAMES
-from mulcom.errors import EmptyDocumentError, ValidationError
+from mulcom.errors import ValidationError
 from mulcom.graph import EntityMentions, FeatureDoc, label_matrix
 from mulcom.model import (
     ModelConfig, bce_loss, build_model, forward_logits, score_dataset,
@@ -199,11 +199,9 @@ def test_long_word_views_score_as_each_doc_alone():
 
 
 def test_zero_token_doc_is_named():
-    model = model_for(("word", "relation"), "msrrn")
-    docs = ragged_batch()
-    docs[2] = doc("tokenless", 0, 1, {"A": (0,)}, (), seed=6)
-    with pytest.raises(EmptyDocumentError, match="doc tokenless: no word tokens"):
-        forward_logits(model, docs)
+    # such a doc cannot be made, so no forward pass sees it
+    with pytest.raises(ValidationError, match="doc tokenless: record has no word tokens"):
+        doc("tokenless", 0, 1, {"A": (0,)}, (), seed=6)
 
 
 def test_empty_batch_is_rejected():

@@ -197,21 +197,24 @@ class TestLoadErrors:
         with pytest.raises(ValidationError, match="d0: label index"):
             load_dataset(path)
 
-    @pytest.mark.parametrize("bad, error", [
-        ({"labels": [5]}, "d0: label index 5 outside [0, 2)"),
-        ({"labels": [-1]}, "d0: label index -1 is negative"),
+    # a record that makes no doc is a DataFormatError; a doc that clashes
+    # with the dataset, a ValidationError
+    @pytest.mark.parametrize("bad, error, kind", [
+        ({"labels": [5]}, "d0: label index 5 outside [0, 2)", ValidationError),
+        ({"labels": [-1]}, "d0: label index -1 is negative", DataFormatError),
         ({"entities": [{"id": "e", "sents": [1]}]},
-         "d0: entity 'e' mentions sentence 1, but document has 1 sentences"),
-        ({"doc_id": "v0"}, "doc v0 appears in both 'val' and 'train'"),
-        ({"word_feats": [[0.0, 1.0]]}, "doc d0: feature dims (2, 1) differ from (1, 1)"),
+         "d0: entity 'e' mentions sentence 1, but document has 1 sentences", DataFormatError),
+        ({"doc_id": "v0"}, "doc v0 appears in both 'val' and 'train'", ValidationError),
+        ({"word_feats": [[0.0, 1.0]]}, "doc d0: feature dims (2, 1) differ from (1, 1)",
+         ValidationError),
     ], ids=["label-bound", "negative-label", "mention", "duplicate-id", "dims"])
-    def test_record_errors_name_the_file_and_line(self, tmp_path, bad, error):
+    def test_record_errors_name_the_file_and_line(self, tmp_path, bad, error, kind):
         ok = {"doc_id": "d0", "word_feats": [[0.0]], "sent_feats": [[0.0]],
               "entities": [], "labels": []}
         (tmp_path / "val.jsonl").write_text(json.dumps({**ok, "doc_id": "v0"}) + "\n")
         (tmp_path / "train.jsonl").write_text(json.dumps({**ok, **bad}) + "\n")
         path = self.write_manifest(tmp_path, {"val": ["val.jsonl"], "train": ["train.jsonl"]})
-        with pytest.raises(ValidationError) as exc:
+        with pytest.raises(kind) as exc:
             load_dataset(path)
         assert str(exc.value) == f"{error} ({tmp_path / 'train.jsonl'}:1)"
 
@@ -462,10 +465,12 @@ class TestLabelBound:
         good = make_doc({"A": [0]}, n_sents=1, labels=(1,))
         fields = {"doc_id": "doc1", "labels": (0,), **bad}
         categories = fields.pop("trope_categories", None)
-        val = dataclasses.replace(good, **fields)
-        ds = Dataset(["t0", "t1"], {"train": [good], "val": [val]}, trope_categories=categories)
         out = tmp_path / "ds"
         with pytest.raises(ValidationError, match=re.escape(error)):
+            # a doc's own content (no-words, no-sentences, non-finite) fails in `replace`
+            val = dataclasses.replace(good, **fields)
+            ds = Dataset(["t0", "t1"], {"train": [good], "val": [val]},
+                         trope_categories=categories)
             save_dataset(ds, str(out))
         assert not out.exists()
 

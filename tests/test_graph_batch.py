@@ -215,7 +215,8 @@ def test_sums_run_left_to_right():
 
 
 def test_a_doc_without_sentences_keeps_its_unmentioned_entities():
-    doc = FeatureDoc("no-sents", np.zeros((1, 2)), np.zeros((0, 3)),
+    # a doc needs one sentence; this one mentions nothing, so the graph has no pair rows
+    doc = FeatureDoc("no-sents", np.zeros((1, 2)), np.zeros((1, 3)),
                      [EntityMentions("A", ())], ())
     assert_same_graphs(graph_batch([doc]), oracle.build_graph(doc))
     assert graph_batch([doc]).x.tolist() == [[0.0, 0.0, 0.0]]

@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from composite_oracle import reduce_sum
-from mulcom.errors import ConfigError, EmptyDocumentError
+from mulcom.errors import ConfigError, EmptyDocumentError, ValidationError
 from mulcom.graph import FeatureDoc, build_graph
 from mulcom.model import ModelConfig
 from mulcom.msrrn import init_reasoner
@@ -144,12 +144,10 @@ class TestWordStream:
         )
 
     def test_empty_doc_raises(self):
-        rng = rng_from_seed(41)
+        # raised where the doc is made, so the stream never sees it
         base = make_doc({"A": [0]}, n_sents=1, d_s=3, seed=42)
-        doc = FeatureDoc("d", np.zeros((0, 5)), base.sent_feats, base.entities, ())
-        p = init_stream(rng, view_dim=5, d_f=4, d_a=5)
-        with pytest.raises(EmptyDocumentError, match="d"):
-            word_stream([doc], Tensor(np.zeros((2, 4))), p, MAX_TOKENS)
+        with pytest.raises(ValidationError, match="doc d: record has no word tokens"):
+            FeatureDoc("d", np.zeros((0, 5)), base.sent_feats, base.entities, ())
 
 
 class TestSentenceStream:
@@ -188,11 +186,9 @@ class TestSentenceStream:
         assert np.abs(out1 - out2).max() > 1e-8
 
     def test_doc_without_sentences_is_named(self):
-        rng = rng_from_seed(51)
-        p = init_stream(rng, view_dim=5, d_f=4, d_a=5, rnn_input=3)
-        doc = FeatureDoc("bare", np.zeros((2, 3)), np.zeros((0, 3)), (), ())
-        with pytest.raises(EmptyDocumentError, match="doc bare: no sentences"):
-            sentence_stream([doc], Tensor(rng.standard_normal((2, 4))), p)
+        # raised where the doc is made, so the stream never sees it
+        with pytest.raises(ValidationError, match="doc bare: record has no sentences"):
+            FeatureDoc("bare", np.zeros((2, 3)), np.zeros((0, 3)), (), ())
 
     def test_params_without_an_lstm_are_a_config_error(self):
         rng = rng_from_seed(49)

@@ -61,8 +61,9 @@ _set = object.__setattr__  # how the frozen types' __init__ stores a field
 def _ordinals(values, what: str, where: str) -> tuple[int, ...]:
     """`values` as sorted, distinct Python ints; a ValidationError starting `where` if not.
 
-    Each is an int, a numpy integer or an integral float (the reader loads
-    an integer wider than 64 bits as one), never a bool or a string.
+    Each is an int, a numpy integer or an integral float of any width (the
+    reader loads an integer wider than 64 bits as one), never a bool or a
+    string.
     """
     try:
         out = list(values)
@@ -72,14 +73,17 @@ def _ordinals(values, what: str, where: str) -> tuple[int, ...]:
         if type(v) is int:
             continue
         if not (isinstance(v, numbers.Integral) and not isinstance(v, bool)
-                or isinstance(v, float) and v.is_integer()):
+                or isinstance(v, (float, np.floating)) and v.is_integer()):
             raise ValidationError(f"{where}: {what} must be an integer, got {v!r}")
         out[i] = int(v)
     return tuple(sorted(set(out)))
 
 
 def _features(doc_id: str, name: str, what: str, x) -> Array:
-    """`x` as a fresh read-only float64 array: 2-d, finite, with a row and a column."""
+    """`x` as a read-only view of a fresh float64 array: 2-d, finite, with a row and a column.
+
+    The buffer is read-only too, so the view cannot be made writeable again.
+    """
     try:
         a = np.array(x, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -93,7 +97,7 @@ def _features(doc_id: str, name: str, what: str, x) -> Array:
     if not np.isfinite(a).all():
         raise ValidationError(f"doc {doc_id}: {name} holds non-finite values")
     a.flags.writeable = False
-    return a
+    return a.view()
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -109,6 +113,9 @@ class EntityMentions:
         _set(self, "entity_id", entity_id)
         _set(self, "sents", _ordinals(sents, "sentence ordinal", f"entity {entity_id!r}"))
 
+    def __reduce__(self):
+        return EntityMentions, (self.entity_id, self.sents)  # copies run the checks too
+
 
 @dataclass(frozen=True, slots=True, init=False)
 class FeatureDoc:
@@ -118,12 +125,14 @@ class FeatureDoc:
     loaded and hand-built docs alike; a failure is a ValidationError
     naming the doc (and the entity). Ids are strings and each entity an
     `EntityMentions`, in the given order. Each feature array is copied
-    into a read-only float64 array: 2-d, finite, at least one row (word
-    token, sentence) and one column. Labels and mentions are sorted
-    tuples of distinct ints (`_ordinals`), labels non-negative, mentions
-    within the doc's sentences. An entity with no mentions is logged
-    once here and stays an isolated zero node. Both types are frozen;
-    `dataclasses.replace` makes a changed copy, checked again.
+    into a read-only float64 array, kept as a view that cannot be made
+    writeable again: 2-d, finite, at least one row (word token, sentence)
+    and one column. Labels and mentions are sorted tuples of distinct
+    ints (`_ordinals`), labels non-negative, mentions within the doc's
+    sentences. An entity with no mentions is logged once here and stays
+    an isolated zero node. Both types are frozen; `dataclasses.replace`,
+    `copy.deepcopy` and `pickle` make their copies through the
+    constructors, so every copy is checked again.
     """
 
     doc_id: str
@@ -156,6 +165,11 @@ class FeatureDoc:
                 raise ValidationError(f"{doc_id}: entity {ent.entity_id!r} mentions sentence "
                                       f"{bad}, but document has {n_sents} sentences")
         _set(self, "entities", ents)
+
+    def __reduce__(self):
+        # copies and unpickled docs are checked as made ones are
+        fields = (self.doc_id, self.word_feats, self.sent_feats, self.entities, self.labels)
+        return FeatureDoc, fields
 
     @property
     def n_tokens(self) -> int:

@@ -10,27 +10,38 @@ only.
 
 Both variants run as one tape record with a hand-derived backward pass
 through the steps (`_reason`), whose cell is the sentence LSTM's gate
-update (`numerics.lstm_update`). What no step changes is computed once
-per call: the node and edge input projections, the node-input block of
-the cell's gate pre-activations (one [N, 4h] product) and the edge
-block of the message MLP's first layer. A step then runs one product
-of the states with the receiver, sender and recurrent weight blocks,
-gathers its receiver and sender rows per pair, applies the message
-MLP's second layer, sums the messages per receiver over pairs sorted
-by receiver, and updates the cell. The cell keeps its gate activations
-gate-major ([T, 4, N, h]), so its elementwise passes, forward and
-backward, run on contiguous [N, h] blocks. Each step halves the sigmoid
-gates' columns of its [N, 4h] pre-activations, as `lstm_update` takes
-them, with one contiguous multiply by a cached [4h] vector of 0.5s and
-1s; with two or three steps over a few nodes that pass is short. The
-step attention projects every step's states with one [N*T, h] @
-[h, 3h] product and sums over steps before the output projection,
-since the sum of ctx_t @ W_o over t is (sum of ctx_t) @ W_o. The
-cell's gates and the attention's q, k and v projections are stored
-joined ([3h, 4h] and [h, 3h]), so the record reads them as they are. The step weight, which takes rows of the
-message MLP and of the cell, is joined once per weight state and kept
-on the parameters (`ReasonerParams.step_weight`). The parameters'
-names and shapes stay those of the composite blocks.
+update (`numerics.lstm_update`), which takes the sigmoid gates'
+pre-activations halved. What depends on the parameters alone is formed
+once per weight state and kept on them (`ReasonerParams.folded`): the
+step weight, which joins the receiver and sender blocks of message
+layer 1 and the cell's recurrent block; the edge projection folded
+through message layer 1's edge block; and message layer 2 folded
+through the cell's message block. Every cell block there has its
+sigmoid gates' columns halved, which is exact, so each step's
+pre-activations come out halved with no pass of their own. What no step
+changes is computed once per call: the node input projection, the
+node-input block of the gate pre-activations (one [N, 4h] product),
+with each node's count of received pairs times the folded message bias
+added in, and the edge block of message layer 1, one [P, d_s] @
+[d_s, h] product. The node input projection stays unfolded: through
+the cell's block it would be x @ [d_s, 4h], less work only while
+3 d_s < 4 h. The folds reassociate products, so the states agree with
+the unfolded order to rounding, not bit for bit. A step then runs one product of the states with the
+step weight, gathers its receiver and sender rows per pair, sums the
+relu'd rows per receiver over pairs sorted by receiver, multiplies the
+[N, h] sums by the folded message weight straight into the
+pre-activations, and updates the cell. The cell keeps its gate
+activations gate-major ([T, 4, N, h]), so its elementwise passes,
+forward and backward, run on contiguous [N, h] blocks. The step
+attention projects every step's states with one [N*T, h] @ [h, 3h]
+product, scores every (key step, query step) pair in one product, and
+sums over steps before the output projection, since the sum of
+ctx_t @ W_o over t is (sum of ctx_t) @ W_o. The cell's gates and the
+attention's q, k and v projections are stored joined ([3h, 4h] and
+[h, 3h]), so the record reads them as they are. The backward pass gives
+each parameter of the composite blocks its own gradient, so their names,
+shapes and checkpoints are unchanged, and it drops the step attention's
+forward buffers before the recurrence's backward allocates.
 """
 
 from __future__ import annotations
@@ -90,7 +101,7 @@ class ReasonerParams(Params):
     def __post_init__(self) -> None:
         # `_reason`'s tape inputs in `named` order, the step attention's four last
         self.inputs = tuple(t for _, t in self.named())
-        self.step_weight = Derived(_step_weight)  # of (message layer 1 w, cell w)
+        self.folded = Derived(_folded)  # of the tensors `_folded` takes, in order
 
     @property
     def hidden_dim(self) -> int:
@@ -121,11 +132,33 @@ def init_reasoner(
     )
 
 
-def _step_weight(w1: Tensor, w_cell: Tensor) -> tuple[Array]:
-    """[h, 6h]: what a step multiplies h by, the receiver, sender and recurrent blocks."""
-    hd = w_cell.shape[1] // 4
+def _folded(
+    w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+    w_cell: Tensor, b_cell: Tensor, w_edge: Tensor, b_edge: Tensor,
+) -> tuple[Array, ...]:
+    """The reasoner's parameter-only products, the cell's sigmoid gate columns halved.
+
+    Of message layers 1 (`w1`, `b1`) and 2 (`w2`, `b2`), the cell and the
+    edge projection: the step weight [h, 6h] (the receiver, sender and
+    recurrent blocks, what a step multiplies h by), the cell's node-input
+    block [h, 4h] and bias, the edge projection through message layer 1
+    ([d_s, h] and [h]), and message layer 2 through the cell's message
+    block ([h, 4h] and [4h]).
+    """
+    hd = w2.shape[0]
+    half = gate_scale(hd)
     w1, w_cell = w1.data, w_cell.data
-    return (np.concatenate([w1[hd : 2 * hd], w1[2 * hd :], w_cell[:hd]], axis=1),)
+    w1_e, w_msg = w1[:hd], w_cell[2 * hd :] * half
+    w_step = np.concatenate([w1[hd : 2 * hd], w1[2 * hd :], w_cell[:hd] * half], axis=1)
+    return (
+        w_step,
+        w_cell[hd : 2 * hd] * half,
+        b_cell.data * half,
+        w_edge.data @ w1_e,
+        b_edge.data @ w1_e + b1.data,
+        w2.data @ w_msg,
+        b2.data @ w_msg,
+    )
 
 
 @functools.cache
@@ -142,7 +175,7 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
     `attend` gives the step-attended states summed over steps (MSRRN);
     otherwise the last step's states (RRN), and the step attention's
     parameters stay off the tape. States start at zero h and c. Each
-    receiver adds its messages in pair order, as a scatter-add would.
+    receiver adds its pairs' rows in pair order, as a scatter-add would.
     The cell runs `lstm_update` and its backward pass
     `lstm_update_backward`, as `lstm_sequence` does.
     """
@@ -154,48 +187,45 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
     inputs = p.inputs if attend else p.inputs[:-4]
     keep = recording(inputs)
     segs = Segments.by_index(recv, n)
-
-    w1, w2, b2 = l1.w.data, l2.w.data, l2.b.data
-    w_cell = p.cell.w.data  # rows: h, x_proj, m
-    w_msg = w_cell[2 * hd :]
-    (w_step,) = p.step_weight(l1.w, p.cell.w)
+    w_step, w_x, b_x, w_e, b_e, w_m, b_m = p.folded(
+        l1.w, l1.b, l2.w, l2.b, p.cell.w, p.cell.b, p.edge_in.w, p.edge_in.b
+    )
 
     x_proj = x @ p.node_in.w.data + p.node_in.b.data
-    e_proj = efeat @ p.edge_in.w.data + p.edge_in.b.data
-    pre_e = e_proj @ w1[:hd] + l1.b.data  # the edge block of message layer 1
-    act_x = x_proj @ w_cell[hd : 2 * hd]
-    act_x += p.cell.b.data
+    pre_e = efeat @ w_e + b_e  # the edge block of message layer 1
+    act_x = x_proj @ w_x  # every step's pre-activations but the recurrent and message parts
+    act_x += b_x
+    act_x += segs.counts[:, None] * b_m
 
     # Without a tape every step reuses one slot; only h is kept for attention.
     slot = list(range(n_t)) if keep else [0] * n_t
     depth = n_t if keep else 1
-    n_p = recv.shape[0]
     act = np.empty((depth, 4, n, hd))  # gate activations, gate-major
     c = np.empty((depth, n, hd))
     tc = np.empty((depth, n, hd))  # tanh(c)
-    relu = np.empty((depth, n_p, hd))  # message layer 1 after relu
-    msg = np.empty((depth, n, hd))  # summed messages
+    relu = np.empty((depth, recv.shape[0], hd))  # message layer 1 after relu
+    summed = []  # each step's per-receiver sums of `relu`, kept for the backward
     hs = np.empty((n_t, n, hd))
     y = np.empty((n, 6 * hd))
-    a = np.empty((n, 4 * hd))  # the step's gate pre-activations
+    a = np.empty((n, 4 * hd))  # the step's gate pre-activations, the sigmoid gates' halved
     a4 = a.reshape(n, 4, hd).transpose(1, 0, 2)  # gate-major view, what `lstm_update` reads
-    half = gate_scale(hd)
     for t in range(n_t):
         s = slot[t]
         if t:
             np.matmul(hs[t - 1], w_step, out=y)
-            pre = pre_e + y[recv, :hd]
+            pre = y[recv, :hd]
+            pre += pre_e
             pre += y[send, hd : 2 * hd]
             np.maximum(pre, 0.0, out=relu[s])
-            np.add(act_x, y[:, 2 * hd :], out=a)
         else:
             np.maximum(pre_e, 0.0, out=relu[s])
-            a[...] = act_x
-        per_pair = relu[s] @ w2
-        per_pair += b2
-        msg[s] = segs.sum(per_pair)
-        a += msg[s] @ w_msg
-        a *= half  # the sigmoid gates' halved, as `lstm_update` takes them
+        m = segs.sum(relu[s])
+        np.matmul(m, w_m, out=a)
+        a += act_x
+        if t:
+            a += y[:, 2 * hd :]
+        if keep:
+            summed.append(m)
         lstm_update(a4, act[s], c[slot[t - 1]] if t else None, c[s], tc[s], hs[t])
 
     if attend:
@@ -207,25 +237,29 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
         h_flat = hs.reshape(n_t * n, hd)
         qkv = (h_flat @ w_qkv).reshape(n_t, n, 3, heads, d_head)
         q, k, v = qkv[:, :, 0], qkv[:, :, 1], qkv[:, :, 2]  # [T, N, heads, d_head]
-        scores = np.empty((n_t, n_t * n, heads))  # [key step, query step * N, heads]
-        for j in range(n_t):
-            np.matmul((q * k[j]).reshape(n_t * n, hd), head_sum, out=scores[j])
-        scores = scores.reshape(n_t, n_t, n, heads)
-        scores *= scale
-        scores -= scores.max(axis=0)
-        attn = np.exp(scores)
+        # [key step, query step, N, heads], every pair of steps in one product
+        scores = (k[:, None] * q[None]).reshape(n_t * n_t * n, hd) @ head_sum
+        attn = scores.reshape(n_t, n_t, n, heads)
+        attn *= scale
+        attn -= attn.max(axis=0)
+        np.exp(attn, out=attn)
         attn /= attn.sum(axis=0)
         weight = attn.sum(axis=1)  # each key step's weight summed over query steps
         ctx = (weight[..., None] * v).sum(axis=0).reshape(n, hd)
         out = Tensor(ctx @ mha.w_o.data)
+        # the backward's only references, dropped before the recurrence's backward allocates
+        held = [qkv, attn, weight]
     else:
         out = Tensor(hs[-1])
     if not keep:
         return out
+    half = gate_scale(hd)
 
     def grads_fn(gout: Array) -> dict[Tensor, Array]:
         grads: dict[Tensor, Array] = {}
         if attend:
+            qkv, attn, weight = held
+            q, k, v = qkv[:, :, 0], qkv[:, :, 1], qkv[:, :, 2]
             grads[mha.w_o] = ctx.T @ gout
             d_ctx = (gout @ mha.w_o.data.T).reshape(n, heads, d_head)
             d_qkv = np.empty_like(qkv)
@@ -244,35 +278,45 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
             d_flat = d_qkv.reshape(n_t * n, 3 * hd)
             grads[mha.w_qkv] = h_flat.T @ d_flat
             gh = (d_flat @ w_qkv.T).reshape(n_t, n, hd)
-            # dead from here; freed before the recurrence's backward allocates
-            del d_qkv, dq, dk, dv, d_flat, d_scores, d_j, d_weight, d_ctx
+            held.clear()
+            del qkv, q, k, v, attn, weight, d_qkv, dq, dk, dv, d_flat, d_scores, d_j
+            del d_weight, d_ctx
         else:
             gh = np.zeros((n_t, n, hd))
             gh[-1] = gout
 
-        d_pair = np.empty((n_t, n_p, hd))  # d loss / d message MLP output
-        d_pre = np.empty((n_t, n_p, hd))  # d loss / d message layer 1 pre-relu
-        d_step = np.empty((max(n_t - 1, 0), n, 6 * hd))  # d loss / d (h_{t-1} @ w_step)
+        # `lstm_update_backward` gives the gradients of the unhalved pre-activations,
+        # so the steps read the blocks unhalved: the step weight, and W2 W_m, which
+        # is `w_m` doubled back exactly.
+        w1, w2, w_cell = l1.w.data, l2.w.data, p.cell.w.data  # rows of w_cell: h, x_proj, m
+        w_msg = w_cell[2 * hd :]
+        w_step_u = np.concatenate([w1[hd : 2 * hd], w1[2 * hd :], w_cell[:hd]], axis=1)
+        w_fold = w_m / half
+        d_pre = np.empty((n_t, recv.shape[0], hd))  # d loss / d message layer 1 pre-relu
+        d_step = np.empty((max(n_t - 1, 0), n, 6 * hd))  # d loss / d (h_{t-1} @ w_step_u)
         send_segs = Segments.by_index(send, n) if n_t > 1 else None
 
         def step(t: int, d_act_t: Array) -> Array | None:
             """Back through step t's messages; the gradient reaching h_{t-1}."""
-            d_pair[t] = (d_act_t @ w_msg.T)[recv]
-            np.multiply(d_pair[t] @ w2.T, relu[t] > 0.0, out=d_pre[t])
+            np.multiply((d_act_t @ w_fold.T)[recv], relu[t] > 0.0, out=d_pre[t])
             if not t:
                 return None
             ds_t = d_step[t - 1]
             ds_t[:, :hd] = segs.sum(d_pre[t])
             ds_t[:, hd : 2 * hd] = send_segs.sum(d_pre[t])
             ds_t[:, 2 * hd :] = d_act_t
-            return ds_t @ w_step.T
+            return ds_t @ w_step_u.T
 
         d_act = lstm_update_backward(act, c, tc, gh, step)
         flat = d_act.reshape(n_t * n, 4 * hd)
         d_act_x = d_act.sum(axis=0)
+        # Σ_t segsum(relu_t)^T d_t and Σ_t deg^T d_t, what the message fold's weights read
+        d_sum = np.concatenate(summed).T @ flat
+        d_deg = segs.counts @ d_act_x
         dw_cell = np.empty_like(w_cell)
         dw_cell[hd : 2 * hd] = x_proj.T @ d_act_x
-        dw_cell[2 * hd :] = msg.reshape(n_t * n, hd).T @ flat
+        dw_cell[2 * hd :] = w2.T @ d_sum
+        dw_cell[2 * hd :] += np.outer(l2.b.data, d_deg)
         dw1 = np.empty_like(w1)
         if n_t > 1:
             dw_step = hs[:-1].reshape(-1, hd).T @ d_step.reshape(-1, 6 * hd)
@@ -282,16 +326,19 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
             dw1[hd:] = 0.0
             dw_cell[:hd] = 0.0
         d_pre_e = d_pre.sum(axis=0)
-        dw1[:hd] = e_proj.T @ d_pre_e
+        d_b1 = d_pre_e.sum(axis=0)
+        d_w_e = efeat.T @ d_pre_e  # [d_s, h], what the edge fold's weights read
+        w1_e = w1[:hd]
+        dw1[:hd] = p.edge_in.w.data.T @ d_w_e
+        dw1[:hd] += np.outer(p.edge_in.b.data, d_b1)
         grads[p.cell.w] = dw_cell
         grads[p.cell.b] = d_act_x.sum(axis=0)
         grads[l1.w] = dw1
-        grads[l1.b] = d_pre_e.sum(axis=0)
-        grads[l2.w] = relu.reshape(-1, hd).T @ d_pair.reshape(-1, hd)
-        grads[l2.b] = d_pair.sum(axis=(0, 1))
-        d_e_proj = d_pre_e @ w1[:hd].T
-        grads[p.edge_in.w] = efeat.T @ d_e_proj
-        grads[p.edge_in.b] = d_e_proj.sum(axis=0)
+        grads[l1.b] = d_b1
+        grads[l2.w] = d_sum @ w_msg.T
+        grads[l2.b] = d_deg @ w_msg.T
+        grads[p.edge_in.w] = d_w_e @ w1_e.T
+        grads[p.edge_in.b] = d_b1 @ w1_e.T
         d_x_proj = d_act_x @ w_cell[hd : 2 * hd].T
         grads[p.node_in.w] = x.T @ d_x_proj
         grads[p.node_in.b] = d_x_proj.sum(axis=0)

@@ -542,6 +542,7 @@ class Segments:
         order = np.asarray(order, dtype=np.intp)
         counts = np.asarray(counts, dtype=np.intp)
         self.n = counts.shape[0]
+        self.counts = counts  # each group's number of rows
         starts = counts.cumsum()
         total = int(starts[-1]) if self.n else 0
         if total != order.shape[0]:

@@ -12,8 +12,10 @@ Only a `MulComError` may escape. The inputs that once failed untyped
 are explicit examples of the property.
 """
 
+import copy
 import dataclasses
 import math
+import pickle
 import tempfile
 
 import numpy as np
@@ -228,6 +230,23 @@ class TestNumpyIntegers:
         with pytest.raises(ValidationError, match="entity 'e': sentence ordinal must be"):
             EntityMentions("e", [flag])
 
+    @pytest.mark.parametrize("kind", [float, np.float16, np.float32, np.float64],
+                             ids=["float", "np.float16", "np.float32", "np.float64"])
+    def test_integral_floats_of_every_width_are_ordinals(self, kind):
+        doc = FeatureDoc("d", np.zeros((1, 1)), np.zeros((3, 1)),
+                         [EntityMentions("e", [kind(2.0), kind(0.0)])], [kind(1.0)])
+        assert doc.labels == (1,) and doc.entities[0].sents == (0, 2)
+        assert all(type(v) is int for v in doc.labels + doc.entities[0].sents)
+        for bad in (kind(0.5), kind("nan"), kind("inf")):
+            with pytest.raises(ValidationError, match="doc d: label must be an integer"):
+                FeatureDoc("d", np.zeros((1, 1)), np.zeros((1, 1)), [], [bad])
+            with pytest.raises(ValidationError, match="entity 'e': sentence ordinal must be"):
+                EntityMentions("e", [bad])
+
+
+COPIES = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+          "pickle": lambda doc: pickle.loads(pickle.dumps(doc))}
+
 
 class TestImmutable:
     def test_stored_arrays_are_read_only(self):
@@ -236,6 +255,34 @@ class TestImmutable:
             assert not x.flags.writeable and x.dtype == np.float64
             with pytest.raises(ValueError, match="read-only"):
                 x[0, 0] = 1.0
+
+    def test_the_arrays_cannot_be_made_writeable_again(self):
+        doc = make(valid_fields("d", 2, 2, [[0]], [1], seed=3))
+        for x in (doc.word_feats, doc.sent_feats):
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                x.flags.writeable = True
+            assert not x.flags.writeable
+
+    @pytest.mark.parametrize("how", list(COPIES))
+    def test_copies_are_equal_and_read_only(self, how):
+        doc = make(valid_fields("d", 2, 3, [[2, 0], [1]], [1, 0], seed=6))
+        twin = COPIES[how](doc)
+        assert twin is not doc
+        assert (twin.doc_id, twin.entities, twin.labels) == (doc.doc_id, doc.entities, doc.labels)
+        for got, want in ((twin.word_feats, doc.word_feats), (twin.sent_feats, doc.sent_feats)):
+            npt.assert_array_equal(got, want)
+            assert got.dtype == np.float64 and not np.shares_memory(got, want)
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                got.flags.writeable = True
+
+    def test_an_edited_pickle_fails_the_checks(self):
+        fields = valid_fields("d", 2, 2, [[0]], [1], seed=7)
+        fields["word_feats"][1, 2] = 1234.5
+        payload = pickle.dumps(make(fields))
+        mark = np.float64(1234.5).tobytes()
+        assert payload.count(mark) == 1
+        with pytest.raises(ValidationError, match="doc d: word_feats holds non-finite values"):
+            pickle.loads(payload.replace(mark, np.float64(np.nan).tobytes()))
 
     def test_a_write_to_the_source_does_not_reach_the_doc(self):
         fields = valid_fields("d", 2, 2, [[0]], [1], seed=4)

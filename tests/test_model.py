@@ -821,7 +821,7 @@ def model_caches(model):
     if "sentence" in model.cfg.streams:
         caches["stream.sentence.sent_rnn.halved"] = model.streams["sentence"].sent_rnn.halved
     if model.reasoner is not None:
-        caches["reasoner.step_weight"] = model.reasoner.step_weight
+        caches["reasoner.folded"] = model.reasoner.folded
     return caches
 
 
@@ -839,9 +839,8 @@ def cache_readers(name, streams):
         return {f"stream.{stream}.queries"}
     if name.startswith("stream.sentence.sent_rnn."):
         return {"stream.sentence.sent_rnn.halved"}
-    if name == "reasoner.message_mlp.layer0.w" or (
-            name.startswith("reasoner.cell.gate_") and name.endswith(".w")):
-        return {"reasoner.step_weight"}
+    if name.startswith(("reasoner.message_mlp.", "reasoner.cell.", "reasoner.edge_in.")):
+        return {"reasoner.folded"}
     return set()
 
 

@@ -26,22 +26,38 @@ added in, and the edge block of message layer 1, one [P, d_s] @
 [d_s, h] product. The node input projection stays unfolded: through
 the cell's block it would be x @ [d_s, 4h], less work only while
 3 d_s < 4 h. The folds reassociate products, so the states agree with
-the unfolded order to rounding, not bit for bit. A step then runs one product of the states with the
-step weight, gathers its receiver and sender rows per pair, sums the
-relu'd rows per receiver over pairs sorted by receiver, multiplies the
-[N, h] sums by the folded message weight straight into the
-pre-activations, and updates the cell. The cell keeps its gate
-activations gate-major ([T, 4, N, h]), so its elementwise passes,
-forward and backward, run on contiguous [N, h] blocks. The step
-attention projects every step's states with one [N*T, h] @ [h, 3h]
-product, scores every (key step, query step) pair in one product, and
-sums over steps before the output projection, since the sum of
-ctx_t @ W_o over t is (sum of ctx_t) @ W_o. The cell's gates and the
-attention's q, k and v projections are stored joined ([3h, 4h] and
-[h, 3h]), so the record reads them as they are. The backward pass gives
-each parameter of the composite blocks its own gradient, so their names,
-shapes and checkpoints are unchanged, and it drops the step attention's
-forward buffers before the recurrence's backward allocates.
+the unfolded order to rounding, not bit for bit. A step then runs one
+product of the states with the step weight, gathers its receiver and
+sender rows per pair, sums the relu'd rows per receiver over pairs
+sorted by receiver into one [T, N, h] buffer, multiplies the [N, h]
+sums by the folded message weight straight into the pre-activations,
+and updates the cell. The cell keeps its gate activations gate-major
+([T, 4, N, h]), so its elementwise passes, forward and backward, run
+on contiguous [N, h] blocks. The step attention projects every step's
+states with one [N*T, h] @ [h, 3h] product, scores every (key step,
+query step) pair in one product, and sums over steps before the output
+projection, since the sum of ctx_t @ W_o over t is (sum of ctx_t) @
+W_o. The cell's gates and the attention's q, k and v projections are
+stored joined ([3h, 4h] and [h, 3h]), so the record reads them as they
+are.
+
+The backward pass gives each parameter of the composite blocks its own
+gradient, so their names, shapes and checkpoints are unchanged. The
+step attention's query and key gradients are two products batched over
+(node, head), of the score gradient, node-major [N, heads, key step,
+query step], with the keys or queries, [N, heads, T, d_head]; then its
+forward buffers are dropped before the recurrence's backward allocates.
+Each step's gate gradient meets the cell in one product with
+[W_fold^T | W_h^T], [4h, 2h] and formed once per backward, where W_fold
+is message layer 2 folded through the cell's message block and W_h the
+cell's recurrent block: its first h columns are the summed messages'
+gradient, which goes back through the pairs, and its last h the
+recurrent gradient reaching h_{t-1}. The per-step gradient kept for
+the weights holds only message layer 1's receiver and sender blocks
+([T-1, N, 2h]); the cell's recurrent weight reads the gate gradients
+whole. These products group sums differently from one key step at a
+time, so the gradients agree with that order to rounding, not bit for
+bit.
 """
 
 from __future__ import annotations
@@ -204,7 +220,7 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
     c = np.empty((depth, n, hd))
     tc = np.empty((depth, n, hd))  # tanh(c)
     relu = np.empty((depth, recv.shape[0], hd))  # message layer 1 after relu
-    summed = []  # each step's per-receiver sums of `relu`, kept for the backward
+    summed = np.empty((depth, n, hd))  # per-receiver sums of `relu`
     hs = np.empty((n_t, n, hd))
     y = np.empty((n, 6 * hd))
     a = np.empty((n, 4 * hd))  # the step's gate pre-activations, the sigmoid gates' halved
@@ -219,13 +235,10 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
             np.maximum(pre, 0.0, out=relu[s])
         else:
             np.maximum(pre_e, 0.0, out=relu[s])
-        m = segs.sum(relu[s])
-        np.matmul(m, w_m, out=a)
+        np.matmul(segs.sum(relu[s], out=summed[s]), w_m, out=a)
         a += act_x
         if t:
             a += y[:, 2 * hd :]
-        if keep:
-            summed.append(m)
         lstm_update(a4, act[s], c[slot[t - 1]] if t else None, c[s], tc[s], hs[t])
 
     if attend:
@@ -268,50 +281,53 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
             d_weight = ((v * d_ctx).reshape(n_t * n, hd) @ head_sum).reshape(n_t, n, heads)
             d_scores = attn * (d_weight[:, None] - (attn * d_weight[:, None]).sum(axis=0))
             d_scores *= scale
-            for j in range(n_t):
-                d_j = d_scores[j, ..., None]
-                if j:
-                    dq += d_j * k[j]
-                else:
-                    np.multiply(d_j, k[j], out=dq)
-                np.sum(d_j * q, axis=0, out=dk[j])
+            # node-major: scores [N, heads, key step, query step], q, k and their
+            # gradients [N, heads, step, d_head], one product over (node, head) each
+            ds = d_scores.transpose(2, 3, 0, 1)
+            np.matmul(ds.swapaxes(2, 3), k.transpose(1, 2, 0, 3), out=dq.transpose(1, 2, 0, 3))
+            np.matmul(ds, q.transpose(1, 2, 0, 3), out=dk.transpose(1, 2, 0, 3))
             d_flat = d_qkv.reshape(n_t * n, 3 * hd)
             grads[mha.w_qkv] = h_flat.T @ d_flat
             gh = (d_flat @ w_qkv.T).reshape(n_t, n, hd)
             held.clear()
-            del qkv, q, k, v, attn, weight, d_qkv, dq, dk, dv, d_flat, d_scores, d_j
+            del qkv, q, k, v, attn, weight, d_qkv, dq, dk, dv, d_flat, d_scores, ds
             del d_weight, d_ctx
         else:
             gh = np.zeros((n_t, n, hd))
             gh[-1] = gout
 
         # `lstm_update_backward` gives the gradients of the unhalved pre-activations,
-        # so the steps read the blocks unhalved: the step weight, and W2 W_m, which
-        # is `w_m` doubled back exactly.
+        # so the steps read the blocks unhalved: W2 W_m, which is `w_m` doubled back
+        # exactly, and the cell's recurrent block. One product of a step's gate
+        # gradient with `w_gate` gives the summed messages' gradient (its first h
+        # columns) and the recurrent gradient reaching h_{t-1} (its last h).
         w1, w2, w_cell = l1.w.data, l2.w.data, p.cell.w.data  # rows of w_cell: h, x_proj, m
         w_msg = w_cell[2 * hd :]
-        w_step_u = np.concatenate([w1[hd : 2 * hd], w1[2 * hd :], w_cell[:hd]], axis=1)
-        w_fold = w_m / half
+        w_gate = np.concatenate([(w_m / half).T, w_cell[:hd].T], axis=1)  # [4h, 2h]
+        w_rs_t = w_step[:, : 2 * hd].T  # message layer 1's receiver and sender blocks
         d_pre = np.empty((n_t, recv.shape[0], hd))  # d loss / d message layer 1 pre-relu
-        d_step = np.empty((max(n_t - 1, 0), n, 6 * hd))  # d loss / d (h_{t-1} @ w_step_u)
+        d_step = np.empty((max(n_t - 1, 0), n, 2 * hd))  # d loss / d (h_{t-1} @ w_rs_t.T)
         send_segs = Segments.by_index(send, n) if n_t > 1 else None
 
         def step(t: int, d_act_t: Array) -> Array | None:
             """Back through step t's messages; the gradient reaching h_{t-1}."""
-            np.multiply((d_act_t @ w_fold.T)[recv], relu[t] > 0.0, out=d_pre[t])
-            if not t:
+            if not t:  # the first step reads h = 0
+                np.multiply((d_act_t @ w_gate[:, :hd])[recv], relu[0] > 0.0, out=d_pre[0])
                 return None
+            d_gate = d_act_t @ w_gate
+            np.multiply(d_gate[recv, :hd], relu[t] > 0.0, out=d_pre[t])
             ds_t = d_step[t - 1]
-            ds_t[:, :hd] = segs.sum(d_pre[t])
-            ds_t[:, hd : 2 * hd] = send_segs.sum(d_pre[t])
-            ds_t[:, 2 * hd :] = d_act_t
-            return ds_t @ w_step_u.T
+            segs.sum(d_pre[t], out=ds_t[:, :hd])
+            send_segs.sum(d_pre[t], out=ds_t[:, hd:])
+            d_h = ds_t @ w_rs_t
+            d_h += d_gate[:, hd:]
+            return d_h
 
         d_act = lstm_update_backward(act, c, tc, gh, step)
         flat = d_act.reshape(n_t * n, 4 * hd)
         d_act_x = d_act.sum(axis=0)
         # Σ_t segsum(relu_t)^T d_t and Σ_t deg^T d_t, what the message fold's weights read
-        d_sum = np.concatenate(summed).T @ flat
+        d_sum = summed.reshape(n_t * n, hd).T @ flat
         d_deg = segs.counts @ d_act_x
         dw_cell = np.empty_like(w_cell)
         dw_cell[hd : 2 * hd] = x_proj.T @ d_act_x
@@ -319,9 +335,11 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
         dw_cell[2 * hd :] += np.outer(l2.b.data, d_deg)
         dw1 = np.empty_like(w1)
         if n_t > 1:
-            dw_step = hs[:-1].reshape(-1, hd).T @ d_step.reshape(-1, 6 * hd)
-            dw1[hd:] = np.concatenate([dw_step[:, :hd], dw_step[:, hd : 2 * hd]])
-            dw_cell[:hd] = dw_step[:, 2 * hd :]
+            h_prev = hs[:-1].reshape(-1, hd).T
+            dw_rs = h_prev @ d_step.reshape(-1, 2 * hd)
+            dw1[hd : 2 * hd] = dw_rs[:, :hd]
+            dw1[2 * hd :] = dw_rs[:, hd:]
+            np.matmul(h_prev, d_act[1:].reshape(-1, 4 * hd), out=dw_cell[:hd])
         else:  # the only step reads h = 0
             dw1[hd:] = 0.0
             dw_cell[:hd] = 0.0

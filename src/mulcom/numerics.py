@@ -567,13 +567,16 @@ class Segments:
         index = _row_index(index, n, "Segments")
         return cls(index.argsort(kind="stable"), np.bincount(index, minlength=n))
 
-    def sum(self, rows: Array) -> Array:
-        """Per-group row sums, [n, ...], in the dtype of `rows`."""
+    def sum(self, rows: Array, out: Array | None = None) -> Array:
+        """Per-group row sums, [n, ...], in the dtype of `rows`; written into `out` if given."""
         (groups, first), *rest = self.ranks
         if groups.shape[0] == self.n:
-            out = rows.take(first, axis=0)
+            out = rows.take(first, axis=0, out=out)
         else:
-            out = np.zeros((self.n,) + rows.shape[1:], dtype=rows.dtype)
+            if out is None:
+                out = np.zeros((self.n,) + rows.shape[1:], dtype=rows.dtype)
+            else:
+                out.fill(0.0)
             out[groups] = rows.take(first, axis=0)
         for groups, idx in rest:
             out[groups] += rows.take(idx, axis=0)

@@ -229,6 +229,17 @@ class TestConcatAndShapes:
             assert self._bits(segs.sum(rows)).tolist() == [[0, 0], [0, 0]]
         assert nm.Segments([], []).sum(rows).shape == (0, 2)
 
+    @pytest.mark.parametrize("counts", [[2, 1, 3], [0, 4, 0, 2]])  # without, with empty groups
+    def test_segment_sums_into_out_match_a_fresh_array(self, counts):
+        rng = np.random.default_rng(len(counts))
+        rows = rng.standard_normal((6, 3))
+        segs = nm.Segments(rng.permutation(6), counts)
+        buf = np.full((2, len(counts), 5), np.nan)
+        out = buf[1, :, 1:4]  # a strided view, stale values in it
+        assert segs.sum(rows, out=out) is out
+        npt.assert_array_equal(out, segs.sum(rows))
+        assert np.isnan(buf[0]).all() and np.isnan(buf[1, :, [0, 4]]).all()
+
     @pytest.mark.parametrize("order, counts", [([0, 1], [1]), ([0], [1, 1]), ([0], [])])
     def test_segment_counts_must_cover_order(self, order, counts):
         with pytest.raises(ShapeMismatchError, match="Segments: counts sum to"):

@@ -3,13 +3,17 @@
 `mulcom.msrrn` forms the edge projection through message layer 1, and
 message layer 2 through the cell's message block, once per weight state,
 and keeps the cell's sigmoid gate columns halved in its cached weights.
-`reasoner_reference` keeps the record as it ran before: per-call edge
-products, message layer 2 and its bias on every pair row, a staged
-message buffer and a halving pass per step. Both must give outputs and
-every parameter gradient within 1e-12 of each other, on graphs whose
-receivers get no pair, one pair or several, and on ragged unions. The
-step attention's forward buffers must be gone before the recurrence's
-backward allocates its own.
+Its backward pass forms the step attention's query and key gradients in
+two products batched over (node, head), and each step's gate gradient
+meets the cell in one product. `reasoner_reference` keeps the record as
+it ran before: per-call edge products, message layer 2 and its bias on
+every pair row, a staged message buffer and a halving pass per step,
+and a backward pass that loops over key steps and keeps a six-block
+per-step gradient. Both must give outputs and every parameter gradient
+within 1e-12 of each other, on graphs whose receivers get no pair, one
+pair or several, and on ragged unions, with heads from one wide up to
+the CLI-default widths. The step attention's forward buffers must be
+gone before the recurrence's backward allocates its own.
 """
 
 import inspect
@@ -23,6 +27,7 @@ import reasoner_reference as reference
 from composite_oracle import reduce_sum
 from mulcom import msrrn
 from mulcom import numerics as nm
+from mulcom.config import ModelConfig
 from mulcom.graph import EntityMentions, FeatureDoc, graph_batch
 from mulcom.numerics import Tape, Tensor
 
@@ -47,9 +52,9 @@ def union(tables):
     return graph_batch(docs)
 
 
-def reasoner(steps, heads, seed):
+def reasoner(steps, heads, seed, d_h=D_H):
     rng = np.random.default_rng([steps, heads, seed])
-    p = msrrn.init_reasoner(rng, d_s=D_S, d_h=D_H, steps=steps, heads=heads)
+    p = msrrn.init_reasoner(rng, d_s=D_S, d_h=d_h, steps=steps, heads=heads)
     for name, t in p.named():  # nonzero biases exercise their gradients
         if name.endswith(".b"):
             nm.write(t, rng.uniform(-0.5, 0.5, size=t.shape))
@@ -82,7 +87,7 @@ RAGGED = [[[0], [0]], [[0, 1], [1], [1], [], [2]], [[3]]]
         st.lists(st.lists(st.integers(0, N_SENTS - 1), max_size=3), min_size=1, max_size=5),
         min_size=1, max_size=3),
     steps=st.integers(1, 4),
-    heads=st.sampled_from([1, 2, 4]),
+    heads=st.sampled_from([1, 2, 4, 8]),
     kind=st.sampled_from(list(RUNS)),
 )
 @example(tables=SELF_LOOPS_ONLY, steps=3, heads=2, kind="msrrn")
@@ -93,14 +98,26 @@ RAGGED = [[[0], [0]], [[0, 1], [1], [1], [], [2]], [[3]]]
 @example(tables=SINGLE_NODE, steps=3, heads=4, kind="rrn")
 @example(tables=RAGGED, steps=3, heads=2, kind="msrrn")
 @example(tables=RAGGED, steps=1, heads=4, kind="rrn")
+@example(tables=RAGGED, steps=1, heads=D_H, kind="msrrn")  # one-wide heads, a 1x1 step matrix
 def test_folded_reasoner_matches_the_reference(tables, steps, heads, kind):
+    check_against_the_reference(tables, steps, heads, kind)
+
+
+def test_the_cli_default_widths_match_the_reference():
+    # the planted corpora never give a receiver more than one pair
+    cfg = ModelConfig(num_tropes=1, d_w=1, d_s=D_S)  # d_h 64, 4 heads, 3 steps
+    check_against_the_reference(
+        CLIQUE, steps=cfg.reasoner_steps, heads=cfg.reasoner_heads, kind="msrrn", d_h=cfg.d_h)
+
+
+def check_against_the_reference(tables, steps, heads, kind, d_h=D_H):
     graph = union(tables)
-    p, rng = reasoner(steps, heads, seed=len(tables))
-    w = rng.standard_normal((graph.n_nodes, D_H))
+    p, rng = reasoner(steps, heads, seed=len(tables), d_h=d_h)
+    w = rng.standard_normal((graph.n_nodes, d_h))
     run, ref_run = RUNS[kind]
     got, got_grads = output_and_grads(run, graph, p, w)
     want, want_grads = output_and_grads(ref_run, graph, p, w)
-    assert got.shape == want.shape == (graph.n_nodes, D_H)
+    assert got.shape == want.shape == (graph.n_nodes, d_h)
     assert np.abs(got - want).max(initial=0.0) <= TOL
     assert got_grads.keys() == want_grads.keys()
     for name, g in got_grads.items():

@@ -166,6 +166,7 @@ def cmd_train(cfg: dict) -> tuple[int, dict | None]:
     manifest = _require(cfg, "data", "train")
     from .model import build_model, save_checkpoint, train
 
+    tcfg = TrainConfig(seed=cfg["seed"], **{k: cfg[k] for k in TRAINING})  # before any read
     ds, train_docs = _load_split(manifest, "train")
     val_docs = ds.splits.get("val") or None
     mcfg = ModelConfig(
@@ -174,7 +175,6 @@ def cmd_train(cfg: dict) -> tuple[int, dict | None]:
         d_s=train_docs[0].sent_feats.shape[1],
         **{k: cfg[k] for k in MODEL},
     )
-    tcfg = TrainConfig(seed=cfg["seed"], **{k: cfg[k] for k in TRAINING})
     model = build_model(mcfg, seed=cfg["seed"])
     result = train(model, train_docs, tcfg, val_docs=val_docs)
     os.makedirs(out_dir, exist_ok=True)

@@ -216,3 +216,6 @@ class TrainConfig:
         if self.pos_weight is not None and self.pos_weight <= 0:
             raise ConfigError("pos_weight must be positive")
         check_threshold(self.threshold)
+        if self.early_stop_f1 is not None and not 0.0 <= self.early_stop_f1 <= 100.0:
+            raise ConfigError(
+                f"early_stop_f1 must be a percentage in [0, 100], got {self.early_stop_f1}")

@@ -12,52 +12,66 @@ Both variants run as one tape record with a hand-derived backward pass
 through the steps (`_reason`), whose cell is the sentence LSTM's gate
 update (`numerics.lstm_update`), which takes the sigmoid gates'
 pre-activations halved. What depends on the parameters alone is formed
-once per weight state and kept on them (`ReasonerParams.folded`): the
-step weight, which joins the receiver and sender blocks of message
-layer 1 and the cell's recurrent block; the edge projection folded
-through message layer 1's edge block; and message layer 2 folded
-through the cell's message block. Every cell block there has its
-sigmoid gates' columns halved, which is exact, so each step's
-pre-activations come out halved with no pass of their own. What no step
-changes is computed once per call: the node input projection, the
-node-input block of the gate pre-activations (one [N, 4h] product),
-with each node's count of received pairs times the folded message bias
-added in, and the edge block of message layer 1, one [P, d_s] @
-[d_s, h] product. The node input projection stays unfolded: through
-the cell's block it would be x @ [d_s, 4h], less work only while
-3 d_s < 4 h. The folds reassociate products, so the states agree with
-the unfolded order to rounding, not bit for bit. A step then runs one
-product of the states with the step weight, gathers its receiver and
-sender rows per pair, sums the relu'd rows per receiver over pairs
-sorted by receiver into one [T, N, h] buffer, multiplies the [N, h]
-sums by the folded message weight straight into the pre-activations,
-and updates the cell. The cell keeps its gate activations gate-major
-([T, 4, N, h]), so its elementwise passes, forward and backward, run
-on contiguous [N, h] blocks. The step attention projects every step's
-states with one [N*T, h] @ [h, 3h] product, scores every (key step,
-query step) pair in one product, and sums over steps before the output
-projection, since the sum of ctx_t @ W_o over t is (sum of ctx_t) @
-W_o. The cell's gates and the attention's q, k and v projections are
-stored joined ([3h, 4h] and [h, 3h]), so the record reads them as they
-are.
+once per weight state and kept on them (`ReasonerParams.folded`):
+W_rs = [W1_recv | W1_send] ([h, 2h]), message layer 1's receiver and
+sender blocks side by side; the gate product W_mh = [W2 W_m ; W_h]
+([2h, 4h]), message layer 2 folded through the cell's message block
+over the cell's recurrent block; the prologue product
+W_aug = [W_x ; b2 W_m ; b_cell] ([h+2, 4h]), the cell's node-input
+block over the folded message bias and the cell bias; and the edge
+projection folded through message layer 1's edge block. W_mh and W_aug
+have the sigmoid gates' columns halved, which is exact, so each step's
+pre-activations come out halved with no pass of their own.
+
+What no step changes is computed once per call: the node input
+projection x_proj, the edge block of message layer 1 (one [P, d_s] @
+[d_s, h] product), and, in one product of the rows
+[x_proj | in-degree | 1] with W_aug, every step's pre-activations but
+the message and recurrent parts, biases and each node's count of
+received pairs times the folded message bias included. The node input
+projection stays unfolded: through the cell's block it would be
+x @ [d_s, 4h], less work only while 3 d_s < 4 h. The folds reassociate
+products, so the states agree with the unfolded order to rounding, not
+bit for bit. Step t keeps its gate-product rows Z_t = [summed_t |
+h_{t-1}] in one [T+1, N, 2h] buffer, so h_t is the second half of
+Z_{t+1} and every state one [T, N, h] view. A step multiplies h_{t-1}
+by W_rs, gathers its receiver and sender halves per pair, sums the
+relu'd rows per receiver over pairs sorted by receiver into the first
+half of Z_t, and multiplies Z_t by W_mh straight into the
+pre-activations (the first step, with h_{-1} = 0, multiplies the sums
+by W_mh's message block alone); then the prologue's product is added
+and the cell updated. The cell keeps its gate activations gate-major
+([T, 4, N, h]), so its elementwise passes, forward and backward, run on
+contiguous [N, h] blocks. The step attention projects q, k and v as
+three contiguous [T*N, h] blocks, one batched product of the states
+with the [3, h, h] view of the joined [h, 3h] weight; it scores every
+(key step, query step) pair in one product on contiguous rows, spreads
+each head's weight over its columns with one product, and sums over
+steps before the output projection, since the sum of ctx_t @ W_o over
+t is (sum of ctx_t) @ W_o. The cell's gates and the attention's q, k
+and v projections are stored joined ([3h, 4h] and [h, 3h]), so the
+record reads them as they are.
 
 The backward pass gives each parameter of the composite blocks its own
 gradient, so their names, shapes and checkpoints are unchanged. The
 step attention's query and key gradients are two products batched over
 (node, head), of the score gradient, node-major [N, heads, key step,
-query step], with the keys or queries, [N, heads, T, d_head]; then its
-forward buffers are dropped before the recurrence's backward allocates.
-Each step's gate gradient meets the cell in one product with
-[W_fold^T | W_h^T], [4h, 2h] and formed once per backward, where W_fold
-is message layer 2 folded through the cell's message block and W_h the
-cell's recurrent block: its first h columns are the summed messages'
-gradient, which goes back through the pairs, and its last h the
-recurrent gradient reaching h_{t-1}. The per-step gradient kept for
-the weights holds only message layer 1's receiver and sender blocks
-([T-1, N, 2h]); the cell's recurrent weight reads the gate gradients
-whole. These products group sums differently from one key step at a
-time, so the gradients agree with that order to rounding, not bit for
-bit.
+query step], with the keys or queries, [N, heads, T, d_head], written
+into the joined [T*N, 3h] gradient that w_qkv's weight and input
+gradients read in one product each; then its forward buffers are
+dropped before the recurrence's backward allocates. Each step's gate
+gradient meets the cell in one product with (W_mh unhalved)^T,
+[4h, 2h] and formed once per backward: its first h columns are the
+summed messages' gradient, which goes back through the pairs, and its
+last h the recurrent gradient reaching h_{t-1}. The per-step gradient
+kept for the weights holds only message layer 1's receiver and sender
+blocks ([T-1, N, 2h]). One product of the kept Z rows with the gate
+gradients gives both the summed messages' weight gradient and the
+cell's recurrent block's, and one of the prologue rows with the
+gate gradients summed over steps gives the node-input block's, the
+folded message bias's and the cell bias's. These products group sums
+differently from one key step at a time, so the gradients agree with
+that order to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -155,25 +169,30 @@ def _folded(
     """The reasoner's parameter-only products, the cell's sigmoid gate columns halved.
 
     Of message layers 1 (`w1`, `b1`) and 2 (`w2`, `b2`), the cell and the
-    edge projection: the step weight [h, 6h] (the receiver, sender and
-    recurrent blocks, what a step multiplies h by), the cell's node-input
-    block [h, 4h] and bias, the edge projection through message layer 1
-    ([d_s, h] and [h]), and message layer 2 through the cell's message
-    block ([h, 4h] and [4h]).
+    edge projection: the receiver and sender blocks of message layer 1
+    side by side ([h, 2h], what a step multiplies h_{t-1} by), the gate
+    product [W2 W_m ; W_h] ([2h, 4h], what a step multiplies [summed |
+    h_{t-1}] by), the prologue product [W_x ; b2 W_m ; b_cell] ([h+2, 4h],
+    what [x_proj | in-degree | 1] is multiplied by once per call), and
+    the edge projection through message layer 1 ([d_s, h] and [h]).
     """
     hd = w2.shape[0]
     half = gate_scale(hd)
     w1, w_cell = w1.data, w_cell.data
     w1_e, w_msg = w1[:hd], w_cell[2 * hd :] * half
-    w_step = np.concatenate([w1[hd : 2 * hd], w1[2 * hd :], w_cell[:hd] * half], axis=1)
+    w_mh = np.empty((2 * hd, 4 * hd))
+    np.matmul(w2.data, w_msg, out=w_mh[:hd])
+    np.multiply(w_cell[:hd], half, out=w_mh[hd:])
+    w_aug = np.empty((hd + 2, 4 * hd))
+    np.multiply(w_cell[hd : 2 * hd], half, out=w_aug[:hd])
+    np.matmul(b2.data, w_msg, out=w_aug[hd])
+    np.multiply(b_cell.data, half, out=w_aug[hd + 1])
     return (
-        w_step,
-        w_cell[hd : 2 * hd] * half,
-        b_cell.data * half,
+        np.concatenate([w1[hd : 2 * hd], w1[2 * hd :]], axis=1),
+        w_mh,
+        w_aug,
         w_edge.data @ w1_e,
         b_edge.data @ w1_e + b1.data,
-        w2.data @ w_msg,
-        b2.data @ w_msg,
     )
 
 
@@ -183,6 +202,12 @@ def _head_sum(heads: int, d_head: int) -> Array:
     out = np.repeat(np.eye(heads), d_head, axis=0)
     out.flags.writeable = False
     return out
+
+
+def _by_head(a: Array, heads: int) -> Array:
+    """[T, N, h] step-major rows viewed node-major as [N, heads, T, d_head]."""
+    n_t, n, hd = a.shape
+    return a.reshape(n_t, n, heads, hd // heads).transpose(1, 2, 0, 3)
 
 
 def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
@@ -203,42 +228,49 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
     inputs = p.inputs if attend else p.inputs[:-4]
     keep = recording(inputs)
     segs = Segments.by_index(recv, n)
-    w_step, w_x, b_x, w_e, b_e, w_m, b_m = p.folded(
+    w_rs, w_mh, w_aug, w_e, b_e = p.folded(
         l1.w, l1.b, l2.w, l2.b, p.cell.w, p.cell.b, p.edge_in.w, p.edge_in.b
     )
 
-    x_proj = x @ p.node_in.w.data + p.node_in.b.data
+    # the prologue rows [x_proj | in-degree | 1]: one product gives every step's
+    # pre-activations but the message and recurrent parts, biases included
+    x_aug = np.empty((n, hd + 2))
+    x_aug[:, :hd] = x @ p.node_in.w.data + p.node_in.b.data  # x_proj
+    x_aug[:, hd] = segs.counts
+    x_aug[:, hd + 1] = 1.0
+    act_x = x_aug @ w_aug
     pre_e = efeat @ w_e + b_e  # the edge block of message layer 1
-    act_x = x_proj @ w_x  # every step's pre-activations but the recurrent and message parts
-    act_x += b_x
-    act_x += segs.counts[:, None] * b_m
 
-    # Without a tape every step reuses one slot; only h is kept for attention.
+    # z[t] holds step t's gate-product rows [summed_t | h_{t-1}], so h_t is
+    # z[t + 1]'s second half and every state one [T, N, h] view, `hs`
+    z = np.empty((n_t + 1, n, 2 * hd))
+    if keep:  # h_{-1} = 0, which only the backward's product of the Z rows reads
+        z[0, :, hd:] = 0.0
+    hs = z[1:, :, hd:]
+    # Without a tape every step reuses one slot; only z is kept for attention.
     slot = list(range(n_t)) if keep else [0] * n_t
     depth = n_t if keep else 1
     act = np.empty((depth, 4, n, hd))  # gate activations, gate-major
     c = np.empty((depth, n, hd))
     tc = np.empty((depth, n, hd))  # tanh(c)
     relu = np.empty((depth, recv.shape[0], hd))  # message layer 1 after relu
-    summed = np.empty((depth, n, hd))  # per-receiver sums of `relu`
-    hs = np.empty((n_t, n, hd))
-    y = np.empty((n, 6 * hd))
+    y = np.empty((n, 2 * hd))
     a = np.empty((n, 4 * hd))  # the step's gate pre-activations, the sigmoid gates' halved
     a4 = a.reshape(n, 4, hd).transpose(1, 0, 2)  # gate-major view, what `lstm_update` reads
     for t in range(n_t):
         s = slot[t]
         if t:
-            np.matmul(hs[t - 1], w_step, out=y)
+            np.matmul(hs[t - 1], w_rs, out=y)
             pre = y[recv, :hd]
             pre += pre_e
-            pre += y[send, hd : 2 * hd]
+            pre += y[send, hd:]
             np.maximum(pre, 0.0, out=relu[s])
-        else:
+            segs.sum(relu[s], out=z[t, :, :hd])
+            np.matmul(z[t], w_mh, out=a)
+        else:  # h_{-1} = 0: the message block alone
             np.maximum(pre_e, 0.0, out=relu[s])
-        np.matmul(segs.sum(relu[s], out=summed[s]), w_m, out=a)
+            np.matmul(segs.sum(relu[s], out=z[0, :, :hd]), w_mh[:hd], out=a)
         a += act_x
-        if t:
-            a += y[:, 2 * hd :]
         lstm_update(a4, act[s], c[slot[t - 1]] if t else None, c[s], tc[s], hs[t])
 
     if attend:
@@ -248,8 +280,9 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
         head_sum = _head_sum(heads, d_head)
         w_qkv = mha.w_qkv.data
         h_flat = hs.reshape(n_t * n, hd)
-        qkv = (h_flat @ w_qkv).reshape(n_t, n, 3, heads, d_head)
-        q, k, v = qkv[:, :, 0], qkv[:, :, 1], qkv[:, :, 2]  # [T, N, heads, d_head]
+        # q, k and v as three contiguous [T*N, h] blocks, one product batched over them
+        qkv = np.matmul(h_flat, w_qkv.reshape(hd, 3, hd).transpose(1, 0, 2))
+        q, k, v = qkv.reshape(3, n_t, n, hd)
         # [key step, query step, N, heads], every pair of steps in one product
         scores = (k[:, None] * q[None]).reshape(n_t * n_t * n, hd) @ head_sum
         attn = scores.reshape(n_t, n_t, n, heads)
@@ -258,12 +291,14 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
         np.exp(attn, out=attn)
         attn /= attn.sum(axis=0)
         weight = attn.sum(axis=1)  # each key step's weight summed over query steps
-        ctx = (weight[..., None] * v).sum(axis=0).reshape(n, hd)
+        spread = (weight.reshape(n_t * n, heads) @ head_sum.T).reshape(n_t, n, hd)
+        spread *= v
+        ctx = spread.sum(axis=0)
         out = Tensor(ctx @ mha.w_o.data)
         # the backward's only references, dropped before the recurrence's backward allocates
         held = [qkv, attn, weight]
     else:
-        out = Tensor(hs[-1])
+        out = Tensor(hs[-1].copy())  # a view would keep all of z alive
     if not keep:
         return out
     half = gate_scale(hd)
@@ -272,41 +307,42 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
         grads: dict[Tensor, Array] = {}
         if attend:
             qkv, attn, weight = held
-            q, k, v = qkv[:, :, 0], qkv[:, :, 1], qkv[:, :, 2]
+            q, k, v = qkv.reshape(3, n_t, n, hd)
             grads[mha.w_o] = ctx.T @ gout
-            d_ctx = (gout @ mha.w_o.data.T).reshape(n, heads, d_head)
-            d_qkv = np.empty_like(qkv)
-            dq, dk, dv = d_qkv[:, :, 0], d_qkv[:, :, 1], d_qkv[:, :, 2]
-            np.multiply(weight[..., None], d_ctx, out=dv)
+            d_ctx = gout @ mha.w_o.data.T
+            # joined as w_qkv's columns, so its weight and input gradients are one product each
+            d_qkv = np.empty((n_t * n, 3 * hd))
+            dq, dk, dv = d_qkv.reshape(n_t, n, 3, hd).transpose(2, 0, 1, 3)
+            np.matmul(weight.reshape(n_t * n, heads), head_sum.T, out=dv.reshape(n_t * n, hd))
+            dv *= d_ctx
             d_weight = ((v * d_ctx).reshape(n_t * n, hd) @ head_sum).reshape(n_t, n, heads)
             d_scores = attn * (d_weight[:, None] - (attn * d_weight[:, None]).sum(axis=0))
             d_scores *= scale
             # node-major: scores [N, heads, key step, query step], q, k and their
             # gradients [N, heads, step, d_head], one product over (node, head) each
             ds = d_scores.transpose(2, 3, 0, 1)
-            np.matmul(ds.swapaxes(2, 3), k.transpose(1, 2, 0, 3), out=dq.transpose(1, 2, 0, 3))
-            np.matmul(ds, q.transpose(1, 2, 0, 3), out=dk.transpose(1, 2, 0, 3))
-            d_flat = d_qkv.reshape(n_t * n, 3 * hd)
-            grads[mha.w_qkv] = h_flat.T @ d_flat
-            gh = (d_flat @ w_qkv.T).reshape(n_t, n, hd)
+            np.matmul(ds.swapaxes(2, 3), _by_head(k, heads), out=_by_head(dq, heads))
+            np.matmul(ds, _by_head(q, heads), out=_by_head(dk, heads))
+            grads[mha.w_qkv] = h_flat.T @ d_qkv
+            gh = (d_qkv @ w_qkv.T).reshape(n_t, n, hd)
             held.clear()
-            del qkv, q, k, v, attn, weight, d_qkv, dq, dk, dv, d_flat, d_scores, ds
+            del qkv, q, k, v, attn, weight, d_qkv, dq, dk, dv, d_scores, ds
             del d_weight, d_ctx
         else:
             gh = np.zeros((n_t, n, hd))
             gh[-1] = gout
 
         # `lstm_update_backward` gives the gradients of the unhalved pre-activations,
-        # so the steps read the blocks unhalved: W2 W_m, which is `w_m` doubled back
-        # exactly, and the cell's recurrent block. One product of a step's gate
-        # gradient with `w_gate` gives the summed messages' gradient (its first h
-        # columns) and the recurrent gradient reaching h_{t-1} (its last h).
+        # so the steps read the gate product unhalved, `w_mh` doubled back exactly.
+        # One product of a step's gate gradient with its transpose gives the summed
+        # messages' gradient (its first h columns) and the recurrent gradient
+        # reaching h_{t-1} (its last h).
         w1, w2, w_cell = l1.w.data, l2.w.data, p.cell.w.data  # rows of w_cell: h, x_proj, m
         w_msg = w_cell[2 * hd :]
-        w_gate = np.concatenate([(w_m / half).T, w_cell[:hd].T], axis=1)  # [4h, 2h]
-        w_rs_t = w_step[:, : 2 * hd].T  # message layer 1's receiver and sender blocks
+        w_gate = (w_mh / half).T  # [4h, 2h]
+        w_rs_t = w_rs.T  # message layer 1's receiver and sender blocks
         d_pre = np.empty((n_t, recv.shape[0], hd))  # d loss / d message layer 1 pre-relu
-        d_step = np.empty((max(n_t - 1, 0), n, 2 * hd))  # d loss / d (h_{t-1} @ w_rs_t.T)
+        d_step = np.empty((max(n_t - 1, 0), n, 2 * hd))  # d loss / d (h_{t-1} @ w_rs)
         send_segs = Segments.by_index(send, n) if n_t > 1 else None
 
         def step(t: int, d_act_t: Array) -> Array | None:
@@ -324,25 +360,26 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
             return d_h
 
         d_act = lstm_update_backward(act, c, tc, gh, step)
-        flat = d_act.reshape(n_t * n, 4 * hd)
         d_act_x = d_act.sum(axis=0)
-        # Σ_t segsum(relu_t)^T d_t and Σ_t deg^T d_t, what the message fold's weights read
-        d_sum = summed.reshape(n_t * n, hd).T @ flat
-        d_deg = segs.counts @ d_act_x
+        # Σ_t z_t^T d_t: Σ_t segsum(relu_t)^T d_t, what the message fold's weights
+        # read, over the recurrent block's gradient Σ_t h_{t-1}^T d_t (h_{-1} = 0)
+        d_z = z[:n_t].reshape(n_t * n, 2 * hd).T @ d_act.reshape(n_t * n, 4 * hd)
+        d_sum = d_z[:hd]
+        # x_proj's block, Σ_t deg^T d_t and the cell bias's gradient
+        d_aug = x_aug.T @ d_act_x
+        d_deg = d_aug[hd]
         dw_cell = np.empty_like(w_cell)
-        dw_cell[hd : 2 * hd] = x_proj.T @ d_act_x
-        dw_cell[2 * hd :] = w2.T @ d_sum
+        dw_cell[:hd] = d_z[hd:]
+        dw_cell[hd : 2 * hd] = d_aug[:hd]
+        np.matmul(w2.T, d_sum, out=dw_cell[2 * hd :])
         dw_cell[2 * hd :] += np.outer(l2.b.data, d_deg)
         dw1 = np.empty_like(w1)
         if n_t > 1:
-            h_prev = hs[:-1].reshape(-1, hd).T
-            dw_rs = h_prev @ d_step.reshape(-1, 2 * hd)
+            dw_rs = hs[:-1].reshape(-1, hd).T @ d_step.reshape(-1, 2 * hd)
             dw1[hd : 2 * hd] = dw_rs[:, :hd]
             dw1[2 * hd :] = dw_rs[:, hd:]
-            np.matmul(h_prev, d_act[1:].reshape(-1, 4 * hd), out=dw_cell[:hd])
         else:  # the only step reads h = 0
             dw1[hd:] = 0.0
-            dw_cell[:hd] = 0.0
         d_pre_e = d_pre.sum(axis=0)
         d_b1 = d_pre_e.sum(axis=0)
         d_w_e = efeat.T @ d_pre_e  # [d_s, h], what the edge fold's weights read
@@ -350,7 +387,7 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
         dw1[:hd] = p.edge_in.w.data.T @ d_w_e
         dw1[:hd] += np.outer(p.edge_in.b.data, d_b1)
         grads[p.cell.w] = dw_cell
-        grads[p.cell.b] = d_act_x.sum(axis=0)
+        grads[p.cell.b] = d_aug[hd + 1]
         grads[l1.w] = dw1
         grads[l1.b] = d_b1
         grads[l2.w] = d_sum @ w_msg.T

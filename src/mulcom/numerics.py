@@ -36,7 +36,7 @@ instrument, so all arithmetic stays in float64.
 Parameters change in place only through `write`, which gives the
 tensor a new `version`. A `Derived` cache keeps arrays computed from
 parameters alone (the streams' trope queries, the head's stream mix,
-the LSTM's halved weights, the reasoner's step weight) on the block
+the LSTM's halved weights, the reasoner's folded products) on the block
 that owns them, and computes them again only when an input's version
 moved: once per scoring run, once per training step.
 
@@ -538,7 +538,8 @@ class Segments:
     `np.add.at` works an element at a time; entity graphs have few ranks.
     """
 
-    def __init__(self, order: Sequence[int], counts: Sequence[int]):
+    def __init__(self, order: Sequence[int], counts: Sequence[int], rows: int | None = None):
+        """`rows`, above every row in `order`, is one past the largest unless given."""
         order = np.asarray(order, dtype=np.intp)
         counts = np.asarray(counts, dtype=np.intp)
         self.n = counts.shape[0]
@@ -547,6 +548,11 @@ class Segments:
         total = int(starts[-1]) if self.n else 0
         if total != order.shape[0]:
             raise ShapeMismatchError(f"Segments: counts sum to {total}, not {order.shape[0]}")
+        if rows is None:
+            if total and order.min() < 0:
+                raise ShapeMismatchError("Segments: a negative row in the order")
+            rows = int(order.max()) + 1 if total else 0
+        self.rows = rows  # the fewest rows `sum` takes; it gathers unchecked once they are there
         starts -= counts
         live = counts.nonzero()[0]  # the groups with a row of this rank
         first = starts if live.shape[0] == self.n else starts.take(live)
@@ -565,21 +571,31 @@ class Segments:
         bit, up to the sign of a zero.
         """
         index = _row_index(index, n, "Segments")
-        return cls(index.argsort(kind="stable"), np.bincount(index, minlength=n))
+        return cls(index.argsort(kind="stable"), np.bincount(index, minlength=n), index.shape[0])
 
     def sum(self, rows: Array, out: Array | None = None) -> Array:
-        """Per-group row sums, [n, ...], in the dtype of `rows`; written into `out` if given."""
+        """Per-group row sums, [n, ...], in the dtype of `rows`; written into `out` if given.
+
+        The gathers clip, checked once here: `take` with `out` and its
+        default bounds check copies `out` first. Into a strided `out`,
+        one half of a wider row, a fresh gather and a copy are faster
+        still than a clipped gather.
+        """
+        if rows.shape[0] < self.rows:
+            raise ShapeMismatchError(f"Segments: {rows.shape[0]} rows, reads row {self.rows - 1}")
         (groups, first), *rest = self.ranks
-        if groups.shape[0] == self.n:
-            out = rows.take(first, axis=0, out=out)
+        if groups.shape[0] == self.n and (out is None or out.flags.c_contiguous):
+            out = rows.take(first, axis=0, out=out, mode="clip")
+        elif groups.shape[0] == self.n:
+            out[...] = rows.take(first, axis=0, mode="clip")
         else:
             if out is None:
                 out = np.zeros((self.n,) + rows.shape[1:], dtype=rows.dtype)
             else:
                 out.fill(0.0)
-            out[groups] = rows.take(first, axis=0)
+            out[groups] = rows.take(first, axis=0, mode="clip")
         for groups, idx in rest:
-            out[groups] += rows.take(idx, axis=0)
+            out[groups] += rows.take(idx, axis=0, mode="clip")
         return out
 
 

@@ -473,6 +473,8 @@ class TestExitCodes:
         (["gradcheck", "--tolerance", "0"], "tolerance"),
         (["train", "--learning-rate", "nan"], "learning_rate"),
         (["eval", "--threshold", "1.5"], "threshold"),
+        (["train", "--early-stop-f1", "200"], "early_stop_f1"),
+        (["train", "--early-stop-f1", "-1"], "early_stop_f1"),
     ])
     def test_bad_flag_value_is_usage_error(self, argv, key, tmp_path, capsys):
         # the missing dataset and checkpoint would exit 1 if they were read first

@@ -431,13 +431,16 @@ class TestReasoner:
     @pytest.mark.parametrize("steps", [1, 2, 3, 4])
     def test_without_a_tape_matches_the_recorded_output(self, steps, heads):
         # the forward-only path keeps one step's intermediates, not all of
-        # them, so c_{t-1} and c_t share one buffer
+        # them, so c_{t-1} and c_t share one buffer; the graphs give nodes
+        # without a received pair, and receivers of one pair up to four
         p, _ = _reasoner(steps, heads)
-        graph = _planted_union()
-        for kind, (run, _) in RUNS.items():
-            with Tape():
-                recorded = run(graph, p).data
-            np.testing.assert_array_equal(run(graph, p).data, recorded, err_msg=kind)
+        for name, make in REASONER_GRAPHS.items():
+            graph = make()
+            for kind, (run, _) in RUNS.items():
+                with Tape():
+                    recorded = run(graph, p).data
+                np.testing.assert_array_equal(run(graph, p).data, recorded,
+                                              err_msg=f"{kind} on {name}")
 
 
 def test_trained_parameters_keep_the_layouts_the_fused_records_read():

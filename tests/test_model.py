@@ -558,6 +558,12 @@ class TestTrain:
         l_ba = bce_loss(forward_logits(model, docs[::-1]), y[::-1], 2.0).data
         assert l_ab == pytest.approx(l_ba, abs=1e-12)
 
+    @pytest.mark.parametrize("f1", [200.0, -1.0])
+    def test_early_stop_f1_must_be_a_percentage(self, f1):
+        # 200 would never stop; a negative value would stop after the first validated epoch
+        with pytest.raises(ConfigError, match=r"early_stop_f1 must be a percentage in \[0, 100\]"):
+            TrainConfig(early_stop_f1=f1)
+
     def test_early_stop_on_validation_f1(self):
         model = build_model(tiny_cfg(streams=("word",)), seed=30)
         docs = [tiny_doc(seed=31, labels=(0,)), tiny_doc(seed=32, labels=(1, 2))]

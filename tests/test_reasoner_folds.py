@@ -12,8 +12,9 @@ and a backward pass that loops over key steps and keeps a six-block
 per-step gradient. Both must give outputs and every parameter gradient
 within 1e-12 of each other, on graphs whose receivers get no pair, one
 pair or several, and on ragged unions, with heads from one wide up to
-the CLI-default widths. The step attention's forward buffers must be
-gone before the recurrence's backward allocates its own.
+the CLI-default widths, and the forward without a tape must give the
+recorded output bit for bit. The step attention's forward buffers must
+be gone before the recurrence's backward allocates its own.
 """
 
 import inspect
@@ -79,6 +80,8 @@ UNREACHED_NODE = [[[0], [0], []]]  # e2 receives no pair
 CLIQUE = [[[0], [0], [0, 1], [0]]]  # every node receives three pairs or more
 SINGLE_NODE = [[[1]]]
 RAGGED = [[[0], [0]], [[0, 1], [1], [1], [], [2]], [[3]]]
+# in-degrees 3, 3, 4, 3 and 0, then 1: the prologue's degree column in every role
+DEGREES = [[[0], [0], [0, 1], [0], []], [[2]]]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)
@@ -99,6 +102,11 @@ RAGGED = [[[0], [0]], [[0, 1], [1], [1], [], [2]], [[3]]]
 @example(tables=RAGGED, steps=3, heads=2, kind="msrrn")
 @example(tables=RAGGED, steps=1, heads=4, kind="rrn")
 @example(tables=RAGGED, steps=1, heads=D_H, kind="msrrn")  # one-wide heads, a 1x1 step matrix
+# a single step reads summed messages alone, h_{-1} = 0, with no recurrent block
+@example(tables=UNREACHED_NODE, steps=1, heads=2, kind="msrrn")
+@example(tables=CLIQUE, steps=1, heads=4, kind="msrrn")
+@example(tables=DEGREES, steps=1, heads=2, kind="rrn")
+@example(tables=DEGREES, steps=3, heads=4, kind="msrrn")
 def test_folded_reasoner_matches_the_reference(tables, steps, heads, kind):
     check_against_the_reference(tables, steps, heads, kind)
 
@@ -119,6 +127,8 @@ def check_against_the_reference(tables, steps, heads, kind, d_h=D_H):
     want, want_grads = output_and_grads(ref_run, graph, p, w)
     assert got.shape == want.shape == (graph.n_nodes, d_h)
     assert np.abs(got - want).max(initial=0.0) <= TOL
+    # without a tape every step reuses one slot, and the output stays bit for bit
+    np.testing.assert_array_equal(run(graph, p).data, got)
     assert got_grads.keys() == want_grads.keys()
     for name, g in got_grads.items():
         if want_grads[name] is None:  # rrn leaves the step attention off the tape
@@ -134,6 +144,7 @@ def test_the_examples_cover_the_graph_shapes():
     assert 0 in np.bincount(union(UNREACHED_NODE).recv, minlength=3)
     assert np.bincount(union(CLIQUE).recv).min() >= 3
     assert union(SINGLE_NODE).n_nodes == 1
+    assert np.bincount(union(DEGREES).recv, minlength=6).tolist() == [3, 3, 4, 3, 0, 1]
     ragged = union(RAGGED)
     assert len(set(ragged.node_counts.tolist())) == 3
 
@@ -155,7 +166,7 @@ def test_the_attention_buffers_are_freed_before_the_recurrence_backward(monkeypa
     grads_fn = inspect.getclosurevars(backward_fn).nonlocals["grads_fn"]
     held = inspect.getclosurevars(grads_fn).nonlocals["held"]
     refs = [weakref.ref(b) for a in held for b in _chain(a)]
-    assert len(refs) >= 4  # qkv and its product, the scores buffer and its view, weight
+    assert len(refs) >= 4  # the q, k, v blocks, the scores buffer and its view, weight
     del held, grads_fn, backward_fn
     assert all(r() is not None for r in refs)
     live = []

@@ -348,8 +348,7 @@ def _per_doc_pass(docs: Sequence[FeatureDoc]) -> GraphBatch:
         node0 += len(doc.entities)
         row0 += doc.n_sents
 
-    feats = _sentence_rows(docs)  # every mention indexes them, as `FeatureDoc` checks
-    sums = Segments(node_rows + edge_rows, node_sizes + edge_sizes, feats.shape[0]).sum(feats)
+    sums = Segments(node_rows + edge_rows, node_sizes + edge_sizes).sum(_sentence_rows(docs))
     return GraphBatch(
         entity_ids=entity_ids,
         x=sums[:node0] + 0.0,  # as if summed from +0.0, so a -0.0 sum is +0.0
@@ -403,10 +402,9 @@ def _array_pass(docs: Sequence[FeatureDoc]) -> GraphBatch:
     keep[:, 1] = i != j  # rows (i, j) then (j, i) per edge; a self-loop is one row
     keep = keep.ravel()
     recv = np.array([i, j]).T.ravel()[keep]
-    feats = _sentence_rows(docs)  # every mention indexes them, as `FeatureDoc` checks
     groups = Segments(np.concatenate([node_rows, edge_rows]),
-                      np.concatenate([node_sizes, edge_sizes]), feats.shape[0])
-    sums = groups.sum(feats)
+                      np.concatenate([node_sizes, edge_sizes]))
+    sums = groups.sum(_sentence_rows(docs))
     return GraphBatch(
         entity_ids=[ent.entity_id for doc in docs for ent in doc.entities],
         x=sums[:n_nodes] + 0.0,  # as if summed from +0.0, so a -0.0 sum is +0.0

@@ -32,15 +32,16 @@ received pairs times the folded message bias included. The node input
 projection stays unfolded: through the cell's block it would be
 x @ [d_s, 4h], less work only while 3 d_s < 4 h. The folds reassociate
 products, so the states agree with the unfolded order to rounding, not
-bit for bit. Step t keeps its gate-product rows Z_t = [summed_t |
-h_{t-1}] in one [T+1, N, 2h] buffer, so h_t is the second half of
-Z_{t+1} and every state one [T, N, h] view. A step multiplies h_{t-1}
-by W_rs, gathers its receiver and sender halves per pair, sums the
-relu'd rows per receiver over pairs sorted by receiver into the first
-half of Z_t, and multiplies Z_t by W_mh straight into the
-pre-activations (the first step, with h_{-1} = 0, multiplies the sums
-by W_mh's message block alone); then the prologue's product is added
-and the cell updated. The cell keeps its gate activations gate-major
+bit for bit. A step multiplies h_{t-1} by W_rs, gathers its receiver
+and sender halves per pair, sums the relu'd rows per receiver over
+pairs sorted by receiver, copies the sums and h_{t-1} side by side
+into the rows Z_t = [summed_t | h_{t-1}], and multiplies Z_t by W_mh
+straight into the pre-activations (the first step, with h_{-1} = 0,
+multiplies the sums by W_mh's message block alone); then the
+prologue's product is added and the cell updated. One [N, 2h] buffer
+holds Z_t for every step; the sums and the states are kept apart,
+each [T, N, h] and contiguous, as the backward and the attention
+read them. The cell keeps its gate activations gate-major
 ([T, 4, N, h]), so its elementwise passes, forward and backward, run on
 contiguous [N, h] blocks. The step attention projects q, k and v as
 three contiguous [T*N, h] blocks, one batched product of the states
@@ -65,11 +66,12 @@ gradient meets the cell in one product with (W_mh unhalved)^T,
 summed messages' gradient, which goes back through the pairs, and its
 last h the recurrent gradient reaching h_{t-1}. The per-step gradient
 kept for the weights holds only message layer 1's receiver and sender
-blocks ([T-1, N, 2h]). One product of the kept Z rows with the gate
-gradients gives both the summed messages' weight gradient and the
-cell's recurrent block's, and one of the prologue rows with the
-gate gradients summed over steps gives the node-input block's, the
-folded message bias's and the cell bias's. These products group sums
+blocks ([T-1, N, 2h]). One product of the kept sums with the gate
+gradients gives the summed messages' weight gradient, one of the
+states with the next steps' gate gradients the cell's recurrent
+block's, and one of the prologue rows with the gate gradients summed
+over steps the node-input block's, the folded message bias's and the
+cell bias's. These products group sums
 differently from one key step at a time, so the gradients agree with
 that order to rounding, not bit for bit.
 """
@@ -241,19 +243,16 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
     act_x = x_aug @ w_aug
     pre_e = efeat @ w_e + b_e  # the edge block of message layer 1
 
-    # z[t] holds step t's gate-product rows [summed_t | h_{t-1}], so h_t is
-    # z[t + 1]'s second half and every state one [T, N, h] view, `hs`
-    z = np.empty((n_t + 1, n, 2 * hd))
-    if keep:  # h_{-1} = 0, which only the backward's product of the Z rows reads
-        z[0, :, hd:] = 0.0
-    hs = z[1:, :, hd:]
-    # Without a tape every step reuses one slot; only z is kept for attention.
+    # Without a tape every step reuses one slot; only the states are kept for attention.
     slot = list(range(n_t)) if keep else [0] * n_t
     depth = n_t if keep else 1
     act = np.empty((depth, 4, n, hd))  # gate activations, gate-major
     c = np.empty((depth, n, hd))
     tc = np.empty((depth, n, hd))  # tanh(c)
     relu = np.empty((depth, recv.shape[0], hd))  # message layer 1 after relu
+    summed = np.empty((depth, n, hd))  # per-receiver sums of `relu`
+    hs = np.empty((n_t, n, hd))
+    z = np.empty((n, 2 * hd))  # the step's gate-product rows [summed_t | h_{t-1}]
     y = np.empty((n, 2 * hd))
     a = np.empty((n, 4 * hd))  # the step's gate pre-activations, the sigmoid gates' halved
     a4 = a.reshape(n, 4, hd).transpose(1, 0, 2)  # gate-major view, what `lstm_update` reads
@@ -265,11 +264,12 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
             pre += pre_e
             pre += y[send, hd:]
             np.maximum(pre, 0.0, out=relu[s])
-            segs.sum(relu[s], out=z[t, :, :hd])
-            np.matmul(z[t], w_mh, out=a)
+            z[:, :hd] = segs.sum(relu[s], out=summed[s])
+            z[:, hd:] = hs[t - 1]
+            np.matmul(z, w_mh, out=a)
         else:  # h_{-1} = 0: the message block alone
             np.maximum(pre_e, 0.0, out=relu[s])
-            np.matmul(segs.sum(relu[s], out=z[0, :, :hd]), w_mh[:hd], out=a)
+            np.matmul(segs.sum(relu[s], out=summed[s]), w_mh[:hd], out=a)
         a += act_x
         lstm_update(a4, act[s], c[slot[t - 1]] if t else None, c[s], tc[s], hs[t])
 
@@ -298,7 +298,7 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
         # the backward's only references, dropped before the recurrence's backward allocates
         held = [qkv, attn, weight]
     else:
-        out = Tensor(hs[-1].copy())  # a view would keep all of z alive
+        out = Tensor(hs[-1])
     if not keep:
         return out
     half = gate_scale(hd)
@@ -361,15 +361,16 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
 
         d_act = lstm_update_backward(act, c, tc, gh, step)
         d_act_x = d_act.sum(axis=0)
-        # Σ_t z_t^T d_t: Σ_t segsum(relu_t)^T d_t, what the message fold's weights
-        # read, over the recurrent block's gradient Σ_t h_{t-1}^T d_t (h_{-1} = 0)
-        d_z = z[:n_t].reshape(n_t * n, 2 * hd).T @ d_act.reshape(n_t * n, 4 * hd)
-        d_sum = d_z[:hd]
+        # Σ_t segsum(relu_t)^T d_t, what the message fold's weights read
+        d_sum = summed.reshape(n_t * n, hd).T @ d_act.reshape(n_t * n, 4 * hd)
         # x_proj's block, Σ_t deg^T d_t and the cell bias's gradient
         d_aug = x_aug.T @ d_act_x
         d_deg = d_aug[hd]
         dw_cell = np.empty_like(w_cell)
-        dw_cell[:hd] = d_z[hd:]
+        if n_t > 1:  # the recurrent block's Σ_t h_{t-1}^T d_t, h_{-1} = 0
+            np.matmul(hs[:-1].reshape(-1, hd).T, d_act[1:].reshape(-1, 4 * hd), out=dw_cell[:hd])
+        else:
+            dw_cell[:hd] = 0.0
         dw_cell[hd : 2 * hd] = d_aug[:hd]
         np.matmul(w2.T, d_sum, out=dw_cell[2 * hd :])
         dw_cell[2 * hd :] += np.outer(l2.b.data, d_deg)

@@ -538,8 +538,7 @@ class Segments:
     `np.add.at` works an element at a time; entity graphs have few ranks.
     """
 
-    def __init__(self, order: Sequence[int], counts: Sequence[int], rows: int | None = None):
-        """`rows`, above every row in `order`, is one past the largest unless given."""
+    def __init__(self, order: Sequence[int], counts: Sequence[int]):
         order = np.asarray(order, dtype=np.intp)
         counts = np.asarray(counts, dtype=np.intp)
         self.n = counts.shape[0]
@@ -548,11 +547,6 @@ class Segments:
         total = int(starts[-1]) if self.n else 0
         if total != order.shape[0]:
             raise ShapeMismatchError(f"Segments: counts sum to {total}, not {order.shape[0]}")
-        if rows is None:
-            if total and order.min() < 0:
-                raise ShapeMismatchError("Segments: a negative row in the order")
-            rows = int(order.max()) + 1 if total else 0
-        self.rows = rows  # the fewest rows `sum` takes; it gathers unchecked once they are there
         starts -= counts
         live = counts.nonzero()[0]  # the groups with a row of this rank
         first = starts if live.shape[0] == self.n else starts.take(live)
@@ -571,31 +565,29 @@ class Segments:
         bit, up to the sign of a zero.
         """
         index = _row_index(index, n, "Segments")
-        return cls(index.argsort(kind="stable"), np.bincount(index, minlength=n), index.shape[0])
+        return cls(index.argsort(kind="stable"), np.bincount(index, minlength=n))
 
     def sum(self, rows: Array, out: Array | None = None) -> Array:
         """Per-group row sums, [n, ...], in the dtype of `rows`; written into `out` if given.
 
-        The gathers clip, checked once here: `take` with `out` and its
-        default bounds check copies `out` first. Into a strided `out`,
-        one half of a wider row, a fresh gather and a copy are faster
-        still than a clipped gather.
+        Into `out` the first rank gathers fresh and copies: `take` with
+        `out` and its default bounds check buffers `out` first, which
+        timed slower than the copy.
         """
-        if rows.shape[0] < self.rows:
-            raise ShapeMismatchError(f"Segments: {rows.shape[0]} rows, reads row {self.rows - 1}")
         (groups, first), *rest = self.ranks
-        if groups.shape[0] == self.n and (out is None or out.flags.c_contiguous):
-            out = rows.take(first, axis=0, out=out, mode="clip")
-        elif groups.shape[0] == self.n:
-            out[...] = rows.take(first, axis=0, mode="clip")
+        if groups.shape[0] == self.n:
+            if out is None:
+                out = rows.take(first, axis=0)
+            else:
+                out[...] = rows.take(first, axis=0)
         else:
             if out is None:
                 out = np.zeros((self.n,) + rows.shape[1:], dtype=rows.dtype)
             else:
                 out.fill(0.0)
-            out[groups] = rows.take(first, axis=0, mode="clip")
+            out[groups] = rows.take(first, axis=0)
         for groups, idx in rest:
-            out[groups] += rows.take(idx, axis=0, mode="clip")
+            out[groups] += rows.take(idx, axis=0)
         return out
 
 

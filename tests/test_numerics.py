@@ -241,23 +241,14 @@ class TestConcatAndShapes:
         assert np.isnan(buf[0]).all() and np.isnan(buf[1, :, [0, 4]]).all()
 
     @pytest.mark.parametrize("groups", [[[0, 2], [1]], [[], [4, 0, 4]]])  # all live, and not
-    def test_segment_sums_check_the_rows_once_then_gather_unchecked(self, groups):
-        # the builders' sums, bit for bit as before, are in test_graph_batch.py
+    def test_segment_sums_raise_for_rows_one_short(self, groups):
+        # every gather keeps numpy's bounds check, into `out` or not
         order = [r for g in groups for r in g]
         segs = nm.Segments(order, [len(g) for g in groups])
-        rows = np.arange(2.0 * (max(order) + 1)).reshape(-1, 2)
-        want = np.array([rows[g].sum(axis=0) if g else [0.0, 0.0] for g in groups])
-        npt.assert_array_equal(segs.sum(rows), want)
-        with pytest.raises(ShapeMismatchError, match=f"Segments: {len(rows) - 1} rows"):
-            segs.sum(rows[:-1])
-        with pytest.raises(ShapeMismatchError, match="Segments: a negative row"):
-            nm.Segments([r - 1 for r in order], [len(g) for g in groups])
-
-    def test_segments_by_index_bound_the_rows_by_the_index_length(self):
-        segs = nm.Segments.by_index([1, 0, 1], 2)  # three index entries, so three rows
-        npt.assert_array_equal(segs.sum(np.array([[1.0], [2.0], [4.0]])), [[2.0], [5.0]])
-        with pytest.raises(ShapeMismatchError, match="Segments: 2 rows, reads row 2"):
-            segs.sum(np.zeros((2, 1)))
+        rows = np.arange(2.0 * max(order)).reshape(-1, 2)
+        for out in (None, np.empty((2, len(groups), 2))[1]):
+            with pytest.raises(IndexError):
+                segs.sum(rows, out=out)
 
     @pytest.mark.parametrize("order, counts", [([0, 1], [1]), ([0], [1, 1]), ([0], [])])
     def test_segment_counts_must_cover_order(self, order, counts):

@@ -388,7 +388,7 @@ def _reason(graph: GraphBatch, p: ReasonerParams, attend: bool) -> Tensor:
         dw1[:hd] = p.edge_in.w.data.T @ d_w_e
         dw1[:hd] += np.outer(p.edge_in.b.data, d_b1)
         grads[p.cell.w] = dw_cell
-        grads[p.cell.b] = d_aug[hd + 1]
+        grads[p.cell.b] = d_aug[hd + 1].copy()  # a view would keep all of d_aug alive
         grads[l1.w] = dw1
         grads[l1.b] = d_b1
         grads[l2.w] = d_sum @ w_msg.T

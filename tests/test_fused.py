@@ -427,6 +427,19 @@ class TestReasoner:
             RUNS[kind][0](_planted_union(), p)
         assert len(tape) == 1
 
+    @pytest.mark.parametrize("steps", [1, 3])
+    @pytest.mark.parametrize("kind", list(RUNS))
+    def test_gradients_keep_no_larger_array_alive(self, kind, steps):
+        # a gradient stays on its parameter after the step; as a view of a
+        # wider product it would keep that whole product alive (a joined
+        # block's gradient is by design a block of its base's)
+        p, rng = _reasoner(steps, 2)
+        graph = _planted_union()
+        _reasoner_grads(RUNS[kind][0], graph, p, rng.standard_normal((graph.n_nodes, D_H)))
+        for name, t in p.named():
+            if t.grad is not None and t.grad.base is not None:
+                assert t.grad.base.size == (t if t.base is None else t.base).data.size, name
+
     @pytest.mark.parametrize("heads", [1, 2, 4])
     @pytest.mark.parametrize("steps", [1, 2, 3, 4])
     def test_without_a_tape_matches_the_recorded_output(self, steps, heads):

@@ -192,7 +192,6 @@ class GraphBatch:
     follow one another in order.
     """
 
-    entity_ids: list[str]  # [N]
     x: Array  # [N, d_s] node features
     recv: Array  # [P] receiving node
     send: Array  # [P] sending node
@@ -224,7 +223,6 @@ class GraphBatch:
         pairs = _ranges(_starts(self.pair_counts).take(m), pair_counts)
         moved = (node_from - _starts(node_counts)).repeat(pair_counts)
         return GraphBatch(
-            entity_ids=[self.entity_ids[i] for i in nodes.tolist()],
             x=self.x.take(nodes, axis=0),
             recv=self.recv.take(pairs) - moved,
             send=self.send.take(pairs) - moved,
@@ -304,7 +302,6 @@ def _per_doc_pass(docs: Sequence[FeatureDoc]) -> GraphBatch:
     sentence rows and its pair rows. The float sums then run over the
     whole batch at once, nodes and edges together, each edge once.
     """
-    entity_ids: list[str] = []
     node_counts: list[int] = []
     pair_counts: list[int] = []
     node_rows: list[int] = []  # each node's sentences' rows of `feats`, node after node
@@ -318,7 +315,6 @@ def _per_doc_pass(docs: Sequence[FeatureDoc]) -> GraphBatch:
     for doc in docs:
         sentence_entities: dict[int, list[int]] = {}
         for node, ent in enumerate(doc.entities, node0):
-            entity_ids.append(ent.entity_id)
             node_rows += [row0 + s for s in ent.sents]
             node_sizes.append(len(ent.sents))
             for s in ent.sents:
@@ -350,7 +346,6 @@ def _per_doc_pass(docs: Sequence[FeatureDoc]) -> GraphBatch:
 
     sums = Segments(node_rows + edge_rows, node_sizes + edge_sizes).sum(_sentence_rows(docs))
     return GraphBatch(
-        entity_ids=entity_ids,
         x=sums[:node0] + 0.0,  # as if summed from +0.0, so a -0.0 sum is +0.0
         recv=np.array(recv, dtype=np.intp),
         send=np.array(send, dtype=np.intp),
@@ -406,7 +401,6 @@ def _array_pass(docs: Sequence[FeatureDoc]) -> GraphBatch:
                       np.concatenate([node_sizes, edge_sizes]))
     sums = groups.sum(_sentence_rows(docs))
     return GraphBatch(
-        entity_ids=[ent.entity_id for doc in docs for ent in doc.entities],
         x=sums[:n_nodes] + 0.0,  # as if summed from +0.0, so a -0.0 sum is +0.0
         recv=recv,
         send=(i + j).repeat(2)[keep] - recv,  # each row's other end

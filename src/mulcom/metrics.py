@@ -132,6 +132,8 @@ def random_baseline(
 
     Returns trial means with half-width 1.96 * sem confidence intervals.
     """
+    if trials < 1:
+        raise ValidationError(f"random_baseline: trials must be at least 1, got {trials}")
     labels = _check_binary(labels, "labels")
     rng = rng_from_seed(seed, stream=90)
     f1s = np.empty(trials)

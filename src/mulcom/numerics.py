@@ -1,16 +1,19 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-The model runs five fused records with hand-derived backward passes:
-the LSTM sequence here, the reasoner in `mulcom.msrrn`, which shares
-its gate update `lstm_update` and `lstm_update_backward`, the
-trope-query pooling `mulcom.streams.attend`, the per-trope head
-`mulcom.model.predict_logits` and the loss `mulcom.model.bce_loss`.
-`record` is the one way to write such a record: the op returns one
-gradient per input, and `record` alone checks which inputs are
-tracked, delivers the gradients (a `join`ed block takes its part of
-its array's) and appends to the tape. The LSTM gates and the
-attention's q, k and v projections are stored as the fused records
-read them, each block a view of one joined array (`join`).
+Every op goes on a tape the same way, through `record`: the op
+computes its output and returns, from a `grads_fn` it hands to
+`record`, one gradient per input; `record` alone checks which inputs
+are tracked, delivers the gradients and appends to the tape. The model
+makes seven records, each with a hand-derived backward pass: the LSTM
+sequence `lstm_sequence` here, the reasoner `_reason` in
+`mulcom.msrrn`, which shares its gate update `lstm_update` and
+`lstm_update_backward`, the trope-query pooling `attend` and the
+reasoner's node-row view `_member_rows` in `mulcom.streams`, the
+padded layout `scatter_rows` of the relation stream, the per-trope
+head `mulcom.model.predict_logits` and the loss `mulcom.model.bce_loss`.
+The LSTM gates and the attention's q, k and v projections are stored
+as the fused records read them, each block a view of one joined array
+(`join`).
 
 The two LSTM recurrences keep their gate activations gate-major,
 [4, n, h] per step in order i, f, o, g, so the elementwise passes of
@@ -24,13 +27,12 @@ sigmoid gates take their tanh at half the pre-activation, which the
 caller has already halved; halving by a power of two is exact, so
 folding it into weights or sums changes no bit.
 
-The primitives below, each with its own backward pass, remain for the
-composites `lstm_cell`, `multi_head_attention`, `mlp_apply`,
-`gather_rows` and `scatter_add_rows`, which the model no longer calls:
-the benchmark's tracer looks them up on the modules that import them,
-and the tests' composite oracles build the unfused blocks from them.
-`scatter_rows` is the one primitive the model itself records. Gradient
-checks against central finite differences are the primary correctness
+The other primitives below remain for the composites `lstm_cell`,
+`multi_head_attention`, `mlp_apply`, `gather_rows` and
+`scatter_add_rows`, which the model no longer calls: the benchmark's
+tracer looks them up on the modules that import them, and the tests'
+composite oracles build the unfused blocks from them. Gradient checks
+against central finite differences are the primary correctness
 instrument, so all arithmetic stays in float64.
 
 Parameters change in place only through `write`, which gives the
@@ -259,25 +261,21 @@ def recording(inputs: Sequence[Tensor]) -> bool:
     return bool(_STATE.stack) and any(t.tracked for t in inputs)
 
 
-def _emit(inputs: tuple[Tensor, ...], out: Tensor, backward_fn: Callable[[Array], None]) -> Tensor:
-    if recording(inputs):
-        out.tracked = True
-        active_tape().records.append((inputs, out, backward_fn))
-    return out
-
-
 def record(
     inputs: tuple[Tensor, ...], out: Tensor, grads_fn: Callable[[Array], dict[Tensor, Array]]
 ) -> Tensor:
     """Put `out` on the active tape as one record over `inputs`, if `recording(inputs)`.
 
-    `grads_fn(gout)` maps each tracked input to its gradient, given the
-    gradient `gout` of `out`; a `join`ed block may instead be covered by
-    its base, and then takes its block of the base's gradient. Every
-    array it returns must be computed for this call, so that nothing
-    else refers to it (a block counts when no other block overlaps it):
-    each is adopted as a first gradient without a copy. An input listed
-    twice still takes its gradient once.
+    The one way onto a tape, for the fused records and the primitives
+    alike. `grads_fn(gout)` maps each tracked input to its gradient,
+    given the gradient `gout` of `out`; entries for untracked inputs are
+    ignored. A `join`ed block takes its own entry when there is one, and
+    otherwise its block of its base's. Every array it returns must be
+    computed for this call, so that nothing else refers to it (a block
+    counts when no other block overlaps it): each is adopted as a first
+    gradient without a copy, so a gradient that would be a view of
+    `gout` is returned as a copy. An input listed twice is one input,
+    delivered once: its entry must hold the sum of its paths.
     """
     if not recording(inputs):
         return out
@@ -286,24 +284,33 @@ def record(
         grads = grads_fn(gout)
         for t in dict.fromkeys(inputs):
             if t.tracked:
-                _accum(t, grads[t] if t.base is None else grads[t.base][t.index], fresh=True)
+                g = grads.get(t)
+                _accum(t, grads[t.base][t.index] if g is None else g)
 
     out.tracked = True
     active_tape().records.append((inputs, out, backward_fn))
     return out
 
 
-def _accum(t: Tensor, g: Array, fresh: bool = False) -> None:
+def _accum(t: Tensor, g: Array) -> None:
     """Add `g` into `t.grad`, adopting it as the first gradient.
 
-    `g` is copied on adoption unless `fresh` says nothing else refers to
-    it (a result computed for this call, not a view or an upstream
-    gradient), so later in-place sums cannot reach another buffer.
+    `g` was computed for its record (see `record`), so nothing else
+    refers to it and later in-place sums cannot reach another buffer.
     """
     if t.grad is None:
-        t.grad = np.asarray(g) if fresh else np.array(g)
+        t.grad = np.asarray(g)
     else:
         t.grad += g
+
+
+def _summed(pairs: Sequence[tuple[Tensor, Array]]) -> dict[Tensor, Array]:
+    """(input, gradient) pairs as `record`'s map, an input given twice taking the sum."""
+    grads: dict[Tensor, Array] = {}
+    for t, g in pairs:
+        held = grads.get(t)
+        grads[t] = g if held is None else held + g
+    return grads
 
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
@@ -338,37 +345,29 @@ def _norm_axis(axis: int, ndim: int, op: str) -> int:
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
 
-    def backward_fn(g: Array) -> None:
-        if a.tracked:
-            _accum(a, _unbroadcast(g, a.shape))
-        if b.tracked:
-            _accum(b, _unbroadcast(g, b.shape))
+    def grads_fn(g: Array) -> dict[Tensor, Array]:
+        # copies: `_unbroadcast` returns `g` itself where no axis was broadcast
+        return _summed(((a, np.array(_unbroadcast(g, a.shape))),
+                        (b, np.array(_unbroadcast(g, b.shape)))))
 
-    return _emit((a, b), out, backward_fn)
+    return record((a, b), out, grads_fn)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data)
 
-    def backward_fn(g: Array) -> None:
-        if a.tracked:
-            _accum(a, _unbroadcast(g * b.data, a.shape), fresh=True)
-        if b.tracked:
-            _accum(b, _unbroadcast(g * a.data, b.shape), fresh=True)
+    def grads_fn(g: Array) -> dict[Tensor, Array]:
+        return _summed(((a, _unbroadcast(g * b.data, a.shape)),
+                        (b, _unbroadcast(g * a.data, b.shape))))
 
-    return _emit((a, b), out, backward_fn)
+    return record((a, b), out, grads_fn)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
     """Multiply by a python float constant."""
     c = float(c)
     out = Tensor(x.data * c)
-
-    def backward_fn(g: Array) -> None:
-        if x.tracked:
-            _accum(x, g * c, fresh=True)
-
-    return _emit((x,), out, backward_fn)
+    return record((x,), out, lambda g: {x: g * c})
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -377,52 +376,36 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatchError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     out = Tensor(a.data @ b.data)
 
-    def backward_fn(g: Array) -> None:
-        if a.tracked:
-            _accum(a, _unbroadcast(g @ _swap2(b.data), a.shape), fresh=True)
-        if b.tracked:
-            if b.ndim == 2 and a.ndim > 2:
-                # one GEMM over the folded stack, not a stack of products
-                k, m = b.shape
-                _accum(b, a.data.reshape(-1, k).T @ g.reshape(-1, m), fresh=True)
-            else:
-                _accum(b, _unbroadcast(_swap2(a.data) @ g, b.shape), fresh=True)
+    def grads_fn(g: Array) -> dict[Tensor, Array]:
+        ga = _unbroadcast(g @ _swap2(b.data), a.shape)
+        if b.ndim == 2 and a.ndim > 2:
+            # one GEMM over the folded stack, not a stack of products
+            k, m = b.shape
+            gb = a.data.reshape(-1, k).T @ g.reshape(-1, m)
+        else:
+            gb = _unbroadcast(_swap2(a.data) @ g, b.shape)
+        return _summed(((a, ga), (b, gb)))
 
-    return _emit((a, b), out, backward_fn)
+    return record((a, b), out, grads_fn)
 
 
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
     out = Tensor(np.maximum(x.data, 0.0))  # propagates NaN instead of hiding it
-
-    def backward_fn(g: Array) -> None:
-        if x.tracked:
-            _accum(x, g * mask, fresh=True)
-
-    return _emit((x,), out, backward_fn)
+    return record((x,), out, lambda g: {x: g * mask})
 
 
 def tanh(x: Tensor) -> Tensor:
     t = np.tanh(x.data)
     out = Tensor(t)
-
-    def backward_fn(g: Array) -> None:
-        if x.tracked:
-            _accum(x, g * (1.0 - t * t), fresh=True)
-
-    return _emit((x,), out, backward_fn)
+    return record((x,), out, lambda g: {x: g * (1.0 - t * t)})
 
 
 def sigmoid(x: Tensor) -> Tensor:
     """Elementwise 1/(1+exp(-x)); saturates without overflow."""
     s = expit(x.data)
     out = Tensor(s)
-
-    def backward_fn(g: Array) -> None:
-        if x.tracked:
-            _accum(x, g * s * (1.0 - s), fresh=True)
-
-    return _emit((x,), out, backward_fn)
+    return record((x,), out, lambda g: {x: g * s * (1.0 - s)})
 
 
 def expit(x: Array) -> Array:
@@ -440,12 +423,11 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     s = e / e.sum(axis=axis, keepdims=True)
     out = Tensor(s)
 
-    def backward_fn(g: Array) -> None:
-        if x.tracked:
-            dot = (g * s).sum(axis=axis, keepdims=True)
-            _accum(x, s * (g - dot), fresh=True)
+    def grads_fn(g: Array) -> dict[Tensor, Array]:
+        dot = (g * s).sum(axis=axis, keepdims=True)
+        return {x: s * (g - dot)}
 
-    return _emit((x,), out, backward_fn)
+    return record((x,), out, grads_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -464,17 +446,17 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
         ) from exc
     parts = tuple(parts)
 
-    def backward_fn(g: Array) -> None:
+    def grads_fn(g: Array) -> dict[Tensor, Array]:
         index: list = [slice(None)] * g.ndim
-        lo = 0
+        blocks, lo = [], 0
         for p in parts:
             hi = lo + p.shape[axis]
-            if p.tracked:
-                index[axis] = slice(lo, hi)
-                _accum(p, g[tuple(index)])
+            index[axis] = slice(lo, hi)
+            blocks.append((p, np.array(g[tuple(index)])))  # a copy, not a view of `g`
             lo = hi
+        return _summed(blocks)
 
-    return _emit(parts, out, backward_fn)
+    return record(parts, out, grads_fn)
 
 
 def transpose(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
@@ -485,12 +467,7 @@ def transpose(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
         axes = tuple(range(x.ndim - 2)) + (x.ndim - 1, x.ndim - 2)
     axes = tuple(axes)
     out = Tensor(x.data.transpose(axes))
-
-    def backward_fn(g: Array) -> None:
-        if x.tracked:
-            _accum(x, g.transpose(np.argsort(axes)))
-
-    return _emit((x,), out, backward_fn)
+    return record((x,), out, lambda g: {x: np.array(g.transpose(np.argsort(axes)))})
 
 
 def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
@@ -500,13 +477,12 @@ def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
         raise ShapeMismatchError(f"slice_last: [{start}:{stop}] out of range for extent {d}")
     out = Tensor(x.data[..., start:stop])
 
-    def backward_fn(g: Array) -> None:
-        if x.tracked:
-            buf = np.zeros_like(x.data)
-            buf[..., start:stop] = g
-            _accum(x, buf, fresh=True)
+    def grads_fn(g: Array) -> dict[Tensor, Array]:
+        buf = np.zeros_like(x.data)
+        buf[..., start:stop] = g
+        return {x: buf}
 
-    return _emit((x,), out, backward_fn)
+    return record((x,), out, grads_fn)
 
 
 def _row_index(index: Sequence[int], n: int, op: str) -> Array:
@@ -595,24 +571,14 @@ def gather_rows(x: Tensor, index: Sequence[int]) -> Tensor:
     """Select rows (axis 0) by integer index in [0, rows), repeats allowed."""
     idx = _row_index(index, x.shape[0], "gather_rows")
     out = Tensor(x.data[idx])
-
-    def backward_fn(g: Array) -> None:
-        if x.tracked:
-            _accum(x, Segments.by_index(idx, x.shape[0]).sum(g), fresh=True)
-
-    return _emit((x,), out, backward_fn)
+    return record((x,), out, lambda g: {x: Segments.by_index(idx, x.shape[0]).sum(g)})
 
 
 def scatter_add_rows(x: Tensor, index: Sequence[int], num_rows: int) -> Tensor:
     """Sum rows of `x` into `num_rows` output rows: out[index[p]] += x[p]."""
     idx = np.asarray(index, dtype=np.intp)
     out = Tensor(Segments.by_index(idx, num_rows).sum(x.data))
-
-    def backward_fn(g: Array) -> None:
-        if x.tracked:
-            _accum(x, g[idx], fresh=True)
-
-    return _emit((x,), out, backward_fn)
+    return record((x,), out, lambda g: {x: g[idx]})
 
 
 def scatter_rows(x: Tensor, index, shape: Sequence[int]) -> Tensor:
@@ -625,12 +591,7 @@ def scatter_rows(x: Tensor, index, shape: Sequence[int]) -> Tensor:
     data = np.zeros(tuple(shape), dtype=np.float64)
     data[index] = x.data
     out = Tensor(data)
-
-    def backward_fn(g: Array) -> None:
-        if x.tracked:
-            _accum(x, g[index], fresh=True)
-
-    return _emit((x,), out, backward_fn)
+    return record((x,), out, lambda g: {x: g[index]})
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -981,8 +942,8 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, p: MHAParams) -> Tenso
 def backward(loss: Tensor, tape: Tape) -> None:
     """Populate grad buffers of every tracked tensor reachable from `loss`.
 
-    Tracked leaves that appear on the tape but receive no gradient flow
-    end up with zero-filled buffers.
+    A tracked tensor that no gradient reaches keeps `grad` None, as a
+    tracked leaf off the tape does.
     """
     if loss.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -992,10 +953,6 @@ def backward(loss: Tensor, tape: Tape) -> None:
     for _, out, backward_fn in reversed(tape.records):
         if out.grad is not None:
             backward_fn(out.grad)
-    for inputs, _, _ in tape.records:
-        for t in inputs:
-            if t.tracked and t.grad is None:
-                t.grad = np.zeros_like(t.data)
 
 
 # A probe whose one-sided slopes disagree by more than this fraction of

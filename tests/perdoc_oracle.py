@@ -75,7 +75,6 @@ def build_graph(doc):
             feats += (e, e)
 
     return GraphBatch(
-        entity_ids=[ent.entity_id for ent in doc.entities],
         x=x,
         recv=np.asarray(recv, dtype=np.intp),
         send=np.asarray(send, dtype=np.intp),
@@ -89,7 +88,6 @@ def batch_graphs(graphs):
     sizes = [g.n_nodes for g in graphs]
     offsets = np.cumsum(sizes) - sizes
     return GraphBatch(
-        entity_ids=[eid for g in graphs for eid in g.entity_ids],
         x=np.concatenate([g.x for g in graphs]),
         recv=np.concatenate([g.recv + o for g, o in zip(graphs, offsets)]),
         send=np.concatenate([g.send + o for g, o in zip(graphs, offsets)]),

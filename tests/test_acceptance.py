@@ -112,7 +112,7 @@ def test_criterion_2_reasoner_structural_invariants():
     # A node with no incident pairs receives an exactly zero message row.
     doc = make_doc({"a": [0], "b": [0], "iso": []}, n_sents=1, d_s=5, seed=752)
     g = build_graph(doc)
-    iso = g.entity_ids.index("iso")
+    iso = [ent.entity_id for ent in doc.entities].index("iso")
     p = init_reasoner(rng, d_s=5, d_h=8, steps=1, heads=2)
     h = Tensor(rng_from_seed(753).standard_normal((g.n_nodes, 8)))
     msg = message_pass(g, h, p).data

@@ -604,8 +604,8 @@ class TestSynthGenerate:
         off = next(d for d in ds.split("train") if motif0 not in d.labels)
         for doc, expect_edge in ((on, True), (off, False)):
             g = build_graph(doc)
-            ia = g.entity_ids.index("pair0_a")
-            ib = g.entity_ids.index("pair0_b")
+            ids = [ent.entity_id for ent in doc.entities]  # node rows, in order
+            ia, ib = ids.index("pair0_a"), ids.index("pair0_b")
             has_edge = any(
                 {i, j} == {ia, ib}
                 for i, j in zip(g.recv.tolist(), g.send.tolist()) if i != j

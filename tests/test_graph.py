@@ -87,7 +87,7 @@ class TestBuildGraph:
     def test_one_shared_sentence(self):
         doc = make_doc({"A": [0], "B": [0]}, n_sents=1)
         g = build_graph(doc)
-        assert g.entity_ids == ["A", "B"]
+        assert [e.entity_id for e in doc.entities] == ["A", "B"]  # node rows 0 and 1
         edges = edge_map(g)
         assert list(edges) == [(0, 1)]
         npt.assert_array_equal(edges[(0, 1)], doc.sent_feats[0])

@@ -101,7 +101,6 @@ def assert_same_graphs(got: GraphBatch, want: GraphBatch) -> None:
         a, b = getattr(got, name), getattr(want, name)
         assert (a.dtype, a.shape) == (b.dtype, b.shape), name
         assert a.tobytes() == b.tobytes(), name
-    assert got.entity_ids == want.entity_ids
 
 
 @contextmanager

@@ -224,6 +224,12 @@ class TestRandomBaseline:
         b = random_baseline(labels, seed=3, trials=20)
         assert a == b
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_no_trials_is_a_validation_error(self, trials):
+        # 0 gave NaN means with RuntimeWarnings, -3 numpy's negative-dimension error
+        with pytest.raises(ValidationError, match="trials"):
+            random_baseline(np.eye(4, 2, dtype=int), trials=trials)
+
 
 class TestEvaluate:
     def test_report_fields_and_per_trope(self):

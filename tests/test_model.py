@@ -387,6 +387,23 @@ class TestAdam:
         opt.step()
         npt.assert_array_equal(p.data, [2.0])
 
+    def test_a_parameter_off_the_loss_keeps_its_values_and_moments(self):
+        a, b = param(np.array([[1.0, -2.0]])), param(np.array([0.5, 0.25, -1.0]))
+        opt = Adam({"a": a, "b": b}, lr=0.1)
+        a.grad, b.grad = np.array([[0.3, -0.1]]), np.array([0.2, 0.0, -0.4])
+        opt.step()  # b's moments are no longer zero
+        opt.zero_grad()
+        with Tape() as tape:
+            numerics.mul(b, b)  # on the tape, but the loss does not read it
+            loss = numerics.matmul(a, Tensor([[1.0], [2.0]]))
+        backward(loss, tape)
+        assert b.grad is None
+        (state,) = [s for _, _, places in opt.blocks for t, (_, *s) in places if t is b]
+        kept = [s.copy() for s in state]  # b's m, v and data
+        opt.step()
+        for s, k in zip(state, kept):
+            npt.assert_array_equal(s, k)
+
     def test_flat_update_matches_per_tensor_loop(self):
         # reference: the update applied tensor by tensor, in the same order
         rng = np.random.default_rng(3)

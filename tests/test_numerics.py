@@ -409,15 +409,25 @@ class TestBackward:
         with pytest.raises(ValueError, match="scalar"):
             nm.backward(y, tape)
 
-    def test_unused_tracked_leaf_gets_zero_buffer(self):
+    def test_branch_scaled_by_zero_gets_a_zero_gradient(self):
         x = nm.param([1.0])
         y = nm.param([3.0])
         with Tape() as tape:
-            # y enters the tape but its branch is multiplied by zero
+            # y's branch reaches the loss, multiplied by zero
             loss = oracle.reduce_sum(nm.add(x, nm.scale(y, 0.0)))
         nm.backward(loss, tape)
         assert y.grad is not None
         npt.assert_array_equal(y.grad, [0.0])
+
+    def test_a_record_off_the_loss_leaves_its_inputs_without_gradient(self):
+        x = nm.param([1.0])
+        y = nm.param([3.0])
+        with Tape() as tape:
+            nm.mul(y, y)  # on the tape, but the loss does not read it
+            loss = oracle.reduce_sum(nm.scale(x, 2.0))
+        nm.backward(loss, tape)
+        npt.assert_array_equal(x.grad, [2.0])
+        assert y.grad is None
 
     def test_no_recording_without_tape(self):
         x = nm.param([1.0])
@@ -437,6 +447,33 @@ class TestBackward:
         assert order == ["mul", "add", "sum"]
         nm.backward(loss, tape)
         assert x.grad is not None
+
+
+class TestRepeatedInputs:
+    """A primitive handed one tensor twice delivers the sum of both paths."""
+
+    def test_add(self):
+        x = nm.param([1.0, -2.0])
+        with Tape() as tape:
+            loss = oracle.reduce_sum(nm.add(x, x))
+        nm.backward(loss, tape)
+        npt.assert_array_equal(x.grad, [2.0, 2.0])
+
+    def test_concat(self):
+        x = nm.param([1.0, -2.0])
+        with Tape() as tape:
+            weighted = nm.mul(nm.concat([x, x]), Tensor([1.0, 2.0, 3.0, 4.0]))
+            loss = oracle.reduce_sum(weighted)
+        nm.backward(loss, tape)
+        npt.assert_array_equal(x.grad, [1.0 + 3.0, 2.0 + 4.0])
+
+    def test_matmul(self):
+        x = nm.param(np.random.default_rng(7).standard_normal((3, 3)))
+        with Tape() as tape:
+            loss = oracle.reduce_sum(nm.matmul(x, x))
+        nm.backward(loss, tape)
+        ones = np.ones((3, 3))
+        npt.assert_allclose(x.grad, ones @ x.data.T + x.data.T @ ones, rtol=1e-14)
 
 
 class TestRecord:
@@ -467,6 +504,16 @@ class TestRecord:
         nm.backward(out, tape)
         npt.assert_array_equal(left.grad, [[0.0], [3.0]])
         npt.assert_array_equal(right.grad, [[1.0, 2.0], [4.0, 5.0]])
+
+    def test_a_joined_block_takes_its_own_entry_first(self):
+        left, right = nm.param([1.0]), nm.param([2.0, 3.0])
+        base = nm.join([left, right])
+        with Tape() as tape:
+            out = nm.record((left, right), Tensor(base.data.sum()),
+                            lambda g: {left: g * [7.0], base: g * np.arange(3.0)})
+        nm.backward(out, tape)
+        npt.assert_array_equal(left.grad, [7.0])
+        npt.assert_array_equal(right.grad, [1.0, 2.0])
 
     def test_an_input_listed_twice_takes_its_gradient_once(self):
         x = nm.param([1.0, -1.0])
